@@ -23,6 +23,7 @@ from .graphs import (
     empty_graph,
     graph6_encode,
     induced_subgraph,
+    join,
     path_graph,
     random_graph,
 )
@@ -57,14 +58,9 @@ def _pattern_grid() -> list[tuple[str, Graph]]:
         ("K3", complete_graph(3)),
         ("K4", complete_graph(4)),
         ("K2vI2", complete_split(2, 2)),
-        ("K1vP3", _k1_join_p3()),
+        # the fan: a non-clique pattern with exactly one dominating vertex
+        ("K1vP4", join(complete_graph(1), path_graph(4))),
     ]
-
-
-def _k1_join_p3() -> Graph:
-    from .graphs import join
-
-    return join(complete_graph(1), path_graph(3))
 
 
 def _subset_clique_count(g: Graph, t: int) -> int:
@@ -76,11 +72,10 @@ def _subset_clique_count(g: Graph, t: int) -> int:
     return total
 
 
-def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Crossover of the two 42-vertex demo graphs: both free, triangle
-    count favours the colex-interpolated blocks, 4-clique count favours
-    the Turán blocks; counts re-verified by subset enumeration."""
-    t0 = time.time()
+def _crossover() -> tuple[tuple[Graph, Graph, Graph], dict[str, bool], dict[str, int]]:
+    """The two 42-vertex demo graphs (six degree-minimal colex blocks,
+    seven Turán blocks) with their block, their freeness and crossover
+    checks, and their triangle and K_4 counts."""
     block = colex_turan(4, 17, degree_minimal=True)
     g_colex = disjoint_union([(block, 6)])
     g_turan = disjoint_union([(turan(4, 6), 7)])
@@ -98,6 +93,32 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     }
     checks["k3 crossover"] = counts["k3_colex_blocks"] > counts["k3_turan_blocks"]
     checks["k4 crossover"] = counts["k4_turan_blocks"] > counts["k4_colex_blocks"]
+    return (block, g_colex, g_turan), checks, counts
+
+
+def reproduce_examples() -> dict:
+    """Build the two 42-vertex demo graphs, verify freeness and the
+    strict crossover of their triangle and K_4 counts, and return all
+    four exact integers with the graph6 of both graphs and the colex
+    block.  Raises AssertionError naming the failed checks."""
+    (block, g_colex, g_turan), checks, counts = _crossover()
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise AssertionError(f"reproduce-examples failed: {failed}, counts {counts}")
+    return {
+        **counts,
+        "colex_block": graph6_encode(block),
+        "graph6_colex": graph6_encode(g_colex),
+        "graph6_turan": graph6_encode(g_turan),
+    }
+
+
+def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
+    """Crossover of the two 42-vertex demo graphs: both free, triangle
+    count favours the colex-interpolated blocks, 4-clique count favours
+    the Turán blocks; counts re-verified by subset enumeration."""
+    t0 = time.time()
+    (_, g_colex, g_turan), checks, counts = _crossover()
     checks["oracle recount"] = (
         _subset_clique_count(g_colex, 3) == counts["k3_colex_blocks"]
         and _subset_clique_count(g_turan, 3) == counts["k3_turan_blocks"]

@@ -42,7 +42,7 @@ from .freeness import ConstraintSet, check_constraints
 from .bounds import bounds_report, star_problem_bounds
 from .localization import default_threshold, localized_report
 from .search import brute_extremal, brute_extremal_u
-from .acceptance import DEFAULT_SEED, run_acceptance
+from .acceptance import DEFAULT_SEED, reproduce_examples, run_acceptance
 from .reports import dump_json, envelope, make_manifest
 
 _ATOM = re.compile(r"^([KIPC])(\d+)$")
@@ -308,43 +308,6 @@ def cmd_search(args) -> int:
     return 0
 
 
-def reproduce_examples() -> dict:
-    """Build the two 42-vertex demo graphs, verify freeness and the
-    strict crossover of their triangle and K_4 counts, and return all
-    four exact integers.  Raises AssertionError with a diff on failure."""
-    from .graphs import disjoint_union
-
-    block = colex_turan(4, 17, degree_minimal=True)
-    g_colex = disjoint_union([(block, 6)])
-    g_turan = disjoint_union([(turan(4, 6), 7)])
-    cs = ConstraintSet(u=1, delta=5, omega=4)
-    problems = []
-    if g_colex.n != 42 or g_turan.n != 42:
-        problems.append(f"vertex counts {g_colex.n}, {g_turan.n} != 42")
-    for name, g in (("colex blocks", g_colex), ("turan blocks", g_turan)):
-        rep = check_constraints(g, cs)
-        if not rep.passes:
-            problems.append(f"{name} not free: {rep.violations}")
-    counts = {
-        "k3_colex_blocks": count_cliques(g_colex, 3),
-        "k3_turan_blocks": count_cliques(g_turan, 3),
-        "k4_colex_blocks": count_cliques(g_colex, 4),
-        "k4_turan_blocks": count_cliques(g_turan, 4),
-    }
-    if not counts["k3_colex_blocks"] > counts["k3_turan_blocks"]:
-        problems.append(f"k3 crossover failed: {counts}")
-    if not counts["k4_turan_blocks"] > counts["k4_colex_blocks"]:
-        problems.append(f"k4 crossover failed: {counts}")
-    if problems:
-        raise AssertionError("reproduce-examples failed:\n" + "\n".join(problems))
-    return {
-        **counts,
-        "colex_block": graph6_encode(block),
-        "graph6_colex": graph6_encode(g_colex),
-        "graph6_turan": graph6_encode(g_turan),
-    }
-
-
 def cmd_reproduce(args) -> int:
     data = reproduce_examples()
     _emit(args, "reproduce-examples", data, [
@@ -389,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="JSON to stdout")
         p.add_argument("--out", help="write JSON report (with manifest) to a file")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; execution is single-process")
 
     p = sub.add_parser("construct", help="build a named graph family member")
     p.add_argument("--family", required=True, help="e.g. turan(4,6), colex(4,17), split(2,3)")
@@ -462,7 +423,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     args._argv = argv
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad user input: one line, like argparse's own errors
+        print(f"gturan: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

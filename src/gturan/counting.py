@@ -3,11 +3,18 @@ dominating-vertex structure.
 
 Copies are always counted as subgraphs: a copy of H in G is a pair
 (vertex set, edge set) with the edge set contained in G and the pair
-isomorphic to H.  Induced counting is deliberately not offered.  The fast
-path counts injective edge-preserving embeddings by backtracking over a
-connectivity-aware vertex order with bitmask candidate pruning, then
-divides by the automorphism count; a slow subset-enumeration oracle lives
-in the test tree only.
+isomorphic to H.  Induced counting is deliberately not offered.
+
+One embedding search, ``_frontier``, backtracks over a connectivity-aware
+pattern vertex order with bitmask candidate pruning and hands back the
+candidate mask of the last pattern vertex instead of descending into it.
+It has three uses: count (``count_embeddings`` sums the mask popcounts,
+and copy counts divide that by the automorphism count, itself the
+induced self-embedding count), visit (``enumerate_copies`` walks the
+mask bits) and first hit (``freeness.contains_subgraph`` stops at the
+lowest bit of the first mask).  Complete patterns go to the clique
+counters instead.  A slow subset-enumeration oracle lives in the test
+tree only.
 
 All counts are Python ints (arbitrary precision); densities elsewhere use
 ``fractions.Fraction``.  No floating point enters any count or comparison.
@@ -169,46 +176,74 @@ def _search_order(h: Graph) -> tuple[list[int], list[list[int]]]:
     return order, back
 
 
+def _frontier(
+    h: Graph, g: Graph, induced: bool = False
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """The one embedding search: every placement of all pattern vertices
+    but the last, in ``_search_order``.
+
+    Yields ``(order, images, cand)`` for each placement that leaves the
+    last pattern vertex ``order[-1]`` somewhere to go: ``images[i]`` is the
+    host vertex of ``order[i]`` for ``i < h.n - 1`` and ``cand`` is the
+    nonzero bitmask of its legal images.  ``images`` is reused between
+    yields.  Injective and edge-preserving; with ``induced`` non-edges
+    are preserved too.  Needs ``h.n >= 1``.
+    """
+    if h.n > g.n:
+        return
+    order, back = _search_order(h)
+    gmask = g.vertex_mask
+    adj = g.adj
+    # rules[i]: (row table, earlier position) pairs that filter position i
+    rules = [[(adj, j) for j in js] for js in back]
+    if induced:
+        co_adj = [(gmask ^ row) & ~(1 << v) for v, row in enumerate(adj)]
+        for i, v in enumerate(order):
+            rules[i] += [(co_adj, j) for j in range(i) if not h.has_edge(v, order[j])]
+    last = h.n - 1
+    images = [0] * h.n
+    if last == 0:
+        if gmask:
+            yield order, images, gmask
+        return
+    # explicit stack: cands[i] holds the untried images of order[i], and
+    # used the images of order[:i]
+    cands = [0] * last
+    cands[0] = gmask
+    i = 0
+    used = 0
+    while True:
+        cand = cands[i]
+        if not cand:
+            if i == 0:
+                return
+            i -= 1
+            used ^= 1 << images[i]
+            continue
+        low = cand & -cand
+        cands[i] = cand ^ low
+        images[i] = low.bit_length() - 1
+        nxt = gmask & ~(used | low)
+        for table, j in rules[i + 1]:
+            nxt &= table[images[j]]
+        if i + 1 == last:
+            if nxt:
+                yield order, images, nxt
+        elif nxt:
+            used |= low
+            i += 1
+            cands[i] = nxt
+
+
 def count_embeddings(h: Graph, g: Graph, induced: bool = False) -> int:
     """Injective edge-preserving maps from h into g.
 
     With ``induced`` non-edges must also be preserved, which on h = g
     counts automorphisms.
     """
-    if h.n > g.n:
-        return 0
     if h.n == 0:
         return 1
-    order, back = _search_order(h)
-    non_back = None
-    co_adj = None
-    if induced:
-        non_back = [
-            [j for j in range(i) if not h.has_edge(v, order[j])]
-            for i, v in enumerate(order)
-        ]
-        full = g.vertex_mask
-        co_adj = [(full ^ row) & ~(1 << i) for i, row in enumerate(g.adj)]
-    images = [0] * h.n
-    gmask = g.vertex_mask
-    adj = g.adj
-
-    def rec(i: int, used: int) -> int:
-        if i == h.n:
-            return 1
-        cand = gmask & ~used
-        for j in back[i]:
-            cand &= adj[images[j]]
-        if induced:
-            for j in non_back[i]:  # type: ignore[index]
-                cand &= co_adj[images[j]]  # type: ignore[index]
-        total = 0
-        for v in iter_bits(cand):
-            images[i] = v
-            total += rec(i + 1, used | (1 << v))
-        return total
-
-    return rec(0, 0)
+    return sum(cand.bit_count() for _, _, cand in _frontier(h, g, induced))
 
 
 @lru_cache(maxsize=4096)
@@ -335,31 +370,26 @@ def enumerate_copies(
         return out
     if p.n == 0:
         return [(0, frozenset())]
-    order, back = _search_order(p)
-    images = [0] * p.n
+    last = p.n - 1
     found: set[tuple[int, frozenset[tuple[int, int]]]] = set()
-    gmask = g.vertex_mask
-    adj = g.adj
-
-    def rec(i: int, used: int) -> None:
-        if i == p.n:
-            mask = used
-            edges = []
-            for a in range(p.n):
-                for b in range(a + 1, p.n):
-                    if p.has_edge(order[a], order[b]):
-                        x, y = images[a], images[b]
-                        edges.append((x, y) if x < y else (y, x))
-            found.add((mask, frozenset(edges)))
-            return
-        cand = gmask & ~used
-        for j in back[i]:
-            cand &= adj[images[j]]
+    pairs = None
+    for order, images, cand in _frontier(p, g):
+        if pairs is None:  # the order is fixed; read its edges once
+            pairs = [
+                (a, b)
+                for b in range(last)
+                for a in range(b)
+                if p.has_edge(order[a], order[b])
+            ]
+            to_last = [a for a in range(last) if p.has_edge(order[a], order[last])]
+        prefix = []
+        for a, b in pairs:
+            x, y = images[a], images[b]
+            prefix.append((x, y) if x < y else (y, x))
+        mask = sum(1 << images[a] for a in range(last))
         for v in iter_bits(cand):
-            images[i] = v
-            rec(i + 1, used | (1 << v))
-
-    rec(0, 0)
+            tail = [(x, v) if x < v else (v, x) for x in (images[a] for a in to_last)]
+            found.add((mask | 1 << v, frozenset(prefix + tail)))
     return sorted(found, key=lambda c: (c[0], sorted(c[1])))
 
 

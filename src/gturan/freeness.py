@@ -4,8 +4,9 @@
 (u, delta, omega)-free iff its clique number is at most omega and every
 u-clique has at most delta common neighbours.  For u=1 the second half is
 exactly "maximum degree <= delta" (no K_{1,delta+1}); for u=2 it forbids
-K_{1,1,delta+1}.  The generic subgraph search exists as a cross-check and
-for arbitrary forbidden graphs.
+K_{1,1,delta+1}.  ``contains_subgraph`` decides arbitrary forbidden
+graphs as a cross-check: it is the first-hit use of the embedding search
+in ``counting``, stopping at the first embedding found.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import Graph, common_neighborhood, iter_bits, set_of
-from .counting import (
-    clique_number,
-    count_embeddings,
-    enumerate_cliques,
-    has_clique,
-    _search_order,
-)
+from .counting import _frontier, clique_number, enumerate_cliques, has_clique
 
 
 @dataclass(frozen=True)
@@ -69,29 +64,13 @@ def contains_subgraph(g: Graph, f: Graph) -> tuple[bool, Optional[tuple[int, ...
     """
     if f.n == 0:
         return True, ()
-    if f.n > g.n or f.edge_count > g.edge_count:
+    if f.edge_count > g.edge_count:
         return False, None
-    order, back = _search_order(f)
-    images = [0] * f.n
-    gmask = g.vertex_mask
-    adj = g.adj
-
-    def rec(i: int, used: int) -> bool:
-        if i == f.n:
-            return True
-        cand = gmask & ~used
-        for j in back[i]:
-            cand &= adj[images[j]]
-        for v in iter_bits(cand):
-            images[i] = v
-            if rec(i + 1, used | (1 << v)):
-                return True
-        return False
-
-    if rec(0, 0):
+    for order, images, cand in _frontier(f, g):  # first hit: lowest image
         witness = [0] * f.n
-        for pos, v in enumerate(order):
+        for pos, v in enumerate(order[:-1]):
             witness[v] = images[pos]
+        witness[order[-1]] = (cand & -cand).bit_length() - 1
         return True, tuple(witness)
     return False, None
 
@@ -146,7 +125,3 @@ def check_constraints(g: Graph, cs: ConstraintSet) -> FreenessReport:
 
     return FreenessReport(omega_g, max_deg, by_u, tuple(violations))
 
-
-def count_forbidden_embeddings(g: Graph, f: Graph) -> int:
-    """Cross-check helper: raw embedding count of a forbidden graph."""
-    return count_embeddings(f, g)

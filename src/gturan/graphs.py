@@ -209,11 +209,6 @@ def common_neighborhood(g: Graph, c: int | Iterable[int]) -> int:
     return out
 
 
-def complement(g: Graph) -> Graph:
-    full = g.vertex_mask
-    return Graph(g.n, tuple((full ^ row) & ~(1 << i) for i, row in enumerate(g.adj)))
-
-
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Image of ``g`` under vertex permutation ``perm`` (old -> new)."""
     if sorted(perm) != list(range(g.n)):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Any
 
-from .graphs import Graph, graph6_encode, set_of
+from .graphs import Graph, graph6_encode
 
 SCHEMA_VERSION = "1"
 
@@ -49,10 +49,6 @@ def to_jsonable(obj: Any) -> Any:
             if not f.name.startswith("_")
         }
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def vertex_set_json(mask: int) -> list[int]:
-    return list(set_of(mask))
 
 
 def make_manifest(command: list[str], parameters: dict, inputs: dict[str, str]) -> dict:

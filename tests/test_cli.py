@@ -121,6 +121,17 @@ class TestSubcommands:
         code, out = run(capsys, "count", "--graph", "K4", "--cliques", "3")
         assert "4" in out and not out.strip().startswith("{")
 
+    @pytest.mark.parametrize("graph, message", [
+        ("turan(4)", "family turan takes 2 integers"),
+        ("hello", "graph6: truncated bit vector"),
+        ("turan(5,300)", "vertex count 300 outside [0, 256]"),
+    ])
+    def test_bad_graph_is_one_line_error(self, capsys, graph, message):
+        code = main(["count", "--graph", graph, "--cliques", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"gturan: error: {message}\n"
+
     def test_verify_quick_level(self, capsys):
         code, doc = run_json(capsys, "verify", "--level", "quick")
         assert code == 0

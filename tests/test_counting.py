@@ -31,6 +31,7 @@ from gturan.counting import (
     pattern_spec,
     turan_clique_count,
 )
+from gturan.freeness import contains_subgraph
 
 from oracles import (
     brute_automorphism_count,
@@ -164,11 +165,15 @@ class TestCopyCounts:
             complete_split(2, 2),
             union_of(complete_graph(2), complete_graph(1)),
             empty_graph(2),
+            complete_graph(1),
         ]
         for _ in range(30):
             g = random_graph(rng, rng.randint(0, 7), rng.choice([0.3, 0.6]))
             for h in patterns:
-                assert count_subgraph_copies(h, g) == subset_copy_count(h, g)
+                want = subset_copy_count(h, g)
+                assert count_subgraph_copies(h, g) == want
+                assert len(enumerate_copies(h, g)) == want
+                assert contains_subgraph(g, h)[0] == (want > 0)
 
     def test_against_spanning_tables_all_graphs_to_seven(self):
         # independent dual route on every isomorphism class with n <= 7
