@@ -9,12 +9,13 @@ One embedding search, ``_frontier``, backtracks over a connectivity-aware
 pattern vertex order with bitmask candidate pruning and hands back the
 candidate mask of the last pattern vertex instead of descending into it.
 It has three uses: count (``count_embeddings`` sums the mask popcounts,
-and copy counts divide that by the automorphism count, itself the
-induced self-embedding count), visit (``enumerate_copies`` walks the
-mask bits) and first hit (``freeness.contains_subgraph`` stops at the
-lowest bit of the first mask).  Complete patterns go to the clique
-counters instead.  A slow subset-enumeration oracle lives in the test
-tree only.
+and copy counts divide that by the automorphism count), visit
+(``enumerate_copies`` walks the mask bits) and first hit
+(``freeness.contains_subgraph`` stops at the lowest bit of the first
+mask).  It has no induced mode: the automorphism count comes from the
+canonical search, ``graphs.canonical_search``, not from self-embeddings.
+Complete patterns go to the clique counters instead.  A slow
+subset-enumeration oracle lives in the test tree only.
 
 All counts are Python ints (arbitrary precision); densities elsewhere use
 ``fractions.Fraction``.  No floating point enters any count or comparison.
@@ -30,6 +31,7 @@ from typing import Iterator
 from .graphs import (
     Graph,
     canonical_code,
+    canonical_search,
     common_neighborhood,
     connected_components,
     delete_vertices,
@@ -176,9 +178,7 @@ def _search_order(h: Graph) -> tuple[list[int], list[list[int]]]:
     return order, back
 
 
-def _frontier(
-    h: Graph, g: Graph, induced: bool = False
-) -> Iterator[tuple[list[int], list[int], int]]:
+def _frontier(h: Graph, g: Graph) -> Iterator[tuple[list[int], list[int], int]]:
     """The one embedding search: every placement of all pattern vertices
     but the last, in ``_search_order``.
 
@@ -186,20 +186,13 @@ def _frontier(
     last pattern vertex ``order[-1]`` somewhere to go: ``images[i]`` is the
     host vertex of ``order[i]`` for ``i < h.n - 1`` and ``cand`` is the
     nonzero bitmask of its legal images.  ``images`` is reused between
-    yields.  Injective and edge-preserving; with ``induced`` non-edges
-    are preserved too.  Needs ``h.n >= 1``.
+    yields.  Injective and edge-preserving.  Needs ``h.n >= 1``.
     """
     if h.n > g.n:
         return
     order, back = _search_order(h)
     gmask = g.vertex_mask
     adj = g.adj
-    # rules[i]: (row table, earlier position) pairs that filter position i
-    rules = [[(adj, j) for j in js] for js in back]
-    if induced:
-        co_adj = [(gmask ^ row) & ~(1 << v) for v, row in enumerate(adj)]
-        for i, v in enumerate(order):
-            rules[i] += [(co_adj, j) for j in range(i) if not h.has_edge(v, order[j])]
     last = h.n - 1
     images = [0] * h.n
     if last == 0:
@@ -224,8 +217,8 @@ def _frontier(
         cands[i] = cand ^ low
         images[i] = low.bit_length() - 1
         nxt = gmask & ~(used | low)
-        for table, j in rules[i + 1]:
-            nxt &= table[images[j]]
+        for j in back[i + 1]:
+            nxt &= adj[images[j]]
         if i + 1 == last:
             if nxt:
                 yield order, images, nxt
@@ -235,21 +228,18 @@ def _frontier(
             cands[i] = nxt
 
 
-def count_embeddings(h: Graph, g: Graph, induced: bool = False) -> int:
-    """Injective edge-preserving maps from h into g.
-
-    With ``induced`` non-edges must also be preserved, which on h = g
-    counts automorphisms.
-    """
+def count_embeddings(h: Graph, g: Graph) -> int:
+    """Injective edge-preserving maps from h into g (not necessarily
+    induced: non-edges of h may map to edges of g)."""
     if h.n == 0:
         return 1
-    return sum(cand.bit_count() for _, _, cand in _frontier(h, g, induced))
+    return sum(cand.bit_count() for _, _, cand in _frontier(h, g))
 
 
 @lru_cache(maxsize=4096)
 def automorphism_count(h: Graph) -> int:
-    """Order of the automorphism group, exact."""
-    return count_embeddings(h, h, induced=True)
+    """Order of the automorphism group, exact, from the canonical search."""
+    return canonical_search(h)[1]
 
 
 def _is_complete(h: Graph) -> bool:

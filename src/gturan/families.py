@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .graphs import Graph, complete_graph, disjoint_union, empty_graph, join
+from .graphs import (
+    MAX_VERTICES,
+    Graph,
+    complete_graph,
+    disjoint_union,
+    empty_graph,
+    join,
+)
 
 
 @dataclass(frozen=True)
@@ -28,8 +35,8 @@ class TuranSpec:
     def __post_init__(self) -> None:
         if self.r < 1:
             raise ValueError("part count must be at least 1")
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if not 0 <= self.n <= MAX_VERTICES:  # before turan() builds any rows
+            raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
         q, rem = divmod(self.n, self.r)
         sizes = (q + 1,) * rem + (q,) * (self.r - rem)
         object.__setattr__(self, "part_sizes", sizes)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 256
@@ -259,9 +260,24 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # refinement of an ordered partition, branching on the first non-singleton
 # cell, taking the lexicographically least relabeled adjacency over all
 # leaves.  The leaf set is isomorphism-invariant, so equal codes <=>
-# isomorphic graphs.  No external dependency; intended for the small
-# graphs this package traffics in (search caps at n <= 9, corpus checks
-# at n <= 30 where refinement almost always discretizes immediately).
+# isomorphic graphs.  No external dependency.
+#
+# The same search yields |Aut| (McKay & Piperno, "Practical graph
+# isomorphism II", J. Symb. Comput. 60, 2014).  A leaf whose rows equal
+# the first or the best leaf's rows gives an automorphism, kept as a
+# generator.  A node branches on one vertex per orbit of its target cell
+# under the generators that fix its individualized vertices.  A leaf
+# equal to the first leaf abandons its subtree back to the nearest node of
+# the first path.  Each skipped subtree is the image of an explored one
+# under an automorphism fixing the node, so it repeats leaf rows already
+# seen: the least leaf, and with it every code, is the one the unpruned
+# search finds.  On completion the kept generators that fix a first-path
+# node's vertices carry the whole orbit of its first child, so |Aut| is
+# the product of those orbit sizes down the first path (orbit-stabilizer).
+# A target cell of pairwise twins is split into singletons at once; any
+# permutation of it is an automorphism, so on the first path it gives
+# |cell|!.  Disconnected graphs are canonicalized per component,
+# multiplying |Aut| by m! per m equal components.
 
 
 def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
@@ -269,9 +285,11 @@ def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]
 
     Splits every cell by the number of neighbours its vertices have in
     each splitter; subcell order (descending count) is isomorphism
-    invariant, keeping the cell sequence canonical.
+    invariant, keeping the cell sequence canonical.  Stops early once
+    the partition is discrete.
     """
-    while queue:
+    n = len(adj)
+    while queue and len(cells) < n:
         splitter = queue.pop()
         out: list[int] = []
         for cell in cells:
@@ -279,9 +297,12 @@ def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]
                 out.append(cell)
                 continue
             groups: dict[int, int] = {}
-            for v in iter_bits(cell):
-                k = (adj[v] & splitter).bit_count()
-                groups[k] = groups.get(k, 0) | (1 << v)
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                k = (adj[low.bit_length() - 1] & splitter).bit_count()
+                groups[k] = groups.get(k, 0) | low
             if len(groups) == 1:
                 out.append(cell)
             else:
@@ -295,8 +316,7 @@ def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]
 def _is_twin_cell(adj: Sequence[int], cell: int) -> bool:
     """True when all cell members are pairwise twins: identical adjacency
     outside the cell and the cell induces a clique or an independent set.
-    Any permutation inside such a cell is then an automorphism, so one
-    branching representative suffices."""
+    Any permutation inside such a cell is then an automorphism."""
     outside = None
     inner_clique = inner_indep = True
     for v in iter_bits(cell):
@@ -315,10 +335,49 @@ def _is_twin_cell(adj: Sequence[int], cell: int) -> bool:
     return True
 
 
-def _canonical_rows(g: Graph) -> tuple[int, ...]:
+def _leaf(adj: Sequence[int], cells: list[int]) -> tuple[list[int], tuple[int, ...]]:
+    """Vertex order of a discrete partition and the adjacency it relabels to."""
+    order = [cell.bit_length() - 1 for cell in cells]
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    rows = []
+    for v in order:
+        row = 0
+        rest = adj[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row |= 1 << pos[low.bit_length() - 1]
+        rows.append(row)
+    return order, tuple(rows)
+
+
+def _find(orbits: list[int], v: int) -> int:
+    """Root of ``v`` in the union-find forest ``orbits``."""
+    while orbits[v] != v:
+        orbits[v] = v = orbits[orbits[v]]
+    return v
+
+
+def _absorb(orbits: list[int], gens: list[list[int]], start: int, fixed: list[int]) -> int:
+    """Join in ``orbits`` the orbits of ``gens[start:]`` that fix every
+    vertex of ``fixed``; return the new start."""
+    for perm in gens[start:]:
+        if all(perm[v] == v for v in fixed):
+            for v, w in enumerate(perm):
+                a, b = _find(orbits, v), _find(orbits, w)
+                if a != b:
+                    orbits[max(a, b)] = min(a, b)
+    return len(gens)
+
+
+def canonical_search(g: Graph) -> tuple[tuple[int, ...], int]:
+    """Canonical adjacency rows of ``g`` and the order of its automorphism
+    group, from one search (see the comment above)."""
     n = g.n
     if n == 0:
-        return ()
+        return (), 1
     comps = connected_components(g)
     if len(comps) > 1:
         # canonicalize per component and assemble block-diagonally in a
@@ -327,60 +386,93 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
         keyed = []
         for comp in comps:
             sub = induced_subgraph(g, comp)
-            rows = _canonical_rows(sub)
-            keyed.append((sub.n, rows))
+            keyed.append((sub.n, *canonical_search(sub)))
         keyed.sort()
         out: list[int] = []
         offset = 0
-        for size, rows in keyed:
+        aut = 1
+        run = 0
+        for i, (size, rows, sub_aut) in enumerate(keyed):
+            run = run + 1 if i and keyed[i - 1][:2] == (size, rows) else 1
+            aut *= sub_aut * run  # the runs multiply to m! per m equal parts
             out.extend(row << offset for row in rows)
             offset += size
-        return tuple(out)
+        return tuple(out), aut
     adj = g.adj
-    best: tuple[int, ...] | None = None
+    full = (1 << n) - 1
+    cells = _refine(adj, [full], [full])
+    if len(cells) == n:
+        return _leaf(adj, cells)[1], 1
+    path: list[int] = []  # individualized vertices of the current node
+    gens: list[list[int]] = []
+    first: tuple[int, ...] = ()
+    best: tuple[int, ...] = ()
+    first_order: list[int] = []
+    best_order: list[int] = []
+    aut = 1
 
-    def leaf_rows(cells: list[int]) -> tuple[int, ...]:
-        order = [next(iter_bits(c)) for c in cells]
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        rows = []
-        for v in order:
-            row = 0
-            for w in iter_bits(adj[v]):
-                row |= 1 << pos[w]
-            rows.append(row)
-        return tuple(rows)
-
-    def descend(cells: list[int]) -> None:
-        nonlocal best
-        target = -1
-        for idx, cell in enumerate(cells):
-            if cell & (cell - 1):
-                target = idx
+    def descend(cells: list[int], on_first: bool) -> bool:
+        """Search below a node; True abandons up to the nearest first-path node."""
+        nonlocal first, best, first_order, best_order, aut
+        while True:
+            target = next((i for i, c in enumerate(cells) if c & (c - 1)), -1)
+            if target < 0 or not _is_twin_cell(adj, cells[target]):
                 break
+            # individualizing a twin refines no other cell (each lies inside
+            # or outside the twins' common neighbourhood), so the search would
+            # split the cell into singletons in ascending order, one by one
+            cell = cells[target]
+            if on_first:
+                aut *= factorial(cell.bit_count())
+            cells = cells[:target] + [1 << v for v in iter_bits(cell)] + cells[target + 1 :]
         if target < 0:
-            cand = leaf_rows(cells)
-            if best is None or cand < best:
-                best = cand
-            return
+            order, rows = _leaf(adj, cells)
+            if not first_order:
+                first = best = rows
+                first_order = best_order = order
+            elif rows == first or rows == best:
+                perm = [0] * n
+                for a, b in zip(first_order if rows == first else best_order, order):
+                    perm[a] = b
+                gens.append(perm)
+                return rows == first
+            elif rows < best:
+                best, best_order = rows, order
+            return False
         cell = cells[target]
-        if _is_twin_cell(adj, cell):
-            branch = [next(iter_bits(cell))]
-        else:
-            branch = list(iter_bits(cell))
-        for v in branch:
+        explored: list[int] = []
+        orbits = list(range(n))  # under the generators that fix ``path``
+        seen = 0  # generators absorbed into ``orbits``
+        done: set[int] = set()  # orbits of the explored children
+        for v in iter_bits(cell):
+            if explored and gens:
+                if seen < len(gens):
+                    seen = _absorb(orbits, gens, seen, path)
+                    done = {_find(orbits, x) for x in explored}
+                if _find(orbits, v) in done:
+                    continue
             split = cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1 :]
-            descend(_refine(adj, split, [1 << v]))
+            path.append(v)
+            abandon = descend(_refine(adj, split, [1 << v]), on_first and not explored)
+            path.pop()
+            if abandon and not on_first:
+                return True
+            explored.append(v)
+            if seen:
+                done.add(_find(orbits, v))
+        if on_first and gens:
+            _absorb(orbits, gens, seen, path)
+            u = _find(orbits, explored[0])
+            aut *= sum(_find(orbits, x) == u for x in range(n))
+        return False
 
-    descend(_refine(adj, [(1 << n) - 1], [(1 << n) - 1]))
-    assert best is not None
-    return best
+    descend(cells, True)
+    return best, aut
 
 
 def canonical_code(g: Graph) -> bytes:
     """Isomorphism-invariant byte encoding: equal codes iff isomorphic."""
-    rows = _canonical_rows(g)
+    rows = canonical_search(g)[0]
     n = g.n
     bits = 0
     nbits = 0

@@ -2,9 +2,13 @@
 separation."""
 
 import random
+from collections import Counter
 from itertools import combinations
+from math import factorial, prod
 
+from gturan.counting import automorphism_count
 from gturan.graphs import (
+    Graph,
     canonical_code,
     complete_graph,
     from_edge_list,
@@ -12,6 +16,7 @@ from gturan.graphs import (
     path_graph,
     cycle_graph,
     relabel,
+    union_of,
 )
 from gturan.families import turan
 
@@ -60,12 +65,39 @@ def test_invariant_under_relabeling_on_corpus(corpus):
             assert canonical_code(relabel(g, perm)) == code
 
 
+def _turan_with_aut(r, n):
+    q, rem = divmod(n, r)
+    sizes = [q + 1] * rem + [q] * (r - rem)
+    aut = prod(factorial(s) for s in sizes)
+    aut *= prod(factorial(m) for m in Counter(sizes).values())
+    return turan(r, n), aut
+
+
+def _paley_with_aut(q):
+    squares = {x * x % q for x in range(1, q)}
+    edges = [(i, j) for i in range(q) for j in range(i + 1, q) if (j - i) % q in squares]
+    return from_edge_list(q, edges), q * (q - 1) // 2
+
+
+def _co_cliques_with_aut(k, t):
+    """Complement of k disjoint copies of K_t."""
+    g = union_of(*[complete_graph(t)] * k)
+    full = (1 << g.n) - 1
+    co = Graph(g.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.adj)))
+    return co, factorial(t) ** k * factorial(k)
+
+
 def test_highly_symmetric_graphs():
-    for r, n in [(5, 10), (4, 8), (2, 12)]:
-        t = turan(r, n)
-        perm = list(range(n))
-        random.Random(r * n).shuffle(perm)
-        assert canonical_code(relabel(t, perm)) == canonical_code(t)
+    turans = [(5, 10), (4, 8), (2, 12), (3, 10), (5, 20), (6, 27), (8, 64)]
+    cases = [_turan_with_aut(r, n) for r, n in turans]
+    cases += [_paley_with_aut(q) for q in (13, 29, 37)]
+    cases += [_co_cliques_with_aut(k, t) for k, t in [(3, 4), (4, 3), (2, 6), (5, 2)]]
+    cases += [(cycle_graph(n), 2 * n) for n in (3, 8, 17, 40)]
+    for g, aut in cases:
+        assert automorphism_count(g) == aut
+        perm = list(range(g.n))
+        random.Random(g.n * aut).shuffle(perm)
+        assert canonical_code(relabel(g, perm)) == canonical_code(g)
 
 
 def test_isomorphic_shortcut():

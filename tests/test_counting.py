@@ -138,11 +138,24 @@ class TestCopyCounts:
         assert automorphism_count(cycle_graph(4)) == 8
         assert automorphism_count(path_graph(3)) == 2
         assert automorphism_count(cycle_graph(5)) == 10
+        # components: |Aut| of each, times m! per m equal components
+        assert automorphism_count(empty_graph(5)) == 120
+        k3, p3 = complete_graph(3), path_graph(3)
+        assert automorphism_count(union_of(k3, k3, p3)) == 6**2 * 2 * 2
+        c4 = cycle_graph(4)
+        assert automorphism_count(union_of(c4, p3, c4, p3)) == 8**2 * 2 * 2**2 * 2
 
     def test_automorphisms_against_brute(self):
         rng = random.Random(4)
+        graphs = [
+            random_graph(rng, rng.randint(0, 7), rng.choice([0.3, 0.5, 0.7]))
+            for _ in range(60)
+        ]
         for _ in range(25):
-            g = random_graph(rng, rng.randint(0, 6), 0.5)
+            part = random_graph(rng, rng.randint(1, 3), 0.5)
+            graphs.append(union_of(part, random_graph(rng, rng.randint(0, 1), 0.5), part))
+        graphs += [empty_graph(5), union_of(complete_graph(2), complete_graph(2), path_graph(3))]
+        for g in graphs:
             assert automorphism_count(g) == brute_automorphism_count(g)
 
     def test_embeddings_vs_cliques_dual_route(self, small_corpus):

@@ -56,6 +56,9 @@ class TestTuran:
             turan(0, 5)
         with pytest.raises(ValueError):
             TuranSpec(3, -1)
+        # the cap is checked before turan() builds any rows
+        with pytest.raises(ValueError, match=r"^vertex count 300 outside \[0, 256\]$"):
+            TuranSpec(5, 300)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 24))
