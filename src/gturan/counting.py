@@ -239,7 +239,7 @@ def count_embeddings(h: Graph, g: Graph) -> int:
 @lru_cache(maxsize=4096)
 def automorphism_count(h: Graph) -> int:
     """Order of the automorphism group, exact, from the canonical search."""
-    return canonical_search(h)[1]
+    return canonical_search(h).aut
 
 
 def _is_complete(h: Graph) -> bool:

@@ -8,9 +8,12 @@ Conventions used throughout the package:
 * Vertex sets are plain Python ints used as bitmasks (bit ``i`` set means
   vertex ``i`` is in the set).  Python ints are arbitrary-precision, so a
   single representation covers every graph up to ``MAX_VERTICES``.
-* ``adj[i]`` is the bitmask of neighbours of ``i``.  Every constructor
-  validates symmetry (``j in adj[i]`` iff ``i in adj[j]``), irreflexivity
-  (no loops) and that no bits at positions >= ``n`` are set.
+* ``adj[i]`` is the bitmask of neighbours of ``i``.  ``Graph(...)`` and
+  every public constructor validate symmetry (``j in adj[i]`` iff
+  ``i in adj[j]``), irreflexivity (no loops) and that no bits at
+  positions >= ``n`` are set.  Builders that derive their rows from a
+  valid graph (``add_vertex``, ``induced_subgraph``, ``relabel``) skip
+  that check through ``_trusted``.
 
 All operations are pure: a "mutation" always builds a new Graph.  Graphs
 are hashable and therefore safe to share, memoize, and send between
@@ -22,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 256
 
@@ -96,6 +99,14 @@ class Graph:
         return f"Graph(n={self.n}; {es or 'no edges'})"
 
 
+def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
+    """Graph from rows known to be valid, skipping ``__post_init__``."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def empty_graph(n: int) -> Graph:
     return Graph(n, (0,) * n)
 
@@ -132,10 +143,12 @@ def add_vertex(g: Graph, neighbours: int) -> Graph:
     """New graph with one extra vertex adjacent to ``neighbours`` (bitmask)."""
     if neighbours >> g.n:
         raise ValueError("neighbour mask outside host graph")
+    if g.n >= MAX_VERTICES:
+        raise ValueError(f"vertex count {g.n + 1} outside [0, {MAX_VERTICES}]")
     v = g.n
     rows = [row | ((neighbours >> i & 1) << v) for i, row in enumerate(g.adj)]
     rows.append(neighbours)
-    return Graph(v + 1, tuple(rows))
+    return _trusted(v + 1, tuple(rows))
 
 
 def disjoint_union(parts: Sequence[tuple[Graph, int]]) -> Graph:
@@ -186,7 +199,7 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> Graph:
         for w in iter_bits(g.adj[v] & mask):
             row |= 1 << pos[w]
         rows.append(row)
-    return Graph(len(keep), tuple(rows))
+    return _trusted(len(keep), tuple(rows))
 
 
 def delete_vertices(g: Graph, vertices: int | Iterable[int]) -> Graph:
@@ -220,7 +233,7 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
         for w in iter_bits(g.adj[old]):
             row |= 1 << perm[w]
         rows[new] = row
-    return Graph(g.n, tuple(rows))
+    return _trusted(g.n, tuple(rows))
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -278,6 +291,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # permutation of it is an automorphism, so on the first path it gives
 # |cell|!.  Disconnected graphs are canonicalized per component,
 # multiplying |Aut| by m! per m equal components.
+#
+# The search also returns the canonical vertex order (the best leaf's
+# order) and the raw material of a generating set of Aut(G): the leaf
+# generators, the twin cells split on the first path (kept as bitmasks)
+# and, for a disconnected graph, each component's own result with its
+# vertex list.  The stabilizer of a first-path node is generated by the
+# kept generators that fix it together with the symmetric groups of the
+# twin cells split at or below it, so at the root these generate Aut(G);
+# a disconnected graph adds its components' groups and the swaps of equal
+# components.  ``automorphism_generators`` expands all of it into
+# permutations; ``canonical_code``, ``isomorphic`` and
+# ``automorphism_count`` never do.
 
 
 def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
@@ -372,39 +397,53 @@ def _absorb(orbits: list[int], gens: list[list[int]], start: int, fixed: list[in
     return len(gens)
 
 
-def canonical_search(g: Graph) -> tuple[tuple[int, ...], int]:
-    """Canonical adjacency rows of ``g`` and the order of its automorphism
-    group, from one search (see the comment above)."""
+class CanonicalForm(NamedTuple):
+    """What ``canonical_search`` finds (see the comment above)."""
+
+    rows: tuple[int, ...]  # canonical adjacency rows
+    aut: int  # |Aut(g)|
+    order: list[int]  # connected g: order[i] is the vertex at position i
+    gens: list[list[int]]  # leaf automorphisms, perm[old] = new
+    twins: list[int]  # twin cells split on the first path
+    # disconnected g: (vertices, form) per component, in canonical order
+    parts: list[tuple[tuple[int, ...], "CanonicalForm"]]
+
+
+def canonical_search(g: Graph) -> CanonicalForm:
+    """Canonical adjacency rows of ``g``, the order of its automorphism
+    group and the data for its canonical order and generators, from one
+    search (see the comment above)."""
     n = g.n
     if n == 0:
-        return (), 1
+        return CanonicalForm((), 1, [], [], [], [])
     comps = connected_components(g)
     if len(comps) > 1:
         # canonicalize per component and assemble block-diagonally in a
         # canonical component order; avoids branching over the
         # component-permutation symmetry of disjoint unions
-        keyed = []
-        for comp in comps:
-            sub = induced_subgraph(g, comp)
-            keyed.append((sub.n, *canonical_search(sub)))
-        keyed.sort()
+        parts = [
+            (set_of(comp), canonical_search(induced_subgraph(g, comp))) for comp in comps
+        ]
+        parts.sort(key=lambda part: (len(part[0]), part[1].rows))
         out: list[int] = []
         offset = 0
         aut = 1
         run = 0
-        for i, (size, rows, sub_aut) in enumerate(keyed):
-            run = run + 1 if i and keyed[i - 1][:2] == (size, rows) else 1
-            aut *= sub_aut * run  # the runs multiply to m! per m equal parts
-            out.extend(row << offset for row in rows)
-            offset += size
-        return tuple(out), aut
+        for i, (_, form) in enumerate(parts):
+            run = run + 1 if i and parts[i - 1][1].rows == form.rows else 1
+            aut *= form.aut * run  # the runs multiply to m! per m equal parts
+            out.extend(row << offset for row in form.rows)
+            offset += len(form.rows)
+        return CanonicalForm(tuple(out), aut, [], [], [], parts)
     adj = g.adj
     full = (1 << n) - 1
     cells = _refine(adj, [full], [full])
     if len(cells) == n:
-        return _leaf(adj, cells)[1], 1
+        order, rows = _leaf(adj, cells)
+        return CanonicalForm(rows, 1, order, [], [], [])
     path: list[int] = []  # individualized vertices of the current node
     gens: list[list[int]] = []
+    twins: list[int] = []
     first: tuple[int, ...] = ()
     best: tuple[int, ...] = ()
     first_order: list[int] = []
@@ -424,6 +463,7 @@ def canonical_search(g: Graph) -> tuple[tuple[int, ...], int]:
             cell = cells[target]
             if on_first:
                 aut *= factorial(cell.bit_count())
+                twins.append(cell)
             cells = cells[:target] + [1 << v for v in iter_bits(cell)] + cells[target + 1 :]
         if target < 0:
             order, rows = _leaf(adj, cells)
@@ -467,12 +507,51 @@ def canonical_search(g: Graph) -> tuple[tuple[int, ...], int]:
         return False
 
     descend(cells, True)
-    return best, aut
+    return CanonicalForm(best, aut, best_order, gens, twins, [])
+
+
+def _swap(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Permutation of range(n) exchanging each given pair."""
+    perm = list(range(n))
+    for a, b in pairs:
+        perm[a], perm[b] = b, a
+    return perm
+
+
+def automorphism_generators(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """Canonical vertex order of ``g`` and a generating set of Aut(g).
+
+    ``order[i]`` is the vertex that ``canonical_search(g).rows`` places at
+    position i.  Each generator is a permutation list, ``perm[v]`` the
+    image of ``v``; the identity group has no generators.
+    """
+    n = g.n
+    form = canonical_search(g)
+    parts = form.parts or [(range(n), form)]
+    order: list[int] = []
+    gens: list[list[int]] = []
+    prev_rows = None
+    prev_lifted: list[int] = []
+    for verts, sub in parts:
+        for p in sub.gens:
+            perm = list(range(n))
+            for x, y in enumerate(p):
+                perm[verts[x]] = verts[y]
+            gens.append(perm)
+        for cell in sub.twins:
+            members = [verts[x] for x in iter_bits(cell)]
+            gens.extend(_swap(n, [pair]) for pair in zip(members, members[1:]))
+        lifted = [verts[x] for x in sub.order]
+        if sub.rows == prev_rows:  # equal components: swap them position by position
+            gens.append(_swap(n, zip(prev_lifted, lifted)))
+        prev_rows, prev_lifted = sub.rows, lifted
+        order += lifted
+    return order, gens
 
 
 def canonical_code(g: Graph) -> bytes:
     """Isomorphism-invariant byte encoding: equal codes iff isomorphic."""
-    rows = canonical_search(g)[0]
+    rows = canonical_search(g).rows
     n = g.n
     bits = 0
     nbits = 0

@@ -1,13 +1,22 @@
 """Exhaustive small-graph enumeration and brute-force extremal search.
 
-One representative per isomorphism class is generated level by level:
-every n-vertex representative is extended by a new vertex with each of
-the 2^n possible neighbourhoods, children are deduplicated by canonical
-code.  Any induced-hereditary pruning predicate may be applied during
-generation (every free graph on n+1 vertices arises from a free graph on
-n vertices by deleting a vertex), which is what makes the constrained
-searches cheap.  Correctness of the generator is cross-checked against
-labeled-graph deduplication for n <= 6 in the test suite.
+One representative per isomorphism class is generated level by level by
+canonical augmentation (B. D. McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  A representative on n vertices is
+extended by a new vertex with one neighbourhood per orbit of its
+automorphism group on vertex subsets.  A child is accepted iff its new
+vertex lies in the orbit of its canonical deletion vertex: the first
+vertex, in canonical order, among those with the largest (degree, sum of
+neighbour degrees).  Children whose new vertex does not have that largest
+pair are rejected before they are built, and one whose new vertex is the
+only vertex with it is accepted without canonical labeling.  Every class
+then arises exactly once, from its canonical parent, with no table of
+codes.  Any induced-hereditary pruning predicate may be applied to each
+child: the canonical parent of a kept graph is a vertex-deleted subgraph,
+hence kept, which is what makes the constrained searches cheap.
+Correctness of the generator is cross-checked against labeled-graph
+deduplication for n <= 6 and against filtered unpruned levels in the
+test suite.
 """
 
 from __future__ import annotations
@@ -17,7 +26,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import Graph, add_vertex, canonical_code, graph6_encode, is_connected
+from .graphs import (
+    Graph,
+    add_vertex,
+    automorphism_generators,
+    graph6_encode,
+    is_connected,
+    iter_bits,
+)
 from .counting import (
     PatternSpec,
     as_pattern,
@@ -52,17 +68,93 @@ def _levels(
     reps = [Graph(0, ())]
     yield 0, reps
     for k in range(n_max):
-        children: dict[bytes, Graph] = {}
+        children = []
         for g in reps:
-            for mask in range(1 << k):
+            for mask, unique in _augmentations(g):
                 child = add_vertex(g, mask)
                 if keep is not None and not keep(child):
                     continue
-                code = canonical_code(child)
-                if code not in children:
-                    children[code] = child
-        reps = [children[c] for c in sorted(children)]
+                if unique or _is_canonical_deletion(child):
+                    children.append(child)
+        reps = children
         yield k + 1, reps
+
+
+def _degree_sums(adj: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Degree and sum of neighbour degrees of every vertex."""
+    deg = [row.bit_count() for row in adj]
+    return deg, [sum(deg[j] for j in iter_bits(row)) for row in adj]
+
+
+def _augmentations(g: Graph) -> list[tuple[int, bool]]:
+    """Neighbourhood masks of a new vertex that gets the largest (degree,
+    sum of neighbour degrees) in the child, one per orbit of Aut(g) on
+    vertex subsets, each flagged True when no other vertex ties with it."""
+    k = g.n
+    adj = g.adj
+    deg, nsum = _degree_sums(adj)
+    at_least = [0] * (k + 2)  # at_least[d]: vertices of degree >= d
+    for v, d in enumerate(deg):
+        at_least[d] |= 1 << v
+    for d in range(k, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    out = []
+    for mask in range(1 << k):
+        s = mask.bit_count()
+        # the child degrees are deg + 1 on the mask and s at the new vertex
+        if at_least[s + 1] or at_least[s] & mask:
+            continue
+        ties = at_least[s] | (at_least[s - 1] & ~at_least[s] & mask if s else 0)
+        top = s + sum(deg[i] for i in iter_bits(mask))
+        unique = True
+        for i in iter_bits(ties):
+            sum_i = nsum[i] + (adj[i] & mask).bit_count() + (s if mask >> i & 1 else 0)
+            if sum_i > top:
+                break
+            if sum_i == top:
+                unique = False
+        else:
+            out.append((mask, unique))
+    if len(out) < 2:
+        return out
+    gens = automorphism_generators(g)[1]
+    if not gens:
+        return out
+    seen: set[int] = set()
+    reps = []
+    for mask, unique in out:
+        if mask in seen:
+            continue
+        reps.append((mask, unique))
+        seen.add(mask)
+        orbit = [mask]
+        for x in orbit:
+            for perm in gens:
+                y = 0
+                for i in iter_bits(x):
+                    y |= 1 << perm[i]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+    return reps
+
+
+def _is_canonical_deletion(child: Graph) -> bool:
+    """True when the last vertex lies in the Aut(child)-orbit of the
+    canonical deletion vertex: the first vertex in canonical order among
+    those with the largest (degree, sum of neighbour degrees)."""
+    key = list(zip(*_degree_sums(child.adj)))
+    new = child.n - 1
+    order, gens = automorphism_generators(child)
+    target = next(v for v in order if key[v] == key[new])
+    orbit = [new]
+    for x in orbit:
+        if x == target:
+            return True
+        for perm in gens:
+            if perm[x] not in orbit:
+                orbit.append(perm[x])
+    return False
 
 
 def _keep_from_constraints(cs: Optional[ConstraintSet]) -> Optional[Callable[[Graph], bool]]:

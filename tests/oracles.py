@@ -66,6 +66,19 @@ def brute_automorphism_count(g: Graph) -> int:
     return sum(1 for perm in permutations(range(g.n)) if tuple(relabel(g, perm).adj) == ident)
 
 
+def brute_orbits(g) -> list[tuple[int, ...]]:
+    """Vertex orbits of Aut(g), sorted, from every permutation that maps
+    the edge set onto itself.  Reads only ``g.n`` and ``g.adj``."""
+    n = g.n
+    edges = {(i, j) for i in range(n) for j in range(n) if g.adj[i] >> j & 1}
+    orbit_of = [{v} for v in range(n)]
+    for perm in permutations(range(n)):
+        if all((perm[i], perm[j]) in edges for i, j in edges):
+            for v in range(n):
+                orbit_of[v].add(perm[v])
+    return sorted({tuple(sorted(orbit)) for orbit in orbit_of})
+
+
 def spanning_copy_table(h: Graph) -> dict[int, int]:
     """For every labeled graph on v(h) vertices (encoded as an edge
     bitmask over the pair list), the number of spanning subgraph copies of

@@ -9,18 +9,23 @@ from math import factorial, prod
 from gturan.counting import automorphism_count
 from gturan.graphs import (
     Graph,
+    automorphism_generators,
     canonical_code,
+    canonical_search,
     complete_graph,
+    empty_graph,
     from_edge_list,
     isomorphic,
+    iter_bits,
     path_graph,
     cycle_graph,
+    random_graph,
     relabel,
     union_of,
 )
 from gturan.families import turan
 
-from oracles import brute_canonical
+from oracles import brute_canonical, brute_orbits
 
 
 def test_separates_all_classes_on_four_vertices():
@@ -104,3 +109,42 @@ def test_isomorphic_shortcut():
     assert isomorphic(cycle_graph(5), relabel(cycle_graph(5), [3, 1, 4, 0, 2]))
     assert not isomorphic(path_graph(4), cycle_graph(4))
     assert not isomorphic(complete_graph(3), complete_graph(4))
+
+
+def _orbits_of(n, gens):
+    orbits = set()
+    for v in range(n):
+        orbit = [v]
+        for x in orbit:
+            for perm in gens:
+                if perm[x] not in orbit:
+                    orbit.append(perm[x])
+        orbits.add(tuple(sorted(orbit)))
+    return sorted(orbits)
+
+
+def test_generators_against_brute_orbits():
+    rng = random.Random(2718)
+    graphs = [
+        random_graph(rng, rng.randint(0, 7), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        for _ in range(60)
+    ]
+    for _ in range(25):
+        part = random_graph(rng, rng.randint(1, 3), 0.5)
+        graphs.append(union_of(part, random_graph(rng, rng.randint(0, 1), 0.5), part))
+    graphs += [empty_graph(n) for n in (0, 1, 6)] + [complete_graph(n) for n in (2, 7)]
+    graphs += [turan(r, n) for r, n in [(2, 5), (3, 7), (2, 6), (4, 7)]]
+    graphs += [union_of(path_graph(2), path_graph(2), complete_graph(1), complete_graph(1))]
+    for g in graphs:
+        order, gens = automorphism_generators(g)
+        edges = {(i, j) for i in range(g.n) for j in iter_bits(g.adj[i])}
+        for perm in gens:
+            assert sorted(perm) == list(range(g.n))
+            assert {(perm[i], perm[j]) for i, j in edges} == edges
+        assert _orbits_of(g.n, gens) == brute_orbits(g)
+        # the order is the labeling that gives the canonical rows
+        assert sorted(order) == list(range(g.n))
+        pos = [0] * g.n
+        for i, v in enumerate(order):
+            pos[v] = i
+        assert relabel(g, pos).adj == canonical_search(g).rows

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gturan.graphs import (
     Graph,
+    add_vertex,
     canonical_code,
     common_neighborhood,
     complete_graph,
@@ -18,6 +21,7 @@ from gturan.graphs import (
     join,
     mask_of,
     path_graph,
+    random_graph,
     relabel,
     set_of,
     union_of,
@@ -135,6 +139,29 @@ def test_relabel_preserves_structure(g, rnd):
     h = relabel(g, perm)
     assert h.degree_sequence() == g.degree_sequence()
     assert h.edge_count == g.edge_count
+
+
+def test_trusted_builders_give_valid_graphs():
+    # add_vertex, induced_subgraph and relabel skip Graph validation; full
+    # validation of their output must pass and rebuild an equal graph
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for h in (
+            add_vertex(g, rng.getrandbits(n)),
+            induced_subgraph(g, rng.getrandbits(n)),
+            relabel(g, perm),
+        ):
+            assert Graph(h.n, h.adj) == h
+    with pytest.raises(ValueError):
+        relabel(path_graph(3), [0, 0, 1])
+    with pytest.raises(ValueError):
+        add_vertex(path_graph(3), 1 << 3)
+    with pytest.raises(ValueError):
+        add_vertex(empty_graph(256), 0)
 
 
 def test_connected_components():

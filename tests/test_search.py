@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from gturan.graphs import (
+    canonical_code,
     complete_graph,
     empty_graph,
     from_edge_list,
@@ -12,9 +13,10 @@ from gturan.graphs import (
 )
 from gturan.families import colex_turan, turan
 from gturan.counting import count_cliques, count_subgraph_copies
-from gturan.freeness import ConstraintSet, check_constraints
+from gturan.freeness import ConstraintSet, check_constraints, passes_constraints
 from gturan.search import (
     CompositionError,
+    _levels,
     best_composition,
     brute_extremal,
     brute_extremal_u,
@@ -32,8 +34,8 @@ class TestEnumeration:
     def test_class_counts(self):
         assert len(list(enumerate_graphs(3))) == 4
         assert len(list(enumerate_graphs(4))) == 11
-        levels = nonisomorphic_graphs_upto(7)
-        assert [len(l) for l in levels] == [1, 1, 2, 4, 11, 34, 156, 1044]
+        levels = nonisomorphic_graphs_upto(8)
+        assert [len(l) for l in levels] == [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
 
     def test_matches_labeled_dedup_to_six(self):
         # labeled dedup with the brute-force canonical form
@@ -46,10 +48,26 @@ class TestEnumeration:
             assert len(seen) == len(list(enumerate_graphs(n)))
 
     def test_pruned_enumeration_matches_filtering(self):
-        cs = ConstraintSet(u=1, delta=2, omega=None)
-        pruned = list(enumerate_graphs(5, prune=cs))
-        unpruned = [g for g in enumerate_graphs(5) if check_constraints(g, cs).passes]
-        assert len(pruned) == len(unpruned)
+        # pruning during generation keeps exactly the classes that filtering
+        # the unpruned levels keeps, each once
+        def codes(graphs):
+            return sorted(canonical_code(g) for g in graphs)
+
+        def edge_budget(g):  # the keep of criterion 4
+            return g.edge_count <= 12 and passes_constraints(g, ConstraintSet(omega=3))
+
+        unpruned = nonisomorphic_graphs_upto(7)
+        for cs in [
+            ConstraintSet(u=1, delta=2),
+            ConstraintSet(omega=3),
+            ConstraintSet(u=2, delta=1, omega=3),
+        ]:
+            for n in range(8):
+                assert codes(enumerate_graphs(n, prune=cs)) == codes(
+                    g for g in unpruned[n] if check_constraints(g, cs).passes
+                )
+        for n, reps in _levels(7, edge_budget):
+            assert codes(reps) == codes(g for g in unpruned[n] if edge_budget(g))
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
