@@ -43,7 +43,7 @@ from .counting import (
     dominating_vertices,
     enumerate_cliques,
     pattern_spec,
-    turan_clique_count,
+    turan_copy_count,
 )
 from .freeness import ConstraintSet, FreenessReport, check_constraints, contains_subgraph
 from .bounds import (
@@ -60,7 +60,6 @@ from .localization import (
     LocalReport,
     clique_weights,
     copy_weights,
-    localized_clique_sum,
     localized_report,
 )
 from .search import (

@@ -34,7 +34,7 @@ from .counting import (
     count_subgraph_copies,
     enumerate_cliques,
     pattern_spec,
-    turan_clique_count,
+    turan_copy_count,
 )
 from .freeness import ConstraintSet, check_constraints, passes_constraints
 from .bounds import bounds_report
@@ -162,13 +162,13 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     for omega in (2, 3, 4):
         cs = ConstraintSet(u=1, delta=None, omega=omega)
         got, info = _extremal_grid(
-            7, (3, 4), cs, lambda n, t, w=omega: count_cliques(turan(w, n), t)
+            7, (3, 4), cs, lambda n, t, w=omega: turan_copy_count(complete_graph(t), w, n)
         )
         ok &= got
         details[f"omega={omega}"] = "ok" if got else info["mismatches"]
     # spot check the public search API agrees with the shared driver
     spot = brute_extremal(5, complete_graph(3), ConstraintSet(omega=3))
-    ok &= spot.objective == count_cliques(turan(3, 5), 3)
+    ok &= spot.objective == turan_copy_count(complete_graph(3), 3, 5)
     details["spot brute_extremal(5, K3, K4-free)"] = spot.objective
     return CriterionResult(
         2, "exhaustive oracle matches Turán counts", ok, details, time.time() - t0
@@ -266,19 +266,26 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Closed-form clique counts in Turán graphs match enumeration."""
+    """Closed-form copy counts in Turán graphs match enumeration in the
+    built graph: cliques K_s with s <= 5, every grid pattern and every
+    pattern derived from it by deleting dominating vertices."""
     t0 = time.time()
+    patterns = [(f"K{s}", complete_graph(s)) for s in range(6)]
+    for name, h in _pattern_grid():
+        spec = pattern_spec(h)
+        patterns += [(f"{name}-{u}", spec.down(u)) for u in range(spec.dom_count + 1)]
     ok = True
     bad = []
     for r in range(1, 7):
         for n in range(0, 15):
             g = turan(r, n)
-            for s in range(0, 6):
-                if turan_clique_count(r, n, s) != count_cliques(g, s):
+            for name, h in patterns:
+                if turan_copy_count(h, r, n) != count_subgraph_copies(h, g):
                     ok = False
-                    bad.append((r, n, s))
+                    bad.append((r, n, name))
     return CriterionResult(
-        6, "closed form vs enumeration, r<=6 n<=14 s<=5", ok, {"failures": bad}, time.time() - t0
+        6, "closed form vs enumeration, r<=6 n<=14, K_s for s<=5 and grid patterns",
+        ok, {"patterns": len(patterns), "failures": bad}, time.time() - t0,
     )
 
 
@@ -397,14 +404,13 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
         h = complete_graph(t)
         for r in range(t, 7):
             for n in range(t, 15):
-                g = turan(r, n)
-                total = count_cliques(g, t)
+                total = turan_copy_count(h, r, n)
                 if total == 0:
                     continue
                 for u in (1, 2):
                     if n - u < 0:
                         continue
-                    num = count_cliques(turan(r, n - u), t)
+                    num = turan_copy_count(h, r, n - u)
                     ratio = Fraction(num, total)
                     floor = Fraction(1)
                     for i in range(u):
@@ -413,14 +419,15 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
                     if not (floor <= ratio <= 1):
                         ok = False
                         bad.append(("ratio", t, r, n, u))
-                # copies through the two extreme vertices
+                # copies through the two extreme vertices of the built graph
+                g = turan(r, n)
                 small = copies_through(h, g, 1 << (n - 1))  # smallest part
                 large = copies_through(h, g, 1)  # largest part
                 checked += 1
                 if small < large:
                     ok = False
                     bad.append(("monotone", t, r, n))
-                if large != total - count_cliques(turan(r, n - 1), t):
+                if large != total - turan_copy_count(h, r, n - 1):
                     ok = False
                     bad.append(("largest-part count", t, r, n))
     return CriterionResult(
@@ -452,10 +459,8 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
             if rep.upper == 0:
                 continue
             ratio = rep.lower / rep.upper
-            denom = count_subgraph_copies(reduced, turan(omega - u, delta))
-            shifted = Fraction(
-                count_subgraph_copies(reduced, turan(omega - u, delta - u)), denom
-            )
+            denom = turan_copy_count(reduced, omega - u, delta)
+            shifted = Fraction(turan_copy_count(reduced, omega - u, delta - u), denom)
             product = Fraction(1)
             for i in range(u):
                 product *= Fraction(delta - i - reduced.n, delta - i)

@@ -8,6 +8,9 @@ exact rational sandwich:
     upper = N(H with u dominating vertices deleted, T_{omega-u}(delta))
             / C(dom(H), u),
 
+both closed-form counts (``counting.turan_copy_count``): no host is
+built, so delta has no vertex cap.
+
 with equality exactly when omega-u divides delta.  Off the divisibility
 case only the interval is reported, never a single number: the limit is
 not known there.  All densities are ``fractions.Fraction``; equality
@@ -21,13 +24,14 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .graphs import Graph, graph6_encode
-from .families import ParamTriple, lower_bound_graph, turan
+from .graphs import Graph, complete_graph, graph6_encode
+from .families import ParamTriple, lower_bound_graph
 from .counting import (
     PatternSpec,
     as_pattern,
     count_cliques,
     count_subgraph_copies,
+    turan_copy_count,
 )
 from .freeness import ConstraintSet, check_constraints
 
@@ -42,6 +46,13 @@ def copy_density(h: Graph | PatternSpec, g: Graph, u: int) -> Fraction:
     return Fraction(count_subgraph_copies(h, g), ku)
 
 
+def _turan_density(h: Graph | PatternSpec, u: int, r: int, n: int) -> Fraction:
+    """Copies of h per u-clique of T_r(n), exact, without building it."""
+    return Fraction(
+        turan_copy_count(h, r, n), turan_copy_count(complete_graph(u), r, n)
+    )
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     params: ParamTriple
@@ -50,7 +61,7 @@ class BoundsReport:
     divisible: bool
     equal: bool
     ratio: Optional[Fraction]  # lower/upper, None when upper == 0
-    lb_graph: Graph
+    lb_parts: tuple[int, ...]  # part sizes of L: b of a + 1, omega - b of a
 
     def __post_init__(self) -> None:
         assert self.lower <= self.upper
@@ -67,17 +78,16 @@ def bounds_report(h: Graph | PatternSpec, params: ParamTriple) -> BoundsReport:
         raise ValueError(
             f"pattern has {spec.dom_count} dominating vertices, need {params.u}"
         )
-    lb = lower_bound_graph(params)
-    lower = copy_density(spec, lb, params.u)
-    reduced = spec.down(params.u)
+    lower = _turan_density(spec, params.u, params.omega, params.lb_vertex_count)
     upper = Fraction(
-        count_subgraph_copies(reduced, turan(params.omega - params.u, params.delta)),
+        turan_copy_count(spec.down(params.u), params.omega - params.u, params.delta),
         comb(spec.dom_count, params.u),
     )
     divisible = params.b == 0
     equal = lower == upper
     ratio = None if upper == 0 else lower / upper
-    return BoundsReport(params, lower, upper, divisible, equal, ratio, lb)
+    lb_parts = (params.a + 1,) * params.b + (params.a,) * (params.omega - params.b)
+    return BoundsReport(params, lower, upper, divisible, equal, ratio, lb_parts)
 
 
 def turan_threshold_bound(h: Graph) -> int:
@@ -114,7 +124,7 @@ def empirical_turan_goodness(
     witness = None
     cs = ConstraintSet(u=1, delta=None, omega=omega)
     for n in range(1, n_max + 1):
-        t_count = count_subgraph_copies(spec, turan(omega, n))
+        t_count = turan_copy_count(spec, omega, n)
         best = 0
         best_g = None
         for g in enumerate_graphs(n, prune=cs, cap=cap):
@@ -126,7 +136,7 @@ def empirical_turan_goodness(
             passed = False
             if witness is None and best_g is not None:
                 witness = graph6_encode(best_g)
-    vacuous = count_subgraph_copies(spec, turan(omega, n_max)) == 0
+    vacuous = turan_copy_count(spec, omega, n_max) == 0
     return EmpiricalGoodness(passed, vacuous, tuple(rows), witness)
 
 
@@ -141,12 +151,12 @@ def ratio_diagnostic(
     threshold of H; finite stand-in for the limit-equals-1 statements.
     """
     spec = as_pattern(h)
-    denom = count_subgraph_copies(spec, turan(r, n))
+    denom = turan_copy_count(spec, r, n)
     if denom == 0:
         raise ValueError("pattern count in T_r(n) is zero; ratio undefined")
     if n - u + 1 <= 0:
         raise ValueError("n - u must be positive")
-    num = count_subgraph_copies(spec, turan(r, n - u))
+    num = turan_copy_count(spec, r, n - u)
     bound = Fraction(1)
     for i in range(u):
         bound *= Fraction(n - i - spec.pattern.n, n - i)
@@ -170,10 +180,9 @@ def star_problem_bounds(
         raise ValueError("pattern has too few dominating vertices")
     if not delta >= omega >= u + 1:
         raise ValueError("need delta >= omega >= u + 1")
-    host = turan(omega, delta + delta // (omega - 1))
-    lower = copy_density(spec, host, u)
+    lower = _turan_density(spec, u, omega, delta + delta // (omega - 1))
     upper = Fraction(
-        count_subgraph_copies(spec.down(u), turan(omega - u, delta - u + 1)),
+        turan_copy_count(spec.down(u), omega - u, delta - u + 1),
         comb(spec.dom_count, u),
     )
     return StarProblemBounds(lower, upper)

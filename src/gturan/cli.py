@@ -13,6 +13,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .graphs import (
@@ -222,7 +223,7 @@ def cmd_bounds(args) -> int:
             "a": r.params.a, "b": r.params.b,
             "lower": r.lower, "upper": r.upper,
             "divisible": r.divisible, "equal": r.equal, "ratio": r.ratio,
-            "lower_bound_graph": r.lb_graph,
+            "lower_bound_parts": list(r.lb_parts),
         }
         for r in reports
     ]
@@ -341,6 +342,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="gturan",

@@ -14,7 +14,8 @@ and copy counts divide that by the automorphism count), visit
 (``freeness.contains_subgraph`` stops at the lowest bit of the first
 mask).  It has no induced mode: the automorphism count comes from the
 canonical search, ``graphs.canonical_search``, not from self-embeddings.
-Complete patterns go to the clique counters instead.  A slow
+Complete patterns go to the clique counters instead.  Copies in Turán
+hosts are never searched: ``turan_copy_count`` has a closed form.  A slow
 subset-enumeration oracle lives in the test tree only.
 
 All counts are Python ints (arbitrary precision); densities elsewhere use
@@ -23,9 +24,10 @@ All counts are Python ints (arbitrary precision); densities elsewhere use
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import perm
 from typing import Iterator
 
 from .graphs import (
@@ -411,23 +413,51 @@ def copies_through(h: Graph | PatternSpec, g: Graph, s: int) -> int:
     return total - count_subgraph_copies(h, delete_vertices(g, s))
 
 
-def turan_clique_count(r: int, n: int, s: int) -> int:
-    """Closed form for k^s(T_r(n)), with n = a*r + b and 0 <= b < r:
+@lru_cache(maxsize=1024)
+def _independent_partitions(h: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Partitions of V(h) into independent blocks, as (sorted block sizes,
+    number of partitions) pairs.  Bell(v(h)) work: patterns are small."""
+    profile: Counter[tuple[int, ...]] = Counter()
 
-        sum_i C(b, i) * C(r-b, s-i) * (a+1)^i * a^(s-i)
+    def place(v: int, blocks: tuple[int, ...]) -> None:
+        if v == h.n:
+            profile[tuple(sorted(b.bit_count() for b in blocks))] += 1
+            return
+        for i, b in enumerate(blocks):
+            if not h.adj[v] & b:
+                place(v + 1, blocks[:i] + (b | 1 << v,) + blocks[i + 1 :])
+        place(v + 1, blocks + (1 << v,))
 
-    (choose i parts of size a+1 and s-i of size a, one vertex from each).
+    place(0, ())
+    return tuple(profile.items())
+
+
+def turan_copy_count(h: Graph | PatternSpec, r: int, n: int) -> int:
+    """N(H, T_r(n)) in closed form, without building the host.
+
+    An embedding of H sends the preimage of each part to an independent
+    block, so |Aut H| * N(H, T_r(n)) sums, over partitions of V(H) into
+    independent blocks and injective block-to-part assignments, the
+    products of falling factorials (part size)_{|block|} (Lovász, *Large
+    Networks and Graph Limits*, ch. 5).  T_r(n) has rem parts of q + 1 and
+    r - rem of q, so the assignment sum runs over j, the number of blocks
+    in large parts.  The null pattern counts 1 for every r >= 0.
     """
-    if r < 1:
-        raise ValueError("part count must be at least 1")
-    if s < 0:
-        raise ValueError("clique size must be nonnegative")
+    spec = as_pattern(h)
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    a, b = divmod(n, r)
+    if r < min(spec.pattern.n, 1):
+        raise ValueError(f"part count must be at least {min(spec.pattern.n, 1)}")
+    q, rem = divmod(n, r) if r else (0, 0)
     total = 0
-    for i in range(min(b, s) + 1):
-        total += comb(b, i) * comb(r - b, s - i) * (a + 1) ** i * a ** (s - i)
-    return total
-
-
+    for sizes, mult in _independent_partitions(spec.pattern):
+        # e[j]: block products with j of the blocks so far in large parts
+        e = [1]
+        for b in sizes:
+            small, large = perm(q, b), perm(q + 1, b)
+            e = [x * small + y * large for x, y in zip(e + [0], [0] + e)]
+        k = len(sizes)
+        total += mult * sum(c * perm(rem, j) * perm(r - rem, k - j) for j, c in enumerate(e))
+    copies, left = divmod(total, spec.aut_count)
+    assert left == 0, "embedding count not divisible by automorphism count"
+    return copies

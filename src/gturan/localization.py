@@ -9,7 +9,10 @@ J's own edge set, not in G):
 
 and the weight
 
-    x(J) = 1 / N(H^{down u}, T_{clique_size(J)-u}(codegree(J))).
+    x(J) = 1 / N(H^{down u}, T_{clique_size(J)-u}(codegree(J))),
+
+a closed-form count (``counting.turan_copy_count``).  For H = K_u the
+derived pattern is null and every weight is 1.
 
 The localized inequality bounds the weight sum by k^u(G) / C(dom(H), u),
 with exact equality on disjoint unions of balanced Turán graphs (plus any
@@ -36,7 +39,7 @@ from .counting import (
     enumerate_cliques,
     enumerate_copies,
     max_clique_containing,
-    turan_clique_count,
+    turan_copy_count,
 )
 from .bounds import turan_threshold_bound
 
@@ -147,9 +150,7 @@ def copy_weights(
     denom_memo = _weight_memo if _weight_memo is not None else {}
     key = (best_cs, best_cd)
     if key not in denom_memo:
-        denom_memo[key] = count_subgraph_copies(
-            spec.down(u), turan(best_cs - u, best_cd)
-        )
+        denom_memo[key] = turan_copy_count(spec.down(u), best_cs - u, best_cd)
     denom = denom_memo[key]
     if denom == 0:
         raise HypothesisViolationError(verts, best_cs, best_cd, -1)
@@ -206,55 +207,6 @@ def localized_report(
     )
 
 
-def localized_clique_sum(g: Graph, t: int, u: int) -> LocalReport:
-    """Clique special case H = K_t with the closed-form weight denominator.
-
-    The threshold is 1 (Turán graphs are extremal for clique counts at
-    every clique bound), so the hypothesis always holds.  Agrees exactly
-    with ``localized_report(g, K_t, u, 1)``.
-    """
-    if t < u + 1:
-        raise ValueError("need t >= u + 1")
-    stats_memo: dict[int, tuple[int, int]] = {}
-    per_copy = []
-    relevant: set[int] = set()
-    for mask in enumerate_cliques(g, t):
-        vs = list(iter_bits(mask))
-        edges = frozenset(
-            (vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))
-        )
-        best_cs = -1
-        best_cd = -1
-        wit_cs = wit_cd = 0
-        for pick in combinations(vs, u):
-            c = sum(1 << v for v in pick)
-            relevant.add(c)
-            if c not in stats_memo:
-                stats_memo[c] = clique_weights(g, c, u)
-            oc, dc = stats_memo[c]
-            if oc > best_cs:
-                best_cs, wit_cs = oc, c
-            if dc > best_cd:
-                best_cd, wit_cd = dc, c
-        denom = turan_clique_count(best_cs - u, best_cd, t - u)
-        assert denom > 0
-        per_copy.append(
-            CopyWeights(mask, edges, best_cs, best_cd, Fraction(1, denom), wit_cs, wit_cd)
-        )
-    weighted_sum = sum((cw.weight for cw in per_copy), Fraction(0))
-    bound = Fraction(count_cliques(g, u), comb(t, u))
-    exempt = tuple(c for c in enumerate_cliques(g, u) if c not in relevant)
-    return LocalReport(
-        tuple(per_copy),
-        weighted_sum,
-        bound,
-        weighted_sum <= bound,
-        weighted_sum == bound,
-        True,
-        exempt,
-    )
-
-
 def equality_family_graph(
     blocks: list[tuple[int, int]], z_tail: Graph | None = None
 ) -> Graph:
@@ -276,5 +228,5 @@ def global_recovery_holds(
     N(H, G) <= N(H^{down u}, T_{omega-u}(delta)) * k^u(G) / C(dom, u)."""
     spec = as_pattern(h)
     lhs = count_subgraph_copies(spec, g)
-    cap = count_subgraph_copies(spec.down(u), turan(omega - u, delta))
+    cap = turan_copy_count(spec.down(u), omega - u, delta)
     return lhs * comb(spec.dom_count, u) <= cap * count_cliques(g, u)

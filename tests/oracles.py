@@ -3,12 +3,14 @@
 None of these share code with the production counting paths: copies are
 counted by scanning vertex subsets and edge subsets directly, canonical
 forms are taken as the minimum over all permutations, and spanning-copy
-tables are built by brute force over labeled graphs.
+tables are built by brute force over labeled graphs.  Copy counts in
+Turán graphs are read from the part sizes alone.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import comb, prod
 
 from gturan.graphs import Graph, from_edge_list, relabel
 
@@ -122,3 +124,31 @@ def labeled_class_count(n: int) -> int:
         edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
         seen.add(brute_canonical(from_edge_list(n, edges)))
     return len(seen)
+
+
+def turan_part_sizes(r: int, n: int) -> list[int]:
+    """Part sizes of T_r(n): as equal as possible, summing to n."""
+    return [n // r + (1 if i < n % r else 0) for i in range(r)]
+
+
+def turan_part_count(name: str, parts: list[int]) -> int:
+    """Copies of a named pattern in the complete multipartite graph with
+    the given part sizes, by counting from the parts:
+
+    * ``K<s>``: one vertex from each of s distinct parts;
+    * ``I2``: any two vertices;
+    * ``K1vI2`` (the path P3): a centre and two of its neighbours, all
+      outside the centre's part;
+    * ``K2vI2`` (the book): an edge between two parts and two of its
+      common neighbours, outside both parts.
+    """
+    n = sum(parts)
+    if name.startswith("K") and name[1:].isdigit():
+        return sum(prod(pick) for pick in combinations(parts, int(name[1:])))
+    if name == "I2":
+        return comb(n, 2)
+    if name == "K1vI2":
+        return sum(s * comb(n - s, 2) for s in parts)
+    if name == "K2vI2":
+        return sum(a * b * comb(n - a - b, 2) for a, b in combinations(parts, 2))
+    raise ValueError(f"no part-size count for {name}")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,6 +15,8 @@ from gturan.bounds import (
     turan_threshold_bound,
     verify_lower_bound_freeness,
 )
+
+from oracles import turan_part_count, turan_part_sizes
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -90,6 +93,30 @@ class TestBoundsReport:
                         denom,
                     )
                     assert rep.lower / rep.upper >= shifted
+
+    @pytest.mark.parametrize("name, h, derived", [
+        ("K3", K3, ("K2", "K1")),
+        ("K4", K4, ("K3", "K2")),
+        ("K2vI2", BOOK, ("K1vI2", "I2")),
+    ])
+    def test_part_size_oracle_beyond_vertex_cap(self, name, h, derived):
+        # hosts far above the 256-vertex graph cap; the oracle reads the
+        # paper's formulas from part sizes
+        dom = pattern_spec(h).dom_count
+        for u in (1, 2):
+            for omega in (u + 1, u + 3):
+                for delta in (300, 10**4):
+                    rep = bounds_report(h, ParamTriple(u, delta, omega))
+                    parts = turan_part_sizes(omega, delta + u * (delta // (omega - u)))
+                    assert rep.lb_parts == tuple(parts)
+                    assert rep.lower == Fraction(
+                        turan_part_count(name, parts), turan_part_count(f"K{u}", parts)
+                    )
+                    upper_parts = turan_part_sizes(omega - u, delta)
+                    assert rep.upper == Fraction(
+                        turan_part_count(derived[u - 1], upper_parts), comb(dom, u)
+                    )
+                    assert rep.lower <= rep.upper
 
     def test_lower_bound_graph_always_free(self):
         for u in (1, 2):

@@ -85,6 +85,24 @@ class TestSubcommands:
         assert row["equal"] is True
         assert row["lower"] == {"num": "4", "den": "1"}
 
+    def test_bounds_beyond_vertex_cap(self, capsys):
+        # the lower-bound host T_4(400) is never built
+        code, doc = run_json(
+            capsys, "bounds", "--pattern", "K3", "--u", "1", "--delta", "300", "--omega", "4"
+        )
+        assert code == 0
+        row = doc["data"][0]
+        assert row["lower_bound_parts"] == [100, 100, 100, 100]
+        assert row["lower"] == row["upper"] == {"num": "10000", "den": "1"}
+
+    def test_parser_state_does_not_leak(self, capsys):
+        argv = ["bounds", "--pattern", "K3", "--u", "1", "--delta", "8", "--omega", "4"]
+        code, doc = run_json(capsys, *argv, "--grid")
+        assert code == 0 and len(doc["data"]) == 5
+        code, doc = run_json(capsys, *argv)
+        assert code == 0 and len(doc["data"]) == 1
+        assert doc["kind"] == "bounds"
+
     def test_bounds_star_problem(self, capsys):
         code, doc = run_json(
             capsys, "bounds", "--pattern", "K2vI2", "--u", "2",
@@ -99,6 +117,19 @@ class TestSubcommands:
         )
         assert doc["data"]["equality"] is True
         assert len(doc["data"]["per_copy"]) == 10
+
+    @pytest.mark.parametrize("argv", [
+        ["--graph", "P3", "--pattern", "K2", "--u", "2", "--omega0", "1"],
+        ["--graph", "I2", "--pattern", "K1", "--u", "1"],
+    ])
+    def test_localize_pattern_is_the_root_clique(self, capsys, argv):
+        # every u-clique is a copy and a maximal one: each weight is 1
+        code, doc = run_json(capsys, "localize", *argv, "--per-copy")
+        assert code == 0
+        data = doc["data"]
+        assert data["weighted_sum"] == data["bound"] == {"num": "2", "den": "1"}
+        assert data["equality"] is True
+        assert [c["weight"] for c in data["per_copy"]] == [{"num": "1", "den": "1"}] * 2
 
     def test_search(self, capsys, tmp_path):
         dump = tmp_path / "optima.g6"

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from gturan.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    from_edge_list,
     join,
     mask_of,
     path_graph,
@@ -29,7 +31,7 @@ from gturan.counting import (
     enumerate_copies,
     max_clique_containing,
     pattern_spec,
-    turan_clique_count,
+    turan_copy_count,
 )
 from gturan.freeness import contains_subgraph
 
@@ -39,6 +41,8 @@ from oracles import (
     spanning_copy_table,
     subset_clique_count,
     subset_copy_count,
+    turan_part_count,
+    turan_part_sizes,
 )
 
 
@@ -289,16 +293,56 @@ def _copy_dominating(verts, edges):
 
 class TestTuranCliqueCount:
     def test_examples(self):
-        assert turan_clique_count(4, 6, 3) == 12
-        assert turan_clique_count(3, 6, 3) == 8
-        assert turan_clique_count(2, 5, 3) == 0
+        k3 = complete_graph(3)
+        assert turan_copy_count(k3, 4, 6) == 12
+        assert turan_copy_count(k3, 3, 6) == 8
+        assert turan_copy_count(k3, 2, 5) == 0
 
     def test_matches_enumeration_full_grid(self):
         for r in range(1, 7):
             for n in range(0, 15):
                 g = turan(r, n)
                 for s in range(0, 6):
-                    assert turan_clique_count(r, n, s) == count_cliques(g, s)
+                    assert turan_copy_count(complete_graph(s), r, n) == count_cliques(g, s)
+
+
+class TestTuranCopyCount:
+    def test_null_pattern_counts_one(self):
+        null = empty_graph(0)
+        assert turan_copy_count(null, 0, 0) == 1
+        assert turan_copy_count(null, 3, 7) == 1
+
+    def test_rejects_bad_hosts(self):
+        with pytest.raises(ValueError):
+            turan_copy_count(complete_graph(1), 0, 0)
+        with pytest.raises(ValueError):
+            turan_copy_count(complete_graph(2), 3, -1)
+        with pytest.raises(ValueError):
+            turan_copy_count(empty_graph(0), -1, 0)
+
+    @pytest.mark.parametrize("name, h", [
+        ("K1", complete_graph(1)),
+        ("K3", complete_graph(3)),
+        ("K5", complete_graph(5)),
+        ("I2", empty_graph(2)),
+        ("K1vI2", path_graph(3)),
+        ("K2vI2", complete_split(2, 2)),
+    ])
+    def test_part_size_oracle_beyond_vertex_cap(self, name, h):
+        for r in (1, 2, 5, 7):
+            for n in (0, 3, 257, 10**4, 10**6 + 3):
+                want = turan_part_count(name, turan_part_sizes(r, n))
+                assert turan_copy_count(h, r, n) == want, (name, r, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 6), st.integers(0, (1 << 15) - 1), st.integers(1, 6), st.integers(0, 12)
+)
+def test_turan_copy_count_matches_enumeration(v, bits, r, n):
+    pairs = list(combinations(range(v), 2))
+    h = from_edge_list(v, [e for i, e in enumerate(pairs) if bits >> i & 1])
+    assert turan_copy_count(h, r, n) == count_subgraph_copies(h, turan(r, n))
 
 
 class TestCopiesThrough:
@@ -329,4 +373,5 @@ class TestCopiesThrough:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 12), st.integers(0, 4))
 def test_monotone_in_vertices(r, n, s):
-    assert turan_clique_count(r, n + 1, s) >= turan_clique_count(r, n, s)
+    ks = complete_graph(s)
+    assert turan_copy_count(ks, r, n + 1) >= turan_copy_count(ks, r, n)

@@ -9,11 +9,12 @@ from gturan.graphs import (
     empty_graph,
     join,
     mask_of,
+    path_graph,
     random_graph,
     union_of,
 )
 from gturan.families import complete_split, turan
-from gturan.counting import enumerate_copies, turan_clique_count
+from gturan.counting import count_cliques, enumerate_copies, turan_copy_count
 from gturan.freeness import ConstraintSet, check_constraints
 from gturan.localization import (
     HypothesisViolationError,
@@ -22,7 +23,6 @@ from gturan.localization import (
     default_threshold,
     equality_family_graph,
     global_recovery_holds,
-    localized_clique_sum,
     localized_report,
 )
 
@@ -156,31 +156,26 @@ class TestLocalizedReport:
         rep = localized_report(turan(3, 6), book, 2, 1)
         assert rep.holds
 
-
-class TestLocalizedCliqueSum:
-    def test_matches_general_report(self):
-        rng = random.Random(31)
-        cases = [K5, cycle_graph(4), turan(4, 8), union_of(turan(3, 6), K3)]
-        cases += [random_graph(rng, rng.randint(1, 10), 0.5) for _ in range(20)]
-        for g in cases:
-            for t, u in ((3, 1), (3, 2), (4, 1), (4, 2)):
-                a = localized_clique_sum(g, t, u)
-                b = localized_report(g, complete_graph(t), u, 1)
-                assert a.weighted_sum == b.weighted_sum
-                assert a.bound == b.bound
-                assert a.equality == b.equality
-
-    def test_examples(self):
-        rep = localized_clique_sum(K5, 3, 1)
+    def test_clique_examples(self):
+        rep = localized_report(K5, K3, 1, 1)
         assert rep.weighted_sum == rep.bound == Fraction(5, 3)
-        rep2 = localized_clique_sum(cycle_graph(4), 3, 1)
+        rep2 = localized_report(cycle_graph(4), K3, 1, 1)
         assert rep2.weighted_sum == 0 and rep2.bound == Fraction(4, 3)
-        rep3 = localized_clique_sum(union_of(turan(4, 8), empty_graph(3)), 4, 2)
+        rep3 = localized_report(union_of(turan(4, 8), empty_graph(3)), K4, 2, 1)
         assert rep3.equality
 
-    def test_requires_t_above_u(self):
-        with pytest.raises(ValueError):
-            localized_clique_sum(K5, 2, 2)
+    @pytest.mark.parametrize("g, u", [
+        (path_graph(3), 2),  # each edge is a maximal clique
+        (empty_graph(2), 1),  # each vertex is a maximal clique
+        (union_of(K3, path_graph(3)), 2),  # maximal and non-maximal edges
+    ])
+    def test_pattern_is_the_root_clique(self, g, u):
+        # H = K_u: the derived pattern is null, so every weight is 1 even
+        # when the copy's u-clique is maximal (a host with no parts)
+        rep = localized_report(g, complete_graph(u), u, 1)
+        assert all(cw.weight == 1 for cw in rep.per_copy)
+        assert rep.weighted_sum == rep.bound == count_cliques(g, u)
+        assert rep.equality
 
 
 class TestEqualityFamilies:
@@ -215,11 +210,12 @@ class TestEqualityFamilies:
 def test_weight_monotone_in_both_arguments():
     # closed-form denominators weakly increase in part count and size
     for s in (2, 3):
+        ks = complete_graph(s)
         for r in range(s, 9):
             for d in range(r, 21):
-                here = turan_clique_count(r, d, s)
-                assert turan_clique_count(r + 1, d, s) >= here
-                assert turan_clique_count(r, d + 1, s) >= here
+                here = turan_copy_count(ks, r, d)
+                assert turan_copy_count(ks, r + 1, d) >= here
+                assert turan_copy_count(ks, r, d + 1) >= here
 
 
 def test_global_recovery_on_free_graphs():
