@@ -55,11 +55,10 @@ from .bounds import (
     turan_threshold_bound,
 )
 from .localization import (
-    CopyWeights,
+    DominatingClique,
     HypothesisViolationError,
     LocalReport,
     clique_weights,
-    copy_weights,
     localized_report,
 )
 from .search import (

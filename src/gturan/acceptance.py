@@ -38,7 +38,7 @@ from .counting import (
 )
 from .freeness import ConstraintSet, check_constraints, passes_constraints
 from .bounds import bounds_report
-from .localization import equality_family_graph, localized_report
+from .localization import HypothesisViolationError, equality_family_graph, localized_report
 from .search import _levels, brute_extremal, brute_extremal_u
 
 DEFAULT_SEED = 20250814
@@ -348,25 +348,30 @@ def _equality_family_cases(rng: random.Random, count: int):
 
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Localized inequality: holds on every graph with at most 7 vertices
-    (triangle and K_4 patterns, u = 1, 2) and on 500 seeded random graphs
-    up to 16 vertices; exact equality on 50 balanced-Turán-union cases."""
+    (K3, K4 and K2vI2 with u = 1, 2, the fan K1vP4 with u = 1; every
+    weight defined) and on 500 seeded random graphs up to 16 vertices (K3,
+    K4, u = 1, 2); exact equality on 50 balanced-Turán-union cases."""
     t0 = time.time()
     from .search import nonisomorphic_graphs_upto
 
     ok = True
     bad = []
     patterns = [(3, complete_graph(3)), (4, complete_graph(4))]
+    small = [(name, h, u) for name, h in _pattern_grid() for u in (1, 2)
+             if u <= pattern_spec(h).dom_count]
     levels = nonisomorphic_graphs_upto(7)
     checked = 0
     for reps in levels[1:]:
         for g in reps:
-            for t, h in patterns:
-                for u in (1, 2):
-                    rep = localized_report(g, h, u, 1)
-                    checked += 1
-                    if not rep.holds:
-                        ok = False
-                        bad.append(("small", t, u, graph6_encode(g)))
+            for name, h, u in small:
+                try:
+                    holds = localized_report(g, h, u, 1).holds
+                except HypothesisViolationError:
+                    holds = False
+                checked += 1
+                if not holds:
+                    ok = False
+                    bad.append(("small", name, u, graph6_encode(g)))
     rng = random.Random(seed)
     for _ in range(500):
         n = rng.randint(1, 16)

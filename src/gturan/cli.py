@@ -245,36 +245,37 @@ def cmd_localize(args) -> int:
     data = {
         "graph": args.graph, "pattern": args.pattern, "u": args.u,
         "threshold": threshold,
-        "copies": len(rep.per_copy),
+        "copies": rep.copies,
         "weighted_sum": rep.weighted_sum, "bound": rep.bound,
         "holds": rep.holds, "equality": rep.equality,
         "hypothesis_ok": rep.hypothesis_ok,
         "exempt_cliques": [list(set_of(c)) for c in rep.exempt_cliques],
     }
-    if args.per_copy:
-        data["per_copy"] = [
+    if args.per_clique:
+        data["per_clique"] = [
             {
-                "vertices": list(set_of(cw.verts)),
-                "clique_size": cw.clique_size,
-                "codegree": cw.codegree,
-                "weight": cw.weight,
+                "clique": list(set_of(row.clique)),
+                "clique_size": row.clique_size,
+                "codegree": row.codegree,
+                "weight": row.weight,
+                "copies": row.copies,
             }
-            for cw in rep.per_copy
+            for row in rep.per_clique
         ]
     lines = [
-        f"copies           {len(rep.per_copy)}",
+        f"copies           {rep.copies}",
         f"weighted sum     {_fmt_rational(rep.weighted_sum)}",
         f"bound            {_fmt_rational(rep.bound)}",
         f"holds            {rep.holds}" + ("  (equality)" if rep.equality else ""),
         f"hypothesis ok    {rep.hypothesis_ok}",
         f"exempt cliques   {len(rep.exempt_cliques)}",
     ]
-    if args.per_copy:
-        lines.append("  copy                          clique_size codegree weight")
-        for cw in rep.per_copy:
+    if args.per_clique:
+        lines.append("  clique                        clique_size codegree weight copies")
+        for row in rep.per_clique:
             lines.append(
-                f"  {_vertices_1based(cw.verts):28s}  {cw.clique_size:11d} "
-                f"{cw.codegree:8d} {_fmt_rational(cw.weight)}"
+                f"  {_vertices_1based(row.clique):28s}  {row.clique_size:11d} "
+                f"{row.codegree:8d} {_fmt_rational(row.weight):6s} {row.copies}"
             )
     _emit(args, "localize", data, lines)
     return 0
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", "--H", dest="pattern", required=True)
     p.add_argument("--u", type=int, default=1)
     p.add_argument("--omega0", type=int, help="clique threshold (default: pattern-derived)")
-    p.add_argument("--per-copy", action="store_true")
+    p.add_argument("--per-clique", action="store_true")
     common(p)
     p.set_defaults(func=cmd_localize)
 

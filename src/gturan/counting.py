@@ -399,6 +399,8 @@ def count_copies_rooted(h: Graph | PatternSpec, g: Graph, c: int, u: int) -> int
         raise ValueError(f"pattern has {spec.dom_count} dominating vertices, need {u}")
     if not is_clique(g, c):
         raise ValueError("root set is not a clique")
+    if spec.down(u).n == 0:  # h = K_u: c itself is the one copy
+        return 1
     inner = induced_subgraph(g, common_neighborhood(g, c))
     return count_subgraph_copies(spec.down(u), inner)
 

@@ -1,20 +1,21 @@
-"""Per-copy weights and the localized density inequality.
+"""Per-clique weights and the localized density inequality.
 
-Every copy J of the pattern H in a host graph G gets two local statistics
-taken over the u-subsets c of the dominating vertices of J (dominating in
-J's own edge set, not in G):
+Every copy J of the pattern H in a host graph G has as dominating set
+Dom(J) (dominating in J's own edge set, not in G) the image of Dom(H), a
+d-clique C of G with d = dom(H).  J's two local statistics are taken over
+the u-subsets c of C:
 
-    clique_size(J) = max over c of the largest clique of G containing c,
-    codegree(J)    = max over c of the number of common neighbours of c,
+    clique_size(C) = max over c of the largest clique of G containing c,
+    codegree(C)    = max over c of the number of common neighbours of c,
 
-and the weight
+and its weight is w(C) = 1 / N(H^{down u}, T_{clique_size(C)-u}(codegree(C))),
+a closed-form count (``counting.turan_copy_count``); for H = K_u every
+weight is 1.  The copies with Dom(J) = C are C joined to the copies of
+H - Dom(H) in the common neighbourhood N(C), so no copy is listed:
 
-    x(J) = 1 / N(H^{down u}, T_{clique_size(J)-u}(codegree(J))),
+    weighted_sum = sum over d-cliques C of w(C) * N(H - Dom H, G[N(C)]).
 
-a closed-form count (``counting.turan_copy_count``).  For H = K_u the
-derived pattern is null and every weight is 1.
-
-The localized inequality bounds the weight sum by k^u(G) / C(dom(H), u),
+The localized inequality bounds the weighted sum by k^u(G) / C(dom(H), u),
 with exact equality on disjoint unions of balanced Turán graphs (plus any
 K_u-free tail).  A zero weight denominator aborts the report: it can only
 happen when the clique-threshold hypothesis fails for the supplied
@@ -23,11 +24,11 @@ threshold parameter.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Optional
 
 from .graphs import Graph, common_neighborhood, iter_bits
 from .families import turan
@@ -35,9 +36,9 @@ from .counting import (
     PatternSpec,
     as_pattern,
     count_cliques,
+    count_copies_rooted,
     count_subgraph_copies,
     enumerate_cliques,
-    enumerate_copies,
     max_clique_containing,
     turan_copy_count,
 )
@@ -45,17 +46,17 @@ from .bounds import turan_threshold_bound
 
 
 class HypothesisViolationError(RuntimeError):
-    """A copy's weight denominator vanished: the supplied clique threshold
-    is below the true one for the derived pattern."""
+    """A dominating clique's weight denominator vanished: the supplied
+    clique threshold is below the true one for the derived pattern."""
 
-    def __init__(self, verts: int, clique_size: int, codegree: int, threshold: int):
-        self.verts = verts
+    def __init__(self, clique: int, clique_size: int, codegree: int, threshold: int):
+        self.clique = clique
         self.clique_size = clique_size
         self.codegree = codegree
         super().__init__(
-            f"weight undefined on copy {sorted(iter_bits(verts))}: the host "
-            f"Turán graph with {clique_size} - u parts on {codegree} vertices "
-            f"holds no copy of the derived pattern; threshold parameter "
+            f"weight undefined on dominating clique {sorted(iter_bits(clique))}: "
+            f"the host Turán graph with {clique_size} - u parts on {codegree} "
+            f"vertices holds no copy of the derived pattern; threshold parameter "
             f"{threshold} is below the pattern's true clique threshold"
         )
 
@@ -80,19 +81,22 @@ def clique_weights(g: Graph, c: int, u: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class CopyWeights:
-    verts: int
-    edges: frozenset[tuple[int, int]]
+class DominatingClique:
+    """A d-clique C of the host with the copies J that have Dom(J) = C."""
+
+    clique: int
     clique_size: int
     codegree: int
     weight: Fraction
-    witness_clique_size: int  # u-subset of Dom(J) attaining clique_size
+    copies: int
+    witness_clique_size: int  # u-subset of C attaining clique_size
     witness_codegree: int
 
 
 @dataclass(frozen=True)
 class LocalReport:
-    per_copy: tuple[CopyWeights, ...]
+    per_clique: tuple[DominatingClique, ...]  # cliques dominating a copy
+    copies: int
     weighted_sum: Fraction
     bound: Fraction
     holds: bool
@@ -105,56 +109,46 @@ class LocalReport:
         assert self.equality == (self.weighted_sum == self.bound)
 
 
-def _dominating_in_copy(verts: int, edges: frozenset[tuple[int, int]]) -> list[int]:
-    vs = list(iter_bits(verts))
-    deg = {v: 0 for v in vs}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    return [v for v in vs if deg[v] == len(vs) - 1]
-
-
-def copy_weights(
-    g: Graph,
-    copy: tuple[int, frozenset[tuple[int, int]]],
-    h: Graph | PatternSpec,
-    u: int,
-    _stats_memo: Optional[dict[int, tuple[int, int]]] = None,
-    _weight_memo: Optional[dict[tuple[int, int], int]] = None,
-) -> CopyWeights:
-    """Weights of a single copy; maxima over all u-subsets of Dom(J).
-
-    Dom(J) is computed on the copy's own edge set: a copy is a subgraph
-    with exactly the pattern's edges, so a vertex may dominate J without
-    dominating the induced subgraph of G.
-    """
-    spec = as_pattern(h)
-    if spec.dom_count < u:
-        raise ValueError("pattern has too few dominating vertices")
-    verts, edges = copy
-    dom = _dominating_in_copy(verts, edges)
-    stats = _stats_memo if _stats_memo is not None else {}
-    best_cs = -1
-    best_cd = -1
-    wit_cs = 0
-    wit_cd = 0
-    for pick in combinations(dom, u):
-        c = sum(1 << v for v in pick)
+def _dominating_clique(
+    g: Graph, spec: PatternSpec, clique: int, u: int,
+    stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
+    threshold: int,
+) -> DominatingClique | None:
+    """The row of a dom(H)-clique of g, or None if it dominates no copy.
+    ``stats`` memoizes clique_weights per u-clique, ``weights`` the weight
+    per (clique size, codegree)."""
+    k = count_copies_rooted(spec, g, clique, spec.dom_count)
+    if k == 0:
+        return None
+    cs = cd = -1
+    wit_cs = wit_cd = 0
+    for pick in combinations([1 << v for v in iter_bits(clique)], u):
+        c = sum(pick)
         if c not in stats:
             stats[c] = clique_weights(g, c, u)
         oc, dc = stats[c]
-        if oc > best_cs:
-            best_cs, wit_cs = oc, c
-        if dc > best_cd:
-            best_cd, wit_cd = dc, c
-    denom_memo = _weight_memo if _weight_memo is not None else {}
-    key = (best_cs, best_cd)
-    if key not in denom_memo:
-        denom_memo[key] = turan_copy_count(spec.down(u), best_cs - u, best_cd)
-    denom = denom_memo[key]
-    if denom == 0:
-        raise HypothesisViolationError(verts, best_cs, best_cd, -1)
-    return CopyWeights(verts, edges, best_cs, best_cd, Fraction(1, denom), wit_cs, wit_cd)
+        if oc > cs:
+            cs, wit_cs = oc, c
+        if dc > cd:
+            cd, wit_cd = dc, c
+    if (cs, cd) not in weights:
+        denom = turan_copy_count(spec.down(u), cs - u, cd)
+        if denom == 0:
+            raise HypothesisViolationError(clique, cs, cd, threshold)
+        weights[cs, cd] = Fraction(1, denom)
+    return DominatingClique(clique, cs, cd, weights[cs, cd], k, wit_cs, wit_cd)
+
+
+def copy_weights(
+    g: Graph, copy: tuple[int, frozenset[tuple[int, int]]], h: Graph | PatternSpec, u: int
+) -> DominatingClique:
+    """The row of Dom(J) for one copy J, a (vertex mask, edge set) pair of
+    ``counting.enumerate_copies``; Dom(J) is read on J's own edges.  Not
+    on the path of ``localized_report``, which lists no copies."""
+    verts, edges = copy
+    degree = Counter(v for edge in edges for v in edge)
+    clique = sum(1 << v for v in iter_bits(verts) if degree[v] == verts.bit_count() - 1)
+    return _dominating_clique(g, as_pattern(h), clique, u, {}, {}, 1)
 
 
 def localized_report(
@@ -171,33 +165,27 @@ def localized_report(
     separately.
     """
     spec = as_pattern(h)
-    if spec.dom_count < u:
-        raise ValueError("pattern has too few dominating vertices")
-    copies = enumerate_copies(spec, g)
-    stats_memo: dict[int, tuple[int, int]] = {}
-    weight_memo: dict[tuple[int, int], int] = {}
-    per_copy = []
-    relevant: set[int] = set()
-    for cp in copies:
-        dom = _dominating_in_copy(*cp)
-        for pick in combinations(dom, u):
-            relevant.add(sum(1 << v for v in pick))
-        try:
-            per_copy.append(
-                copy_weights(g, cp, spec, u, stats_memo, weight_memo)
-            )
-        except HypothesisViolationError as exc:
-            raise HypothesisViolationError(
-                exc.verts, exc.clique_size, exc.codegree, threshold
-            ) from None
-    hypothesis_ok = all(
-        stats_memo[c][0] >= threshold + u for c in relevant
-    )
-    weighted_sum = sum((cw.weight for cw in per_copy), Fraction(0))
+    if not 1 <= u <= spec.dom_count:
+        raise ValueError(
+            f"u={u} outside 1..{spec.dom_count}, the pattern's dominating count")
+    stats: dict[int, tuple[int, int]] = {}
+    weights: dict[tuple[int, int], Fraction] = {}
+    classes: dict[tuple[int, int], int] = {}  # (clique size, codegree) -> copies
+    per_clique = []
+    for clique in enumerate_cliques(g, spec.dom_count):
+        row = _dominating_clique(g, spec, clique, u, stats, weights, threshold)
+        if row is not None:
+            key = (row.clique_size, row.codegree)
+            classes[key] = classes.get(key, 0) + row.copies
+            per_clique.append(row)
+    # stats holds exactly the u-subsets of the cliques that dominate a copy
+    hypothesis_ok = all(oc >= threshold + u for oc, _ in stats.values())
+    weighted_sum = sum((weights[key] * k for key, k in classes.items()), Fraction(0))
     bound = Fraction(count_cliques(g, u), comb(spec.dom_count, u))
-    exempt = tuple(c for c in enumerate_cliques(g, u) if c not in relevant)
+    exempt = tuple(c for c in enumerate_cliques(g, u) if c not in stats)
     return LocalReport(
-        tuple(per_copy),
+        tuple(per_clique),
+        sum(classes.values()),
         weighted_sum,
         bound,
         weighted_sum <= bound,

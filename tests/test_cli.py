@@ -113,10 +113,11 @@ class TestSubcommands:
     def test_localize(self, capsys):
         code, doc = run_json(
             capsys, "localize", "--graph", "K5", "--pattern", "K3",
-            "--u", "1", "--omega0", "1", "--per-copy",
+            "--u", "1", "--omega0", "1", "--per-clique",
         )
         assert doc["data"]["equality"] is True
-        assert len(doc["data"]["per_copy"]) == 10
+        assert doc["data"]["copies"] == 10
+        assert len(doc["data"]["per_clique"]) == 10
 
     @pytest.mark.parametrize("argv", [
         ["--graph", "P3", "--pattern", "K2", "--u", "2", "--omega0", "1"],
@@ -124,12 +125,12 @@ class TestSubcommands:
     ])
     def test_localize_pattern_is_the_root_clique(self, capsys, argv):
         # every u-clique is a copy and a maximal one: each weight is 1
-        code, doc = run_json(capsys, "localize", *argv, "--per-copy")
+        code, doc = run_json(capsys, "localize", *argv, "--per-clique")
         assert code == 0
         data = doc["data"]
         assert data["weighted_sum"] == data["bound"] == {"num": "2", "den": "1"}
         assert data["equality"] is True
-        assert [c["weight"] for c in data["per_copy"]] == [{"num": "1", "den": "1"}] * 2
+        assert [c["weight"] for c in data["per_clique"]] == [{"num": "1", "den": "1"}] * 2
 
     def test_search(self, capsys, tmp_path):
         dump = tmp_path / "optima.g6"
@@ -162,6 +163,13 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"gturan: error: {message}\n"
+
+    @pytest.mark.parametrize("u", ["0", "-1"])
+    def test_localize_bad_u_is_one_line_error(self, capsys, u):
+        code = main(["localize", "--graph", "turan(3,6)", "--pattern", "K3", "--u", u])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"gturan: error: u={u} outside 1..3, the pattern's dominating count\n"
 
     def test_verify_quick_level(self, capsys):
         code, doc = run_json(capsys, "verify", "--level", "quick")

@@ -251,6 +251,9 @@ class TestRootedCopies:
         assert count_copies_rooted(book, k4, mask_of([0, 1]), 2) == 1
         c4 = cycle_graph(4)
         assert count_copies_rooted(complete_graph(3), c4, mask_of([0]), 1) == 0
+        # the derived pattern is null: the root triangle is the one copy
+        triangle = mask_of([0, 1, 2])
+        assert count_copies_rooted(complete_graph(3), complete_graph(5), triangle, 3) == 1
 
     def test_errors(self):
         k4 = complete_graph(4)
@@ -258,6 +261,9 @@ class TestRootedCopies:
             count_copies_rooted(complete_graph(3), cycle_graph(4), mask_of([0, 2]), 2)
         with pytest.raises(ValueError):
             count_copies_rooted(path_graph(3), k4, mask_of([0, 1]), 2)  # dom(P3)=1 < 2
+        # a null derived pattern still needs a clique root
+        with pytest.raises(ValueError, match="not a clique"):
+            count_copies_rooted(complete_graph(3), path_graph(3), mask_of([0, 1, 2]), 3)
 
     def test_rooted_equals_direct_enumeration(self):
         # independent check of the bijection: count copies whose dominating

@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gturan.graphs import (
     complete_graph,
@@ -14,7 +17,13 @@ from gturan.graphs import (
     union_of,
 )
 from gturan.families import complete_split, turan
-from gturan.counting import count_cliques, enumerate_copies, turan_copy_count
+from gturan.counting import (
+    count_cliques,
+    count_copies_rooted,
+    delete_dominating,
+    enumerate_copies,
+    turan_copy_count,
+)
 from gturan.freeness import ConstraintSet, check_constraints
 from gturan.localization import (
     HypothesisViolationError,
@@ -58,42 +67,56 @@ class TestCliqueWeights:
 
 
 class TestCopyWeights:
+    # every copy's weights are those of its dominating clique's row
+
     def test_triangle_in_k5(self):
-        cw = copy_weights(K5, enumerate_copies(K3, K5)[0], K3, 1)
-        assert (cw.clique_size, cw.codegree) == (5, 4)
-        assert cw.weight == Fraction(1, 6)
+        rows = localized_report(K5, K3, 1, 1).per_clique
+        assert len(rows) == 10
+        for row in rows:
+            assert (row.clique_size, row.codegree, row.copies) == (5, 4, 1)
+            assert row.weight == Fraction(1, 6)
+        assert copy_weights(K5, enumerate_copies(K3, K5)[0], K3, 1) == rows[0]
 
     def test_triangle_in_t48(self):
         t = turan(4, 8)
-        cw = copy_weights(t, enumerate_copies(K3, t)[0], K3, 1)
-        assert (cw.clique_size, cw.codegree) == (4, 6)
-        assert cw.weight == Fraction(1, 12)
+        rows = localized_report(t, K3, 1, 1).per_clique
+        assert len(rows) == count_cliques(t, 3)
+        for row in rows:
+            assert (row.clique_size, row.codegree) == (4, 6)
+            assert row.weight == Fraction(1, 12)
 
     def test_triangle_in_small_component(self):
         g = union_of(K3, K4)
-        triangle = next(
-            c for c in enumerate_copies(K3, g) if c[0] == mask_of([0, 1, 2])
+        row = next(
+            r for r in localized_report(g, K3, 1, 1).per_clique
+            if r.clique == mask_of([0, 1, 2])
         )
-        cw = copy_weights(g, triangle, K3, 1)
-        assert (cw.clique_size, cw.codegree) == (3, 2)
-        assert cw.weight == 1
+        assert (row.clique_size, row.codegree) == (3, 2)
+        assert row.weight == 1
 
     def test_dominating_set_uses_copy_edges(self):
         # a book copy inside K_4 has only two dominating vertices even
         # though every vertex dominates the host
         book = complete_split(2, 2)
-        copies = enumerate_copies(book, K4)
-        cw = copy_weights(K4, copies[0], book, 2)
-        assert cw.clique_size == 4
-        assert cw.codegree == 2
+        rep = localized_report(K4, book, 2, 1)
+        assert rep.copies == len(enumerate_copies(book, K4)) == 6
+        assert len(rep.per_clique) == 6
+        for row in rep.per_clique:
+            assert row.clique.bit_count() == 2 and row.copies == 1
+            assert (row.clique_size, row.codegree) == (4, 2)
+        cw = copy_weights(K4, enumerate_copies(book, K4)[0], book, 2)
+        assert cw.clique.bit_count() == 2
+        assert (cw.clique_size, cw.codegree) == (4, 2)
 
     def test_weight_relations_per_copy(self):
         rng = random.Random(77)
         for _ in range(30):
             g = random_graph(rng, rng.randint(3, 9), 0.6)
-            for verts_edges in enumerate_copies(K3, g):
-                for u in (1, 2):
+            for u in (1, 2):
+                rows = {r.clique: r for r in localized_report(g, K3, u, 1).per_clique}
+                for verts_edges in enumerate_copies(K3, g):
                     cw = copy_weights(g, verts_edges, K3, u)
+                    assert cw == rows[verts_edges[0]]
                     assert cw.codegree >= cw.clique_size - u
 
 
@@ -102,7 +125,8 @@ class TestLocalizedReport:
         rep = localized_report(K5, K3, 1, 1)
         assert rep.weighted_sum == rep.bound == Fraction(5, 3)
         assert rep.holds and rep.equality and rep.hypothesis_ok
-        assert len(rep.per_copy) == 10
+        assert rep.copies == 10
+        assert len(rep.per_clique) == 10
         assert rep.exempt_cliques == ()
 
     def test_union_of_balanced_turans(self):
@@ -173,9 +197,116 @@ class TestLocalizedReport:
         # H = K_u: the derived pattern is null, so every weight is 1 even
         # when the copy's u-clique is maximal (a host with no parts)
         rep = localized_report(g, complete_graph(u), u, 1)
-        assert all(cw.weight == 1 for cw in rep.per_copy)
+        assert all(row.weight == 1 for row in rep.per_clique)
         assert rep.weighted_sum == rep.bound == count_cliques(g, u)
         assert rep.equality
+
+
+def _largest_clique_through(g, c):
+    """Size of the largest clique of g containing the vertex tuple c, by
+    scanning the subsets of c's common neighbours from the largest."""
+    common = [v for v in range(g.n) if v not in c and all(g.has_edge(v, w) for w in c)]
+    for size in range(len(common), -1, -1):
+        for extra in combinations(common, size):
+            if all(g.has_edge(a, b) for a, b in combinations(extra, 2)):
+                return len(c) + size
+
+
+def per_copy_oracle(g, h, u, threshold):
+    """The localized report summed copy by copy: each copy of h listed by
+    ``enumerate_copies``, its dominating vertices read from its own edge
+    set and its weights maximized over its u-subsets by brute force.
+    Returns (copies, weighted sum, hypothesis flag, sorted exempt
+    u-cliques), or None where some copy's weight is undefined."""
+    derived = delete_dominating(h, u)
+    copies = enumerate_copies(h, g)
+    omega: dict[tuple[int, ...], int] = {}
+    total = Fraction(0)
+    for verts, edges in copies:
+        vs = [v for v in range(g.n) if verts >> v & 1]
+        dom = [v for v in vs if sum(v in e for e in edges) == len(vs) - 1]
+        cs = cd = -1
+        for c in combinations(dom, u):
+            if c not in omega:
+                omega[c] = _largest_clique_through(g, c)
+            cs = max(cs, omega[c])
+            cd = max(cd, sum(all(g.has_edge(v, w) for w in c) for v in range(g.n)))
+        denom = turan_copy_count(derived, cs - u, cd)
+        if denom == 0:
+            return None
+        total += Fraction(1, denom)
+    hypothesis_ok = all(oc >= threshold + u for oc in omega.values())
+    u_cliques = [
+        c for c in combinations(range(g.n), u)
+        if all(g.has_edge(a, b) for a, b in combinations(c, 2))
+    ]
+    exempt = sorted(mask_of(c) for c in u_cliques if c not in omega)
+    return len(copies), total, hypothesis_ok, exempt
+
+
+def _report_or_none(g, h, u, threshold):
+    try:
+        rep = localized_report(g, h, u, threshold)
+    except HypothesisViolationError:
+        return None
+    assert rep.copies == sum(row.copies for row in rep.per_clique)
+    return rep.copies, rep.weighted_sum, rep.hypothesis_ok, sorted(rep.exempt_cliques)
+
+
+ORACLE_PATTERNS = [
+    (K3, (1, 2)),
+    (K4, (1, 2)),
+    (complete_split(2, 2), (1, 2)),  # K2vI2
+    (join(complete_graph(1), path_graph(4)), (1,)),  # the fan K1vP4
+    (complete_split(1, 2), (1,)),  # K1vI2
+    (join(complete_graph(1), cycle_graph(5)), (1,)),  # the wheel W5
+]
+
+
+class TestPerCopyOracle:
+    def test_corpus(self):
+        from gturan.search import nonisomorphic_graphs_upto
+
+        hosts = [g for reps in nonisomorphic_graphs_upto(6)[1:] for g in reps]
+        hosts += [
+            K5,
+            turan(4, 8),
+            union_of(turan(3, 6), turan(4, 8)),
+            union_of(turan(3, 6), empty_graph(7)),
+            union_of(K3, complete_graph(2)),
+            union_of(K3, K4),
+            join(complete_graph(1), cycle_graph(5)),
+        ]
+        raised = 0
+        for g in hosts:
+            for h, us in ORACLE_PATTERNS:
+                for u in us:
+                    for threshold in (1, 3):
+                        want = per_copy_oracle(g, h, u, threshold)
+                        assert _report_or_none(g, h, u, threshold) == want
+                        raised += want is None
+        assert raised  # the wheel in itself has an undefined weight
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(0, 12),
+        st.sampled_from([0.2, 0.4, 0.6, 0.8]),
+        st.sampled_from(
+            [(h, u) for h, us in ORACLE_PATTERNS for u in us]
+        ),
+        st.sampled_from([1, 3]),
+    )
+    def test_random_graphs(self, rng, n, p, pattern, threshold):
+        g = random_graph(rng, n, p)
+        h, u = pattern
+        assert _report_or_none(g, h, u, threshold) == per_copy_oracle(g, h, u, threshold)
+
+
+def test_bad_u_rejected():
+    for u in (0, -1, 4):
+        with pytest.raises(ValueError, match=rf"^u={u} outside 1\.\.3, "):
+            localized_report(K5, K3, u, 1)
 
 
 class TestEqualityFamilies:
