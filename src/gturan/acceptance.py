@@ -11,18 +11,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .graphs import (
     Graph,
-    common_neighborhood,
     complete_graph,
     disjoint_union,
     empty_graph,
     graph6_encode,
-    induced_subgraph,
     join,
     path_graph,
     random_graph,
@@ -31,15 +28,16 @@ from .families import ParamTriple, colex_turan, complete_split, turan
 from .counting import (
     copies_through,
     count_cliques,
+    count_copies_rooted,
     count_subgraph_copies,
     enumerate_cliques,
     pattern_spec,
     turan_copy_count,
 )
 from .freeness import ConstraintSet, check_constraints, passes_constraints
-from .bounds import bounds_report
+from .bounds import bounds_report, ratio_diagnostic
 from .localization import HypothesisViolationError, equality_family_graph, localized_report
-from .search import _levels, brute_extremal, brute_extremal_u
+from .search import _levels, brute_extremal, brute_extremal_u, nonisomorphic_graphs_upto
 
 DEFAULT_SEED = 20250814
 
@@ -305,10 +303,9 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
         for name, spec in specs:
             for u in range(1, spec.dom_count + 1):
                 lhs = comb(spec.dom_count, u) * count_subgraph_copies(spec, g)
-                rhs = 0
-                for c in enumerate_cliques(g, u):
-                    inner = induced_subgraph(g, common_neighborhood(g, c))
-                    rhs += count_subgraph_copies(spec.down(u), inner)
+                rhs = sum(
+                    count_copies_rooted(spec, g, c, u) for c in enumerate_cliques(g, u)
+                )
                 tested += 1
                 if lhs != rhs:
                     ok = False
@@ -352,8 +349,6 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     weight defined) and on 500 seeded random graphs up to 16 vertices (K3,
     K4, u = 1, 2); exact equality on 50 balanced-Turán-union cases."""
     t0 = time.time()
-    from .search import nonisomorphic_graphs_upto
-
     ok = True
     bad = []
     patterns = [(3, complete_graph(3)), (4, complete_graph(4))]
@@ -413,13 +408,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
                 if total == 0:
                     continue
                 for u in (1, 2):
-                    if n - u < 0:
-                        continue
-                    num = turan_copy_count(h, r, n - u)
-                    ratio = Fraction(num, total)
-                    floor = Fraction(1)
-                    for i in range(u):
-                        floor *= Fraction(n - i - t, n - i)
+                    ratio, floor = ratio_diagnostic(h, r, n, u)
                     checked += 1
                     if not (floor <= ratio <= 1):
                         ok = False
@@ -458,17 +447,12 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     grid.append(("K2vI2", complete_split(2, 2), 2, 4, 18))
     for name, h, u, omega, dmax in grid:
         spec = pattern_spec(h)
-        reduced = spec.down(u)
         for delta in range(omega, dmax + 1):
             rep = bounds_report(spec, ParamTriple(u, delta, omega))
             if rep.upper == 0:
                 continue
             ratio = rep.lower / rep.upper
-            denom = turan_copy_count(reduced, omega - u, delta)
-            shifted = Fraction(turan_copy_count(reduced, omega - u, delta - u), denom)
-            product = Fraction(1)
-            for i in range(u):
-                product *= Fraction(delta - i - reduced.n, delta - i)
+            shifted, product = ratio_diagnostic(spec.down(u), omega - u, delta, u)
             rows += 1
             if not (ratio <= 1 and ratio >= shifted and shifted >= product):
                 ok = False

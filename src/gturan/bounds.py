@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .graphs import Graph, complete_graph, graph6_encode
+from .graphs import Graph, complete_graph
 from .families import ParamTriple, lower_bound_graph
 from .counting import (
     PatternSpec,
@@ -34,6 +34,7 @@ from .counting import (
     turan_copy_count,
 )
 from .freeness import ConstraintSet, check_constraints
+from .search import brute_extremal
 
 Density = Fraction
 
@@ -106,7 +107,7 @@ class EmpiricalGoodness:
     passed: bool
     vacuous: bool
     rows: tuple[tuple[int, int, int], ...]  # (n, exhaustive max, Turán count)
-    witness: Optional[str] = None  # graph6 of a beating graph on failure
+    witness: Optional[str] = None  # first sorted graph6 optimum beating Turán
 
 
 def empirical_turan_goodness(
@@ -114,28 +115,19 @@ def empirical_turan_goodness(
 ) -> EmpiricalGoodness:
     """Exhaustively verify max N(H, G) over K_{omega+1}-free G equals the
     Turán count for every n <= n_max."""
-    from .search import enumerate_graphs
-
     if n_max > cap:
         raise ValueError(f"n_max {n_max} exceeds search cap {cap}")
     spec = as_pattern(h)
-    rows = []
-    passed = True
-    witness = None
     cs = ConstraintSet(u=1, delta=None, omega=omega)
+    rows = []
+    witness = None
     for n in range(1, n_max + 1):
+        out = brute_extremal(n, spec, cs, cap=cap)
         t_count = turan_copy_count(spec, omega, n)
-        best = 0
-        best_g = None
-        for g in enumerate_graphs(n, prune=cs, cap=cap):
-            c = count_subgraph_copies(spec, g)
-            if c > best:
-                best, best_g = c, g
-        rows.append((n, best, t_count))
-        if best != t_count:
-            passed = False
-            if witness is None and best_g is not None:
-                witness = graph6_encode(best_g)
+        rows.append((n, out.objective, t_count))
+        if out.objective != t_count and witness is None:
+            witness = out.argmax[0]
+    passed = all(found == want for _, found, want in rows)
     vacuous = turan_copy_count(spec, omega, n_max) == 0
     return EmpiricalGoodness(passed, vacuous, tuple(rows), witness)
 

@@ -155,7 +155,7 @@ def cmd_count(args) -> int:
     if args.cliques is not None:
         value = count_cliques(g, args.cliques)
         what = f"k^{args.cliques}"
-    elif args.pattern is not None:
+    else:
         h = parse_graph_spec(args.pattern)
         if args.rooted:
             root = mask_of(int(x) for x in args.rooted.split(","))
@@ -164,8 +164,6 @@ def cmd_count(args) -> int:
         else:
             value = count_subgraph_copies(h, g)
             what = "copies"
-    else:
-        raise SystemExit("count: need --pattern or --cliques")
     data = {"pattern": args.pattern, "graph": args.graph, "count": value}
     _emit(args, "count", data, [f"{what} in {args.graph}: {value}"])
     return 0
@@ -287,8 +285,6 @@ def cmd_search(args) -> int:
     if args.p is not None:
         out = brute_extremal_u(args.p, args.u, h, cs, n_cap=args.ncap)
     else:
-        if args.n is None:
-            raise SystemExit("search: need --n (vertices) or --p (u-clique count)")
         out = brute_extremal(args.n, h, cs)
     if args.dump_g6:
         with open(args.dump_g6, "w", encoding="ascii") as fh:
@@ -363,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count cliques or pattern copies")
     p.add_argument("--graph", required=True)
-    p.add_argument("--pattern")
-    p.add_argument("--cliques", type=int, help="count cliques of this size")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--pattern")
+    what.add_argument("--cliques", type=int, help="count cliques of this size")
     p.add_argument("--rooted", help="comma list of root vertices (0-indexed)")
     common(p)
     p.set_defaults(func=cmd_count)
@@ -399,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="brute-force extremal search")
     p.add_argument("--pattern", "--H", dest="pattern", required=True)
-    p.add_argument("--n", type=int, help="fixed vertex count")
-    p.add_argument("--p", type=int, help="fixed u-clique count")
+    fixed = p.add_mutually_exclusive_group(required=True)
+    fixed.add_argument("--n", type=int, help="fixed vertex count")
+    fixed.add_argument("--p", type=int, help="fixed u-clique count")
     p.add_argument("--u", type=int, default=1)
     p.add_argument("--delta", type=int)
     p.add_argument("--omega", type=int)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import perm
 from typing import Iterator
 
@@ -35,7 +36,6 @@ from .graphs import (
     canonical_code,
     canonical_search,
     common_neighborhood,
-    connected_components,
     delete_vertices,
     induced_subgraph,
     iter_bits,
@@ -114,10 +114,10 @@ def has_clique(g: Graph, k: int) -> bool:
     return rec(g.vertex_mask, k)
 
 
-def clique_number(g: Graph) -> int:
-    """Size of a largest clique, exact branch and bound."""
-    best = 0
-    adj = g.adj
+def _max_clique(adj: tuple[int, ...], size: int, cand: int) -> int:
+    """Size of a largest clique made of a ``size``-clique and vertices of
+    ``cand``, all adjacent to it: exact branch and bound on the host rows."""
+    best = size
 
     def expand(size: int, cand: int) -> None:
         nonlocal best
@@ -131,18 +131,20 @@ def clique_number(g: Graph) -> int:
             v = low.bit_length() - 1
             expand(size + 1, cand & adj[v])
 
-    for comp in connected_components(g):
-        sub = comp
-        expand(0, sub)
+    expand(size, cand)
     return best
+
+
+def clique_number(g: Graph) -> int:
+    """Size of a largest clique."""
+    return _max_clique(g.adj, 0, g.vertex_mask)
 
 
 def max_clique_containing(g: Graph, c: int) -> int:
     """Size of a largest clique of G containing the clique ``c``."""
     if not is_clique(g, c):
         raise ValueError("given vertex set is not a clique")
-    rest = common_neighborhood(g, c)
-    return c.bit_count() + clique_number(induced_subgraph(g, rest))
+    return _max_clique(g.adj, c.bit_count(), common_neighborhood(g, c))
 
 
 def is_clique(g: Graph, mask: int) -> bool:
@@ -244,10 +246,6 @@ def automorphism_count(h: Graph) -> int:
     return canonical_search(h).aut
 
 
-def _is_complete(h: Graph) -> bool:
-    return all(row.bit_count() == h.n - 1 for row in h.adj)
-
-
 # ---------------------------------------------------------------------------
 # pattern specification
 # ---------------------------------------------------------------------------
@@ -296,8 +294,6 @@ class PatternSpec:
 
 @lru_cache(maxsize=1024)
 def pattern_spec(h: Graph) -> PatternSpec:
-    from itertools import combinations
-
     dom = dominating_vertices(h)
     dcount = dom.bit_count()
     dom_vertices = list(iter_bits(dom))
@@ -333,7 +329,7 @@ def count_subgraph_copies(h: Graph | PatternSpec, g: Graph) -> int:
     """
     spec = as_pattern(h)
     p = spec.pattern
-    if _is_complete(p):
+    if spec.dom_count == p.n:  # complete: every vertex dominates
         return count_cliques(g, p.n)
     total = count_embeddings(p, g)
     copies, rem = divmod(total, spec.aut_count)
@@ -351,7 +347,7 @@ def enumerate_copies(
     """
     spec = as_pattern(h)
     p = spec.pattern
-    if _is_complete(p) and p.n >= 1:
+    if spec.dom_count == p.n and p.n >= 1:
         out = []
         for mask in enumerate_cliques(g, p.n):
             vs = list(iter_bits(mask))

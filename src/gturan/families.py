@@ -22,6 +22,7 @@ from .graphs import (
     empty_graph,
     join,
 )
+from .counting import count_cliques
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,6 @@ def lower_bound_family(params: ParamTriple, p: int) -> Graph:
     q and the K_u remainder r are fixed by p = q*k^u(L) + r with
     0 <= r < k^u(L).
     """
-    from .counting import count_cliques
-
     if p < 1:
         raise ValueError("p must be at least 1")
     lb = lower_bound_graph(params)

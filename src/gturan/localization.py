@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph, common_neighborhood, iter_bits
+from .graphs import Graph, common_neighborhood, disjoint_union, iter_bits
 from .families import turan
 from .counting import (
     PatternSpec,
@@ -65,10 +65,9 @@ def default_threshold(h: Graph | PatternSpec) -> int:
     """Default clique threshold: 1 for complete patterns (exact), else the
     certified 300 v^9 bound."""
     spec = as_pattern(h)
-    p = spec.pattern
-    if all(row.bit_count() == p.n - 1 for row in p.adj):
+    if spec.dom_count == spec.pattern.n:
         return 1
-    return turan_threshold_bound(p)
+    return turan_threshold_bound(spec.pattern)
 
 
 def clique_weights(g: Graph, c: int, u: int) -> tuple[int, int]:
@@ -201,8 +200,6 @@ def equality_family_graph(
     """Disjoint union of balanced Turán graphs T_omega(a*omega) plus an
     optional tail; the family on which the localized inequality is tight
     (the tail must be K_u-free for the u in play)."""
-    from .graphs import disjoint_union
-
     parts: list[tuple[Graph, int]] = [(turan(w, a * w), 1) for (w, a) in blocks]
     if z_tail is not None:
         parts.append((z_tail, 1))

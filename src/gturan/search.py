@@ -17,6 +17,13 @@ hence kept, which is what makes the constrained searches cheap.
 Correctness of the generator is cross-checked against labeled-graph
 deduplication for n <= 6 and against filtered unpruned levels in the
 test suite.
+
+There is one extremal search, fixing the number p of u-cliques as the
+paper does: ``_optimum`` takes the argmax of N(H, G) over a stream of
+candidate graphs and re-verifies every optimum.  Fixing u = 1 fixes the
+vertex count, so ``brute_extremal(n, ...)`` is the u = 1 stream;
+``brute_extremal_u`` with u >= 2 streams the levels up to a vertex cap,
+filtered to k^u(G) = p.
 """
 
 from __future__ import annotations
@@ -24,12 +31,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
     Graph,
     add_vertex,
     automorphism_generators,
+    disjoint_union,
     graph6_encode,
     is_connected,
     iter_bits,
@@ -157,16 +165,6 @@ def _is_canonical_deletion(child: Graph) -> bool:
     return False
 
 
-def _keep_from_constraints(cs: Optional[ConstraintSet]) -> Optional[Callable[[Graph], bool]]:
-    if cs is None:
-        return None
-
-    def keep(g: Graph) -> bool:
-        return passes_constraints(g, cs)
-
-    return keep
-
-
 def enumerate_graphs(
     n: int, prune: Optional[ConstraintSet] = None, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[Graph]:
@@ -182,7 +180,8 @@ def enumerate_graphs(
         raise ValueError(f"n={n} exceeds enumeration cap {cap}")
     if n > DEFAULT_ENUM_CAP:
         warnings.warn(f"enumerating all graphs on {n} vertices; this is slow")
-    for level, reps in _levels(n, _keep_from_constraints(prune)):
+    keep = None if prune is None else (lambda g: passes_constraints(g, prune))
+    for level, reps in _levels(n, keep):
         if level == n:
             yield from reps
             return
@@ -197,41 +196,48 @@ def nonisomorphic_graphs_upto(n_max: int) -> tuple[tuple[Graph, ...], ...]:
     return tuple(out)
 
 
-def _verify_outcome(
-    outcome_graphs: Sequence[Graph], h: PatternSpec, cs: ConstraintSet, value: int
-) -> None:
-    """Re-verify every argmax: constraints pass and an independent recount
-    (raw embedding count over the automorphism count) agrees."""
-    aut = h.aut_count
-    for g in outcome_graphs:
-        assert check_constraints(g, cs).passes
-        recount, rem = divmod(count_embeddings(h.pattern, g), aut)
-        assert rem == 0 and recount == value
-
-
-def brute_extremal(
-    n: int, h: Graph | PatternSpec, cs: ConstraintSet, cap: int = DEFAULT_ENUM_CAP
+def _optimum(
+    spec: PatternSpec,
+    graphs: Iterable[Graph],
+    cs: ConstraintSet,
+    fixed: dict,
+    notes: tuple[str, ...] = (),
 ) -> SearchOutcome:
-    """Exact max of N(H, G) over free graphs on exactly n vertices."""
-    spec = as_pattern(h)
+    """The one exhaustive argmax of N(H, G) over the candidate graphs.
+
+    Every optimum is re-verified before it is reported: it passes the
+    constraints, and an independent recount (raw embedding count over
+    the automorphism count) agrees with the objective.
+    """
     best = 0
     argmax: list[Graph] = []
     examined = 0
-    for g in enumerate_graphs(n, prune=cs, cap=cap):
+    for g in graphs:
         examined += 1
         val = count_subgraph_copies(spec, g)
         if val > best:
             best, argmax = val, [g]
         elif val == best:
             argmax.append(g)
-    _verify_outcome(argmax, spec, cs, best)
+    for g in argmax:
+        assert check_constraints(g, cs).passes
+        recount, rem = divmod(count_embeddings(spec.pattern, g), spec.aut_count)
+        assert rem == 0 and recount == best
     return SearchOutcome(
         best,
         tuple(sorted(graph6_encode(g) for g in argmax)),
         examined,
         cs,
-        {"n": n},
+        fixed,
+        notes,
     )
+
+
+def brute_extremal(
+    n: int, h: Graph | PatternSpec, cs: ConstraintSet, cap: int = DEFAULT_ENUM_CAP
+) -> SearchOutcome:
+    """Exact max of N(H, G) over free graphs on exactly n vertices."""
+    return _optimum(as_pattern(h), enumerate_graphs(n, prune=cs, cap=cap), cs, {"n": n})
 
 
 def brute_extremal_u(
@@ -244,71 +250,44 @@ def brute_extremal_u(
 ) -> SearchOutcome:
     """Exact max of N(H, G) over free graphs with k^u(G) = p, n <= n_cap.
 
-    For u = 1 the clique count pins the vertex count, so this reduces to
-    ``brute_extremal``.  For u >= 2 a graph with p u-cliques and no
-    isolated vertices has at most u*p vertices, and isolated vertices
-    change neither k^u nor N(H, .) when H contains K_u, so a finite
-    vertex cap loses nothing at this scale; the reasoning is recorded in
-    the outcome notes.
+    For u = 1 the clique count pins the vertex count, so the candidates
+    are those of ``brute_extremal(p, ...)``.  For u >= 2 a graph with p
+    u-cliques and no isolated vertices has at most u*p vertices, and
+    isolated vertices change neither k^u nor N(H, .) when H contains K_u,
+    so a finite vertex cap loses nothing at this scale; the reasoning is
+    recorded in the outcome notes.
     """
     if u < 1:
         raise ValueError("u must be at least 1")
     spec = as_pattern(h)
-    notes: list[str] = []
+    fixed = {"u": u, "p": p}
     if u == 1:
         if n_cap is not None and n_cap != p:
             raise ValueError("for u=1 the vertex count is fixed at p")
-        inner = brute_extremal(p, spec, cs, cap=cap)
-        return SearchOutcome(
-            inner.objective,
-            inner.argmax,
-            inner.search_space_size,
-            cs,
-            {"u": u, "p": p},
-            inner.notes,
-        )
+        return _optimum(spec, enumerate_graphs(p, prune=cs, cap=cap), cs, fixed)
     if n_cap is None:
         n_cap = min(u * p, DEFAULT_ENUM_CAP) if p else DEFAULT_ENUM_CAP
     if n_cap > cap:
         raise ValueError(f"n_cap {n_cap} exceeds enumeration cap {cap}")
-    notes.append(
+    note = (
         f"vertex cap {n_cap}: a graph with {p} cliques of size {u} and no "
         f"isolated vertices has at most {u * p} vertices, and isolated "
         f"vertices change neither the clique count nor the copy count"
     )
-    base_keep = _keep_from_constraints(cs)
 
     def keep(g: Graph) -> bool:
-        if count_cliques(g, u) > p:
-            return False
-        return base_keep(g) if base_keep else True
+        return count_cliques(g, u) <= p and passes_constraints(g, cs)
 
-    best = 0
-    argmax: list[Graph] = []
-    examined = 0
-    for level, reps in _levels(n_cap, keep):
-        if level == 0:
-            continue
-        for g in reps:
-            if count_cliques(g, u) != p:
-                continue
-            examined += 1
-            val = count_subgraph_copies(spec, g)
-            if val > best:
-                best, argmax = val, [g]
-            elif val == best:
-                argmax.append(g)
     # padded variants (extra isolated vertices) are distinct isomorphism
     # classes and are reported as separate optima
-    _verify_outcome(argmax, spec, cs, best)
-    return SearchOutcome(
-        best,
-        tuple(sorted(graph6_encode(g) for g in argmax)),
-        examined,
-        cs,
-        {"u": u, "p": p},
-        tuple(notes),
+    candidates = (
+        g
+        for level, reps in _levels(n_cap, keep)
+        if level
+        for g in reps
+        if count_cliques(g, u) == p
     )
+    return _optimum(spec, candidates, cs, fixed, (note,))
 
 
 def best_composition(
@@ -349,8 +328,6 @@ def best_composition(
         idx = choice[j]
         counts[idx] += 1
         j -= items[idx][1]
-    from .graphs import disjoint_union
-
     return disjoint_union(
         [(items[i][0], counts[i]) for i in range(len(items)) if counts[i]]
     )

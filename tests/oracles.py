@@ -53,6 +53,21 @@ def subset_clique_count(g: Graph, t: int) -> int:
     )
 
 
+def subset_max_clique(g: Graph, through: tuple[int, ...] = ()) -> int:
+    """Size of a largest clique containing the vertices ``through``, by
+    scanning vertex subsets of growing size (0 if ``through`` is no clique)."""
+    rest = [v for v in range(g.n) if v not in through]
+    best = 0
+    for size in range(len(rest) + 1):
+        if not any(
+            all(g.has_edge(a, b) for a, b in combinations(through + extra, 2))
+            for extra in combinations(rest, size)
+        ):
+            break
+        best = len(through) + size
+    return best
+
+
 def brute_canonical(g: Graph) -> tuple[int, ...]:
     """Minimum adjacency tuple over all vertex permutations."""
     best = None

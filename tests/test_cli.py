@@ -164,6 +164,20 @@ class TestSubcommands:
         assert code == 2
         assert err == f"gturan: error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["search", "--pattern", "K3"], "one of the arguments --n --p is required"),
+        (["search", "--pattern", "K3", "--n", "4", "--p", "5", "--u", "2"],
+         "argument --p: not allowed with argument --n"),
+        (["count", "--graph", "K4"], "one of the arguments --pattern --cliques is required"),
+        (["count", "--graph", "K4", "--pattern", "K3", "--cliques", "3"],
+         "argument --cliques: not allowed with argument --pattern"),
+    ])
+    def test_neither_or_both_choices_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f" error: {message}\n")
+
     @pytest.mark.parametrize("u", ["0", "-1"])
     def test_localize_bad_u_is_one_line_error(self, capsys, u):
         code = main(["localize", "--graph", "turan(3,6)", "--pattern", "K3", "--u", u])

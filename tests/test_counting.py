@@ -41,6 +41,7 @@ from oracles import (
     spanning_copy_table,
     subset_clique_count,
     subset_copy_count,
+    subset_max_clique,
     turan_part_count,
     turan_part_sizes,
 )
@@ -80,6 +81,16 @@ class TestCliques:
         assert max_clique_containing(t, mask_of([0])) == 4
         with pytest.raises(ValueError):
             max_clique_containing(t, mask_of([0, 1]))  # same part, not a clique
+
+    def test_clique_sizes_against_subset_oracle(self, small_corpus):
+        rng = random.Random(11)
+        for g in small_corpus:
+            omega = clique_number(g)
+            assert omega == subset_max_clique(g)
+            if omega == 0:
+                continue
+            c = rng.choice(list(enumerate_cliques(g, rng.randint(1, omega))))
+            assert max_clique_containing(g, c) == subset_max_clique(g, set_bits(c))
 
 
 def set_bits(mask):
