@@ -180,10 +180,7 @@ def star_problem_bounds(
     return StarProblemBounds(lower, upper)
 
 
-def freeness_for(params: ParamTriple) -> ConstraintSet:
-    return ConstraintSet(u=params.u, delta=params.delta, omega=params.omega)
-
-
 def verify_lower_bound_freeness(params: ParamTriple) -> bool:
     """The lower-bound graph really is {K_u v I_{delta+1}, K_{omega+1}}-free."""
-    return check_constraints(lower_bound_graph(params), freeness_for(params)).passes
+    cs = ConstraintSet(u=params.u, delta=params.delta, omega=params.omega)
+    return check_constraints(lower_bound_graph(params), cs).passes

@@ -5,18 +5,21 @@ Copies are always counted as subgraphs: a copy of H in G is a pair
 (vertex set, edge set) with the edge set contained in G and the pair
 isomorphic to H.  Induced counting is deliberately not offered.
 
-One embedding search, ``_frontier``, backtracks over a connectivity-aware
-pattern vertex order with bitmask candidate pruning and hands back the
-candidate mask of the last pattern vertex instead of descending into it.
-It has three uses: count (``count_embeddings`` sums the mask popcounts,
-and copy counts divide that by the automorphism count), visit
-(``enumerate_copies`` walks the mask bits) and first hit
-(``freeness.contains_subgraph`` stops at the lowest bit of the first
-mask).  It has no induced mode: the automorphism count comes from the
-canonical search, ``graphs.canonical_search``, not from self-embeddings.
-Complete patterns go to the clique counters instead.  Copies in Turán
-hosts are never searched: ``turan_copy_count`` has a closed form.  A slow
-subset-enumeration oracle lives in the test tree only.
+Two explicit-stack searches do all the work, both on the host's rows
+with a candidate vertex mask, so no sub-host is ever built.  The clique
+walk ``_cliques`` hands back, per (t-1)-clique in the mask, the mask of
+its completions: ``count_cliques`` sums the popcounts,
+``enumerate_cliques`` walks the bits, ``has_clique`` takes the first.
+The embedding search ``_frontier`` places all pattern vertices but the
+last and hands back the last one's candidate mask: ``count_embeddings``
+sums the popcounts, ``enumerate_copies`` walks the bits and
+``freeness.contains_subgraph`` takes the lowest bit of the first mask.
+|Aut| comes from ``graphs.canonical_search``, not from self-embeddings.
+Every copy count is ``_count_copies`` inside a mask (the clique walk for
+complete patterns): the whole host, N(C) for copies rooted at a clique
+C, and the complement of s for copies avoiding s.  Copies in Turán hosts
+have a closed form, ``turan_copy_count``.  A slow subset-enumeration
+oracle lives in the test tree only.
 
 All counts are Python ints (arbitrary precision); densities elsewhere use
 ``fractions.Fraction``.  No floating point enters any count or comparison.
@@ -37,7 +40,6 @@ from .graphs import (
     canonical_search,
     common_neighborhood,
     delete_vertices,
-    induced_subgraph,
     iter_bits,
 )
 
@@ -47,71 +49,78 @@ from .graphs import (
 # ---------------------------------------------------------------------------
 
 
+def _cliques(adj: tuple[int, ...], cand: int, t: int) -> Iterator[tuple[int, int]]:
+    """The one clique walk: every ``(t-1)``-clique inside ``cand`` that
+    some vertex of ``cand`` completes to a ``t``-clique, ``t >= 1``.
+
+    Yields ``(chosen, ext)``: ``chosen`` is the ``(t-1)``-clique's mask
+    and ``ext`` the nonzero mask of its completions above its highest
+    vertex, so each ``t``-clique is ``chosen`` plus exactly one bit of
+    exactly one ``ext``.  Lowest vertex first, so the cliques come in
+    lexicographic order of their sorted vertex tuples.  A branch is cut
+    once its candidates are fewer than the vertices it still needs.
+    """
+    last = t - 1
+    if last == 0:
+        if cand:
+            yield 0, cand
+        return
+    # explicit stack: cands[i] holds the untried i-th vertices, lows[i]
+    # the bit of the one being tried, chosen the bits of lows[:i]
+    cands = [0] * last
+    lows = [0] * last
+    cands[0] = cand
+    i = 0
+    chosen = 0
+    while True:
+        cand = cands[i]
+        if cand.bit_count() < t - i:
+            if i == 0:
+                return
+            i -= 1
+            chosen ^= lows[i]
+            continue
+        low = cand & -cand
+        cand ^= low
+        cands[i] = cand
+        nxt = cand & adj[low.bit_length() - 1]
+        if i + 1 == last:
+            if nxt:
+                yield chosen | low, nxt
+        else:
+            lows[i] = low
+            chosen |= low
+            i += 1
+            cands[i] = nxt
+
+
+def _clique_count(adj: tuple[int, ...], cand: int, t: int) -> int:
+    """Number of t-cliques inside ``cand``."""
+    if t == 0:
+        return 1
+    return sum(ext.bit_count() for _, ext in _cliques(adj, cand, t))
+
+
 def count_cliques(g: Graph, t: int) -> int:
     """Number of t-vertex cliques; k^0 = 1, k^1 = n, k^2 = edge count."""
     if t < 0:
         raise ValueError("clique size must be nonnegative")
-    if t == 0:
-        return 1
-    if t == 1:
-        return g.n
-    adj = g.adj
-
-    def rec(cand: int, depth: int) -> int:
-        if depth == 1:
-            return cand.bit_count()
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            total += rec(cand & adj[v], depth - 1)
-        return total
-
-    return rec(g.vertex_mask, t)
+    return _clique_count(g.adj, g.vertex_mask, t)
 
 
 def enumerate_cliques(g: Graph, t: int) -> Iterator[int]:
-    """Yield each t-clique once as a vertex mask, in ascending mask order."""
+    """Yield each t-clique once as a vertex mask, in lexicographic order
+    of the sorted vertex tuples (on K4 with t = 2: 3, 5, 9, 6, 10, 12)."""
     if t < 1:
         raise ValueError("clique size must be positive")
-    adj = g.adj
-
-    def rec(chosen: int, cand: int, depth: int) -> Iterator[int]:
-        if depth == 0:
-            yield chosen
-            return
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            yield from rec(chosen | low, cand & adj[v], depth - 1)
-
-    yield from rec(0, g.vertex_mask, t)
+    for chosen, ext in _cliques(g.adj, g.vertex_mask, t):
+        for v in iter_bits(ext):
+            yield chosen | 1 << v
 
 
 def has_clique(g: Graph, k: int) -> bool:
     """Early-exit decision: does g contain a clique on k vertices?"""
-    if k <= 0:
-        return True
-    if k == 1:
-        return g.n > 0
-    adj = g.adj
-
-    def rec(cand: int, depth: int) -> bool:
-        if depth == 0:
-            return True
-        while cand:
-            if cand.bit_count() < depth:
-                return False
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            if rec(cand & adj[v], depth - 1):
-                return True
-        return False
-
-    return rec(g.vertex_mask, k)
+    return k <= 0 or next(_cliques(g.adj, g.vertex_mask, k), None) is not None
 
 
 def _max_clique(adj: tuple[int, ...], size: int, cand: int) -> int:
@@ -182,9 +191,12 @@ def _search_order(h: Graph) -> tuple[list[int], list[list[int]]]:
     return order, back
 
 
-def _frontier(h: Graph, g: Graph) -> Iterator[tuple[list[int], list[int], int]]:
+def _frontier(
+    h: Graph, adj: tuple[int, ...], start: int
+) -> Iterator[tuple[list[int], list[int], int]]:
     """The one embedding search: every placement of all pattern vertices
-    but the last, in ``_search_order``.
+    but the last, in ``_search_order``, on the host rows ``adj`` with
+    every image inside the vertex mask ``start``.
 
     Yields ``(order, images, cand)`` for each placement that leaves the
     last pattern vertex ``order[-1]`` somewhere to go: ``images[i]`` is the
@@ -192,21 +204,19 @@ def _frontier(h: Graph, g: Graph) -> Iterator[tuple[list[int], list[int], int]]:
     nonzero bitmask of its legal images.  ``images`` is reused between
     yields.  Injective and edge-preserving.  Needs ``h.n >= 1``.
     """
-    if h.n > g.n:
+    if h.n > start.bit_count():
         return
     order, back = _search_order(h)
-    gmask = g.vertex_mask
-    adj = g.adj
     last = h.n - 1
     images = [0] * h.n
     if last == 0:
-        if gmask:
-            yield order, images, gmask
+        if start:
+            yield order, images, start
         return
     # explicit stack: cands[i] holds the untried images of order[i], and
     # used the images of order[:i]
     cands = [0] * last
-    cands[0] = gmask
+    cands[0] = start
     i = 0
     used = 0
     while True:
@@ -220,7 +230,7 @@ def _frontier(h: Graph, g: Graph) -> Iterator[tuple[list[int], list[int], int]]:
         low = cand & -cand
         cands[i] = cand ^ low
         images[i] = low.bit_length() - 1
-        nxt = gmask & ~(used | low)
+        nxt = start & ~(used | low)
         for j in back[i + 1]:
             nxt &= adj[images[j]]
         if i + 1 == last:
@@ -237,7 +247,7 @@ def count_embeddings(h: Graph, g: Graph) -> int:
     induced: non-edges of h may map to edges of g)."""
     if h.n == 0:
         return 1
-    return sum(cand.bit_count() for _, _, cand in _frontier(h, g))
+    return sum(cand.bit_count() for _, _, cand in _frontier(h, g.adj, g.vertex_mask))
 
 
 @lru_cache(maxsize=4096)
@@ -321,20 +331,26 @@ def as_pattern(h: Graph | PatternSpec) -> PatternSpec:
 # ---------------------------------------------------------------------------
 
 
+def _count_copies(spec: PatternSpec, adj: tuple[int, ...], cand: int) -> int:
+    """Copies of the pattern inside the vertex mask ``cand`` of the host
+    with rows ``adj``: embeddings over |Aut|, or cliques for a complete
+    pattern."""
+    p = spec.pattern
+    if spec.dom_count == p.n:  # complete: every vertex dominates
+        return _clique_count(adj, cand, p.n)
+    total = sum(ext.bit_count() for _, _, ext in _frontier(p, adj, cand))
+    copies, rem = divmod(total, spec.aut_count)
+    assert rem == 0, "embedding count not divisible by automorphism count"
+    return copies
+
+
 def count_subgraph_copies(h: Graph | PatternSpec, g: Graph) -> int:
     """Number of subgraphs of g isomorphic to h (vertex+edge sets).
 
     Equals the injective edge-preserving map count divided by |Aut(h)|;
-    complete patterns short-circuit to the clique counter.
+    complete patterns are counted as cliques.
     """
-    spec = as_pattern(h)
-    p = spec.pattern
-    if spec.dom_count == p.n:  # complete: every vertex dominates
-        return count_cliques(g, p.n)
-    total = count_embeddings(p, g)
-    copies, rem = divmod(total, spec.aut_count)
-    assert rem == 0, "embedding count not divisible by automorphism count"
-    return copies
+    return _count_copies(as_pattern(h), g.adj, g.vertex_mask)
 
 
 def enumerate_copies(
@@ -345,23 +361,13 @@ def enumerate_copies(
     Deterministic order: sorted by vertex mask, then edge set.  Each copy
     is found |Aut(h)| times by the embedding search; duplicates collapse.
     """
-    spec = as_pattern(h)
-    p = spec.pattern
-    if spec.dom_count == p.n and p.n >= 1:
-        out = []
-        for mask in enumerate_cliques(g, p.n):
-            vs = list(iter_bits(mask))
-            edges = frozenset(
-                (vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))
-            )
-            out.append((mask, edges))
-        return out
+    p = as_pattern(h).pattern
     if p.n == 0:
         return [(0, frozenset())]
     last = p.n - 1
     found: set[tuple[int, frozenset[tuple[int, int]]]] = set()
     pairs = None
-    for order, images, cand in _frontier(p, g):
+    for order, images, cand in _frontier(p, g.adj, g.vertex_mask):
         if pairs is None:  # the order is fixed; read its edges once
             pairs = [
                 (a, b)
@@ -395,20 +401,19 @@ def count_copies_rooted(h: Graph | PatternSpec, g: Graph, c: int, u: int) -> int
         raise ValueError(f"pattern has {spec.dom_count} dominating vertices, need {u}")
     if not is_clique(g, c):
         raise ValueError("root set is not a clique")
-    if spec.down(u).n == 0:  # h = K_u: c itself is the one copy
-        return 1
-    inner = induced_subgraph(g, common_neighborhood(g, c))
-    return count_subgraph_copies(spec.down(u), inner)
+    return _count_copies(pattern_spec(spec.down(u)), g.adj, common_neighborhood(g, c))
 
 
 def copies_through(h: Graph | PatternSpec, g: Graph, s: int) -> int:
     """Copies of h in g containing at least one vertex of s."""
     if s & ~g.vertex_mask:
         raise ValueError("vertex set not contained in the graph")
-    total = count_subgraph_copies(h, g)
     if s == 0:
         return 0
-    return total - count_subgraph_copies(h, delete_vertices(g, s))
+    spec = as_pattern(h)
+    return _count_copies(spec, g.adj, g.vertex_mask) - _count_copies(
+        spec, g.adj, g.vertex_mask & ~s
+    )
 
 
 @lru_cache(maxsize=1024)

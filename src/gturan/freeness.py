@@ -66,7 +66,8 @@ def contains_subgraph(g: Graph, f: Graph) -> tuple[bool, Optional[tuple[int, ...
         return True, ()
     if f.edge_count > g.edge_count:
         return False, None
-    for order, images, cand in _frontier(f, g):  # first hit: lowest image
+    # first hit: the lowest image of the last pattern vertex
+    for order, images, cand in _frontier(f, g.adj, g.vertex_mask):
         witness = [0] * f.n
         for pos, v in enumerate(order[:-1]):
             witness[v] = images[pos]

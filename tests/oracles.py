@@ -43,14 +43,13 @@ def subset_copy_count(h: Graph, g: Graph) -> int:
     return total
 
 
-def subset_clique_count(g: Graph, t: int) -> int:
-    if t == 0:
-        return 1
-    return sum(
-        1
+def subset_cliques(g: Graph, t: int) -> list[tuple[int, ...]]:
+    """The t-cliques as sorted vertex tuples, in ``combinations`` order."""
+    return [
+        sub
         for sub in combinations(range(g.n), t)
         if all(g.has_edge(a, b) for a, b in combinations(sub, 2))
-    )
+    ]
 
 
 def subset_max_clique(g: Graph, through: tuple[int, ...] = ()) -> int:

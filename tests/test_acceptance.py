@@ -2,13 +2,17 @@
 line.  Run with ``pytest tests/test_acceptance.py -v -s`` or via the CLI
 (``gturan verify --level full``)."""
 
+import time
+
 from gturan.acceptance import CRITERIA
 
 
 def _run(cid):
+    start = time.perf_counter()
     result = CRITERIA[cid]()
+    elapsed = time.perf_counter() - start
     status = "PASS" if result.passed else "FAIL"
-    print(f"criterion {cid:02d} {status} ({result.elapsed:.1f}s): {result.description}")
+    print(f"criterion {cid:02d} {status} ({elapsed:.1f}s): {result.description}")
     if not result.passed:
         print(f"  details: {result.details}")
     assert result.passed, f"criterion {cid} failed: {result.details}"

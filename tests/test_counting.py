@@ -29,6 +29,7 @@ from gturan.counting import (
     dominating_vertices,
     enumerate_cliques,
     enumerate_copies,
+    has_clique,
     max_clique_containing,
     pattern_spec,
     turan_copy_count,
@@ -39,7 +40,7 @@ from oracles import (
     brute_automorphism_count,
     copies_via_table,
     spanning_copy_table,
-    subset_clique_count,
+    subset_cliques,
     subset_copy_count,
     subset_max_clique,
     turan_part_count,
@@ -67,8 +68,12 @@ class TestCliques:
 
     def test_against_subset_oracle(self, small_corpus):
         for g in small_corpus[:120]:
-            for t in (2, 3, 4, 5):
-                assert count_cliques(g, t) == subset_clique_count(g, t)
+            for t in range(7):  # past the clique number of most corpus graphs
+                want = subset_cliques(g, t)
+                assert count_cliques(g, t) == len(want)
+                assert has_clique(g, t) == bool(want)
+                if t:
+                    assert list(enumerate_cliques(g, t)) == [mask_of(c) for c in want]
 
     def test_clique_number(self):
         assert clique_number(turan(4, 8)) == 4
