@@ -33,8 +33,8 @@ from .counting import (
     count_subgraph_copies,
     turan_copy_count,
 )
-from .freeness import ConstraintSet, check_constraints
-from .search import brute_extremal
+from .freeness import ConstraintSet, check_constraints, passes_constraints
+from .search import _check_enum_cap, _levels, _optimum
 
 Density = Fraction
 
@@ -114,15 +114,16 @@ def empirical_turan_goodness(
     h: Graph | PatternSpec, omega: int, n_max: int, cap: int = 8
 ) -> EmpiricalGoodness:
     """Exhaustively verify max N(H, G) over K_{omega+1}-free G equals the
-    Turán count for every n <= n_max."""
-    if n_max > cap:
-        raise ValueError(f"n_max {n_max} exceeds search cap {cap}")
+    Turán count for every n <= n_max, from one walk of the levels."""
+    _check_enum_cap(n_max, cap)
     spec = as_pattern(h)
     cs = ConstraintSet(u=1, delta=None, omega=omega)
     rows = []
     witness = None
-    for n in range(1, n_max + 1):
-        out = brute_extremal(n, spec, cs, cap=cap)
+    for n, reps in _levels(n_max, lambda g: passes_constraints(g, cs)):
+        if not n:
+            continue
+        out = _optimum(spec, reps, cs, {"n": n})
         t_count = turan_copy_count(spec, omega, n)
         rows.append((n, out.objective, t_count))
         if out.objective != t_count and witness is None:

@@ -8,12 +8,14 @@ automorphism group on vertex subsets.  A child is accepted iff its new
 vertex lies in the orbit of its canonical deletion vertex: the first
 vertex, in canonical order, among those with the largest (degree, sum of
 neighbour degrees).  Children whose new vertex does not have that largest
-pair are rejected before they are built, and one whose new vertex is the
-only vertex with it is accepted without canonical labeling.  Every class
-then arises exactly once, from its canonical parent, with no table of
-codes.  Any induced-hereditary pruning predicate may be applied to each
-child: the canonical parent of a kept graph is a vertex-deleted subgraph,
-hence kept, which is what makes the constrained searches cheap.
+pair are rejected before they are built, and one whose new vertex shares
+it only with its twins is accepted without canonical labeling.  A labeled
+child carries its automorphism generators to the next level, so no graph
+is labeled twice.  Every class then arises exactly once, from its
+canonical parent, with no table of codes.  Any induced-hereditary pruning
+predicate may be applied to each child: the canonical parent of a kept
+graph is a vertex-deleted subgraph, hence kept, which is what makes the
+constrained searches cheap.
 Correctness of the generator is cross-checked against labeled-graph
 deduplication for n <= 6 and against filtered unpruned levels in the
 test suite.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
@@ -73,18 +76,20 @@ def _levels(
     n_max: int, keep: Optional[Callable[[Graph], bool]] = None
 ) -> Iterator[tuple[int, list[Graph]]]:
     """Yield (n, representatives) for n = 0..n_max under a hereditary keep."""
-    reps = [Graph(0, ())]
+    reps, known = [Graph(0, ())], [None]
     yield 0, reps
     for k in range(n_max):
-        children = []
-        for g in reps:
-            for mask, unique in _augmentations(g):
+        children, child_gens = [], []
+        for g, gens in zip(reps, known):
+            for mask, settled in _augmentations(g, gens):
                 child = add_vertex(g, mask)
                 if keep is not None and not keep(child):
                     continue
-                if unique or _is_canonical_deletion(child):
+                found = None if settled else _is_canonical_deletion(child)
+                if settled or found is not None:
                     children.append(child)
-        reps = children
+                    child_gens.append(found)
+        reps, known = children, child_gens
         yield k + 1, reps
 
 
@@ -94,46 +99,54 @@ def _degree_sums(adj: Sequence[int]) -> tuple[list[int], list[int]]:
     return deg, [sum(deg[j] for j in iter_bits(row)) for row in adj]
 
 
-def _augmentations(g: Graph) -> list[tuple[int, bool]]:
+def _augmentations(g: Graph, gens: Optional[list[list[int]]]) -> list[tuple[int, bool]]:
     """Neighbourhood masks of a new vertex that gets the largest (degree,
     sum of neighbour degrees) in the child, one per orbit of Aut(g) on
-    vertex subsets, each flagged True when no other vertex ties with it."""
+    vertex subsets, in increasing order, each flagged True when the child
+    is accepted without labeling: every other vertex with that pair is a
+    twin of the new vertex, hence in its orbit.  ``gens`` generates Aut(g);
+    when it is None, g is labeled if two or more masks are admissible."""
     k = g.n
     adj = g.adj
     deg, nsum = _degree_sums(adj)
-    at_least = [0] * (k + 2)  # at_least[d]: vertices of degree >= d
+    top_deg = max(deg, default=0)
+    # of_deg[d]: vertices of degree d; of_deg[-1] is of_deg[k], which is 0
+    of_deg = [0] * (k + 1)
     for v, d in enumerate(deg):
-        at_least[d] |= 1 << v
-    for d in range(k, -1, -1):
-        at_least[d] |= at_least[d + 1]
+        of_deg[d] |= 1 << v
     out = []
-    for mask in range(1 << k):
-        s = mask.bit_count()
-        # the child degrees are deg + 1 on the mask and s at the new vertex
-        if at_least[s + 1] or at_least[s] & mask:
-            continue
-        ties = at_least[s] | (at_least[s - 1] & ~at_least[s] & mask if s else 0)
-        top = s + sum(deg[i] for i in iter_bits(mask))
-        unique = True
-        for i in iter_bits(ties):
-            sum_i = nsum[i] + (adj[i] & mask).bit_count() + (s if mask >> i & 1 else 0)
-            if sum_i > top:
-                break
-            if sum_i == top:
-                unique = False
-        else:
-            out.append((mask, unique))
+    # the child degrees are deg + 1 on the mask and s at the new vertex, so
+    # s >= top_deg, and at s = top_deg the mask avoids the top-degree vertices
+    for s in range(top_deg, k + 1):
+        pool = range(k) if s > top_deg else [v for v in range(k) if deg[v] < s]
+        for combo in combinations(pool, s):
+            mask = 0
+            top = s
+            for i in combo:
+                mask |= 1 << i
+                top += deg[i]
+            settled = True
+            for i in iter_bits(of_deg[s] | of_deg[s - 1] & mask):
+                sum_i = nsum[i] + (adj[i] & mask).bit_count() + (s if mask >> i & 1 else 0)
+                if sum_i > top:
+                    break
+                if sum_i == top and adj[i] != mask & ~(1 << i):
+                    settled = False
+            else:
+                out.append((mask, settled))
+    out.sort()
     if len(out) < 2:
         return out
-    gens = automorphism_generators(g)[1]
+    if gens is None:
+        gens = automorphism_generators(g)[1]
     if not gens:
         return out
     seen: set[int] = set()
     reps = []
-    for mask, unique in out:
+    for mask, settled in out:
         if mask in seen:
             continue
-        reps.append((mask, unique))
+        reps.append((mask, settled))
         seen.add(mask)
         orbit = [mask]
         for x in orbit:
@@ -147,10 +160,11 @@ def _augmentations(g: Graph) -> list[tuple[int, bool]]:
     return reps
 
 
-def _is_canonical_deletion(child: Graph) -> bool:
-    """True when the last vertex lies in the Aut(child)-orbit of the
-    canonical deletion vertex: the first vertex in canonical order among
-    those with the largest (degree, sum of neighbour degrees)."""
+def _is_canonical_deletion(child: Graph) -> Optional[list[list[int]]]:
+    """Generators of Aut(child) when the last vertex lies in the orbit of
+    the canonical deletion vertex, the first vertex in canonical order
+    among those with the largest (degree, sum of neighbour degrees);
+    None otherwise."""
     key = list(zip(*_degree_sums(child.adj)))
     new = child.n - 1
     order, gens = automorphism_generators(child)
@@ -158,11 +172,21 @@ def _is_canonical_deletion(child: Graph) -> bool:
     orbit = [new]
     for x in orbit:
         if x == target:
-            return True
+            return gens
         for perm in gens:
             if perm[x] not in orbit:
                 orbit.append(perm[x])
-    return False
+    return None
+
+
+def _check_enum_cap(n: int, cap: int) -> None:
+    """Reject n past the cap or a cap past the hard limit; warn past the default."""
+    if cap > MAX_ENUM_CAP:
+        raise ValueError(f"enumeration cap {cap} exceeds hard limit {MAX_ENUM_CAP}")
+    if n > cap:
+        raise ValueError(f"n={n} exceeds enumeration cap {cap}")
+    if n > DEFAULT_ENUM_CAP:
+        warnings.warn(f"enumerating all graphs on {n} vertices; this is slow")
 
 
 def enumerate_graphs(
@@ -174,12 +198,7 @@ def enumerate_graphs(
     hereditary property, applied during generation).  The default cap is
     8; 9 is allowed but warned about (274668 classes unpruned).
     """
-    if cap > MAX_ENUM_CAP:
-        raise ValueError(f"enumeration cap {cap} exceeds hard limit {MAX_ENUM_CAP}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap}")
-    if n > DEFAULT_ENUM_CAP:
-        warnings.warn(f"enumerating all graphs on {n} vertices; this is slow")
+    _check_enum_cap(n, cap)
     keep = None if prune is None else (lambda g: passes_constraints(g, prune))
     for level, reps in _levels(n, keep):
         if level == n:
@@ -267,8 +286,7 @@ def brute_extremal_u(
         return _optimum(spec, enumerate_graphs(p, prune=cs, cap=cap), cs, fixed)
     if n_cap is None:
         n_cap = min(u * p, DEFAULT_ENUM_CAP) if p else DEFAULT_ENUM_CAP
-    if n_cap > cap:
-        raise ValueError(f"n_cap {n_cap} exceeds enumeration cap {cap}")
+    _check_enum_cap(n_cap, cap)
     note = (
         f"vertex cap {n_cap}: a graph with {p} cliques of size {u} and no "
         f"isolated vertices has at most {u * p} vertices, and isolated "

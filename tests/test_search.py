@@ -2,7 +2,9 @@ from itertools import combinations
 
 import pytest
 
+from gturan import search
 from gturan.graphs import (
+    add_vertex,
     canonical_code,
     complete_graph,
     empty_graph,
@@ -16,6 +18,8 @@ from gturan.counting import count_cliques, count_subgraph_copies
 from gturan.freeness import ConstraintSet, check_constraints, passes_constraints
 from gturan.search import (
     CompositionError,
+    _augmentations,
+    _is_canonical_deletion,
     _levels,
     best_composition,
     brute_extremal,
@@ -69,6 +73,41 @@ class TestEnumeration:
         for n, reps in _levels(7, edge_budget):
             assert codes(reps) == codes(g for g in unpruned[n] if edge_budget(g))
 
+    def test_augmentations_match_child_degrees_and_labeling(self):
+        # every mask whose new vertex has the child's largest (degree, sum
+        # of neighbour degrees) is admissible (empty gens: no orbit pass),
+        # and a child accepted without labeling passes the labeling test
+        parents = [g for level in nonisomorphic_graphs_upto(6) for g in level]
+        for n in range(7):
+            parents += enumerate_graphs(n, prune=ConstraintSet(u=1, delta=2))
+        for g in parents:
+            admissible = []
+            for mask in range(1 << g.n):
+                adj = add_vertex(g, mask).adj
+                deg = [row.bit_count() for row in adj]
+                key = [
+                    (deg[v], sum(deg[j] for j in range(len(adj)) if row >> j & 1))
+                    for v, row in enumerate(adj)
+                ]
+                if key[-1] == max(key):
+                    admissible.append(mask)
+            assert [mask for mask, _ in _augmentations(g, [])] == admissible
+            for mask, settled in _augmentations(g, None):
+                if settled:
+                    assert _is_canonical_deletion(add_vertex(g, mask)) is not None
+
+    def test_levels_label_each_graph_at_most_once(self, monkeypatch):
+        labeled = []
+        label = search.automorphism_generators
+
+        def record(g):
+            labeled.append(g.adj)
+            return label(g)
+
+        monkeypatch.setattr(search, "automorphism_generators", record)
+        assert [len(reps) for _, reps in _levels(7)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+        assert labeled and len(set(labeled)) == len(labeled)
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             list(enumerate_graphs(10))
@@ -78,6 +117,8 @@ class TestEnumeration:
             # allowed with an explicit cap, but warned about; prune hard to
             # keep the run short
             list(enumerate_graphs(9, prune=ConstraintSet(u=1, delta=1), cap=9))
+        with pytest.raises(ValueError):  # the hard limit binds every search
+            brute_extremal_u(3, 2, K3, ConstraintSet(u=2, omega=3), n_cap=10, cap=10)
 
     def test_representatives_are_pairwise_nonisomorphic(self):
         reps = list(enumerate_graphs(5))
