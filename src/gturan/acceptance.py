@@ -34,10 +34,10 @@ from .counting import (
     pattern_spec,
     turan_copy_count,
 )
-from .freeness import ConstraintSet, check_constraints, passes_constraints
+from .freeness import ConstraintSet, check_constraints
 from .bounds import bounds_report, ratio_diagnostic
 from .localization import HypothesisViolationError, equality_family_graph, localized_report
-from .search import _levels, brute_extremal, brute_extremal_u, nonisomorphic_graphs_upto
+from .search import _level, brute_extremal, brute_extremal_u, nonisomorphic_graphs_upto
 
 DEFAULT_SEED = 20250814
 
@@ -137,9 +137,8 @@ def _extremal_grid(
     n <= n_max and t, the brute-force maximum must equal reference(n, t)."""
     ok = True
     mismatches = []
-    for level, reps in _levels(n_max, lambda g: passes_constraints(g, cs)):
-        if level == 0:
-            continue
+    for level in range(1, n_max + 1):
+        reps = _level(level, cs)
         for t in t_values:
             best = max((count_cliques(g, t) for g in reps), default=0)
             want = reference(level, t)
@@ -194,15 +193,13 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Fixed-edge-count oracle: max k^3 over K_4-free graphs with m edges
     (vertex cap 8) equals the colex interpolation count, m <= 12."""
     best = {m: 0 for m in range(13)}
-
-    def keep(g: Graph) -> bool:
-        return g.edge_count <= 12 and passes_constraints(g, ConstraintSet(omega=3))
-
     examined = 0
-    for _, reps in _levels(8, keep):
-        for g in reps:
-            examined += 1
+    for n in range(9):
+        for g in _level(n, ConstraintSet(omega=3)):
             m = g.edge_count
+            if m > 12:
+                continue
+            examined += 1
             k3 = count_cliques(g, 3)
             if k3 > best[m]:
                 best[m] = k3

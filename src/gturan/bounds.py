@@ -33,8 +33,8 @@ from .counting import (
     count_subgraph_copies,
     turan_copy_count,
 )
-from .freeness import ConstraintSet, check_constraints, passes_constraints
-from .search import _check_enum_cap, _levels, _optimum
+from .freeness import ConstraintSet, check_constraints
+from .search import _check_enum_cap, _level, _optimum
 
 Density = Fraction
 
@@ -120,10 +120,8 @@ def empirical_turan_goodness(
     cs = ConstraintSet(u=1, delta=None, omega=omega)
     rows = []
     witness = None
-    for n, reps in _levels(n_max, lambda g: passes_constraints(g, cs)):
-        if not n:
-            continue
-        out = _optimum(spec, reps, cs, {"n": n})
+    for n in range(1, n_max + 1):
+        out = _optimum(spec, _level(n, cs), cs, {"n": n})
         t_count = turan_copy_count(spec, omega, n)
         rows.append((n, out.objective, t_count))
         if out.objective != t_count and witness is None:

@@ -280,6 +280,8 @@ def cmd_localize(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.ncap is not None and args.p is None:
+        raise ValueError("--ncap applies only with --p")
     h = parse_graph_spec(args.pattern)
     cs = ConstraintSet(u=args.u, delta=args.delta, omega=args.omega)
     if args.p is not None:

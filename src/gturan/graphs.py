@@ -49,7 +49,7 @@ def set_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph with bitmask adjacency rows."""
 

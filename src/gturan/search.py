@@ -20,12 +20,27 @@ Correctness of the generator is cross-checked against labeled-graph
 deduplication for n <= 6 and against filtered unpruned levels in the
 test suite.
 
+Each pruned level is built once per process.  ``_store`` keeps, per
+constraint set, the levels built so far (tuples) beside the paused walk
+``_levels(MAX_ENUM_CAP, keep)``, and ``_level(n, prune)`` resumes that
+walk until level n exists; every level read in the package goes through
+it.  The store key is a normal form of the constraint set: ``u`` only
+matters beside ``delta``, so it is dropped when ``delta`` is None, and a
+set with no bound at all is the unpruned key None.  A level is published
+only once complete, and a walk that raises is dropped, so the next call
+starts it again.  The store is a bounded ``lru_cache``: a sweep over n
+under one constraint set builds each level once, at the memory cost of
+the levels it keeps.
+
 There is one extremal search, fixing the number p of u-cliques as the
 paper does: ``_optimum`` takes the argmax of N(H, G) over a stream of
 candidate graphs and re-verifies every optimum.  Fixing u = 1 fixes the
 vertex count, so ``brute_extremal(n, ...)`` is the u = 1 stream;
-``brute_extremal_u`` with u >= 2 streams the levels up to a vertex cap,
-filtered to k^u(G) = p.
+``brute_extremal_u`` with u >= 2 streams the constraint set's levels
+1..n_cap, filtered to k^u(G) = p.  Those levels are not pruned by the
+clique count, so one u >= 2 call costs a build of the constraint set's
+levels up to n_cap, as ``brute_extremal(n_cap, ...)`` does, and every
+other p under the same constraints reuses it.
 """
 
 from __future__ import annotations
@@ -180,13 +195,58 @@ def _is_canonical_deletion(child: Graph) -> Optional[list[list[int]]]:
 
 
 def _check_enum_cap(n: int, cap: int) -> None:
-    """Reject n past the cap or a cap past the hard limit; warn past the default."""
+    """Reject a negative n, n past the cap or a cap past the hard limit;
+    warn past the default."""
+    if n < 0:
+        raise ValueError(f"n={n} is negative")
     if cap > MAX_ENUM_CAP:
         raise ValueError(f"enumeration cap {cap} exceeds hard limit {MAX_ENUM_CAP}")
     if n > cap:
         raise ValueError(f"n={n} exceeds enumeration cap {cap}")
     if n > DEFAULT_ENUM_CAP:
         warnings.warn(f"enumerating all graphs on {n} vertices; this is slow")
+
+
+def _store_key(cs: Optional[ConstraintSet]) -> Optional[ConstraintSet]:
+    """Normal form of a pruning constraint set: u without delta is
+    dropped, and no bound at all is None."""
+    if cs is None or cs.delta is None and cs.omega is None:
+        return None
+    return cs if cs.delta is not None else ConstraintSet(omega=cs.omega)
+
+
+@dataclass
+class _LevelStore:
+    """The levels of one constraint set built so far, and the paused walk
+    that builds the next ones (None until first needed)."""
+
+    keep: Optional[Callable[[Graph], bool]]
+    levels: list[tuple[Graph, ...]] = field(default_factory=list)
+    walk: Optional[Iterator[tuple[int, list[Graph]]]] = None
+
+
+@lru_cache(maxsize=16)
+def _store(key: Optional[ConstraintSet]) -> _LevelStore:
+    keep = None if key is None else (lambda g: passes_constraints(g, key))
+    return _LevelStore(keep)
+
+
+def _level(n: int, prune: Optional[ConstraintSet] = None) -> tuple[Graph, ...]:
+    """One representative per isomorphism class on n vertices passing
+    ``prune``, built at most once per process."""
+    if not 0 <= n <= MAX_ENUM_CAP:
+        raise ValueError(f"level {n} outside 0..{MAX_ENUM_CAP}")
+    store = _store(_store_key(prune))
+    try:
+        while len(store.levels) <= n:
+            if store.walk is None:
+                store.walk = _levels(MAX_ENUM_CAP, store.keep)
+            store.levels.append(tuple(next(store.walk)[1]))
+    except BaseException:
+        # a generator that raised is closed: start the walk again next time
+        store.levels, store.walk = [], None
+        raise
+    return store.levels[n]
 
 
 def enumerate_graphs(
@@ -199,20 +259,13 @@ def enumerate_graphs(
     8; 9 is allowed but warned about (274668 classes unpruned).
     """
     _check_enum_cap(n, cap)
-    keep = None if prune is None else (lambda g: passes_constraints(g, prune))
-    for level, reps in _levels(n, keep):
-        if level == n:
-            yield from reps
-            return
+    return iter(_level(n, prune))
 
 
-@lru_cache(maxsize=4)
 def nonisomorphic_graphs_upto(n_max: int) -> tuple[tuple[Graph, ...], ...]:
-    """Cached unpruned representatives for every n <= n_max."""
-    out = []
-    for _, reps in _levels(n_max):
-        out.append(tuple(reps))
-    return tuple(out)
+    """Unpruned representatives for every n <= n_max."""
+    _check_enum_cap(n_max, MAX_ENUM_CAP)
+    return tuple(_level(n) for n in range(n_max + 1))
 
 
 def _optimum(
@@ -278,6 +331,10 @@ def brute_extremal_u(
     """
     if u < 1:
         raise ValueError("u must be at least 1")
+    if p < 0:
+        raise ValueError(f"p={p} is negative")
+    if n_cap is not None and n_cap < 0:
+        raise ValueError(f"n_cap={n_cap} is negative")
     spec = as_pattern(h)
     fixed = {"u": u, "p": p}
     if u == 1:
@@ -292,17 +349,12 @@ def brute_extremal_u(
         f"isolated vertices has at most {u * p} vertices, and isolated "
         f"vertices change neither the clique count nor the copy count"
     )
-
-    def keep(g: Graph) -> bool:
-        return count_cliques(g, u) <= p and passes_constraints(g, cs)
-
     # padded variants (extra isolated vertices) are distinct isomorphism
     # classes and are reported as separate optima
     candidates = (
         g
-        for level, reps in _levels(n_cap, keep)
-        if level
-        for g in reps
+        for n in range(1, n_cap + 1)
+        for g in _level(n, cs)
         if count_cliques(g, u) == p
     )
     return _optimum(spec, candidates, cs, fixed, (note,))

@@ -165,6 +165,8 @@ class TestEmpiricalGoodness:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             empirical_turan_goodness(K3, 3, 9)
+        with pytest.raises(ValueError, match="negative"):
+            empirical_turan_goodness(K3, 3, -1)
 
 
 class TestRatioDiagnostic:

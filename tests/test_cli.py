@@ -178,6 +178,19 @@ class TestSubcommands:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f" error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "-1"], "n=-1 is negative"),
+        (["--p", "-2", "--u", "2"], "p=-2 is negative"),
+        (["--p", "3", "--u", "2", "--ncap", "-1"], "n_cap=-1 is negative"),
+        (["--n", "3", "--ncap", "5"], "--ncap applies only with --p"),
+    ])
+    def test_search_bad_size_is_one_line_error(self, capsys, argv, message):
+        code = main(["search", "--pattern", "K3", *argv, "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"gturan: error: {message}\n"
+
     @pytest.mark.parametrize("u", ["0", "-1"])
     def test_localize_bad_u_is_one_line_error(self, capsys, u):
         code = main(["localize", "--graph", "turan(3,6)", "--pattern", "K3", "--u", u])

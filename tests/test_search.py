@@ -10,6 +10,7 @@ from gturan.graphs import (
     empty_graph,
     from_edge_list,
     graph6_decode,
+    graph6_encode,
     isomorphic,
     union_of,
 )
@@ -20,6 +21,7 @@ from gturan.search import (
     CompositionError,
     _augmentations,
     _is_canonical_deletion,
+    _level,
     _levels,
     best_composition,
     brute_extremal,
@@ -124,6 +126,106 @@ class TestEnumeration:
         reps = list(enumerate_graphs(5))
         for a, b in combinations(reps, 2):
             assert not isomorphic(a, b)
+
+
+def count_calls(monkeypatch, fail_at=None) -> list:
+    """Replace search.add_vertex by a wrapper that records each call and
+    raises RuntimeError once, on call number ``fail_at``."""
+    calls = []
+    real = search.add_vertex
+
+    def counted(g, mask):
+        calls.append(mask)
+        if len(calls) == fail_at:
+            raise RuntimeError("interrupted build")
+        return real(g, mask)
+
+    monkeypatch.setattr(search, "add_vertex", counted)
+    return calls
+
+
+# the constraint sets whose levels criteria 2 and 3 read, n <= 7
+CRITERIA_SETS = [ConstraintSet(omega=w) for w in (2, 3, 4)] + [
+    ConstraintSet(u=1, delta=d) for d in (2, 3, 4)
+]
+
+
+class TestLevelStore:
+    def test_second_walk_builds_nothing(self, monkeypatch):
+        first = list(enumerate_graphs(6, prune=ConstraintSet(omega=4)))
+        unpruned = list(enumerate_graphs(5))
+        calls = count_calls(monkeypatch)
+        assert list(enumerate_graphs(6, prune=ConstraintSet(omega=4))) == first
+        # u only matters beside delta, and no bound at all prunes nothing
+        assert list(enumerate_graphs(6, prune=ConstraintSet(u=2, omega=4))) == first
+        assert list(enumerate_graphs(5, prune=ConstraintSet(u=3))) == unpruned
+        assert calls == []
+
+    @pytest.mark.parametrize("cs", CRITERIA_SETS, ids=str)
+    def test_levels_match_a_fresh_walk(self, cs):
+        for n, reps in _levels(7, lambda g: passes_constraints(g, cs)):
+            assert _level(n, cs) == tuple(reps)
+
+    def test_edge_budget_filters_the_clique_store(self):
+        # criterion 4 reads the K4-free levels up to 8, filtered to <= 12 edges
+        cs = ConstraintSet(omega=3)
+
+        def edge_budget(g):
+            return g.edge_count <= 12 and passes_constraints(g, cs)
+
+        for n, reps in _levels(8, edge_budget):
+            assert [g for g in _level(n, cs) if g.edge_count <= 12] == reps
+
+    def test_failed_build_is_dropped(self, monkeypatch):
+        search._store.cache_clear()
+        cs = ConstraintSet(u=1, delta=3)
+        calls = count_calls(monkeypatch, fail_at=100)
+        with pytest.raises(RuntimeError, match="interrupted build"):
+            _level(6, cs)
+        assert len(calls) == 100
+        for n, reps in _levels(6, lambda g: passes_constraints(g, cs)):
+            assert _level(n, cs) == tuple(reps)
+
+    def test_u2_matches_clique_count_pruned_walk(self):
+        # reference: the argmax over the walk pruned by k^2 <= p
+        cs = ConstraintSet(u=2, omega=3)
+        for p in range(13):
+            def keep(g):
+                return count_cliques(g, 2) <= p and passes_constraints(g, cs)
+
+            best, argmax, examined = 0, [], 0
+            for n, reps in _levels(7, keep):
+                if not n:
+                    continue
+                for g in reps:
+                    if count_cliques(g, 2) != p:
+                        continue
+                    examined += 1
+                    val = count_subgraph_copies(K3, g)
+                    if val > best:
+                        best, argmax = val, [g]
+                    elif val == best:
+                        argmax.append(g)
+                out = brute_extremal_u(p, 2, K3, cs, n_cap=n)
+                assert out.objective == best
+                assert out.argmax == tuple(sorted(graph6_encode(g) for g in argmax))
+                assert out.search_space_size == examined
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: enumerate_graphs(-1), "n=-1 is negative"),
+        (lambda: brute_extremal(-1, K3, ConstraintSet(omega=3)), "n=-1 is negative"),
+        (lambda: brute_extremal_u(-2, 2, K3, ConstraintSet(omega=3)), "p=-2 is negative"),
+        (lambda: brute_extremal_u(-1, 1, K3, ConstraintSet(omega=3)), "p=-1 is negative"),
+        (lambda: brute_extremal_u(3, 2, K3, ConstraintSet(omega=3), n_cap=-1),
+         "n_cap=-1 is negative"),
+        (lambda: nonisomorphic_graphs_upto(-1), "n=-1 is negative"),
+        (lambda: _level(-1), "level -1 outside"),
+    ])
+    def test_negative_inputs_rejected_before_work(self, monkeypatch, call, message):
+        calls = count_calls(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            call()
+        assert calls == []
 
 
 class TestBruteExtremal:
