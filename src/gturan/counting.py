@@ -358,17 +358,12 @@ def enumerate_copies(
 ) -> list[tuple[int, frozenset[tuple[int, int]]]]:
     """All copies of h in g as (vertex mask, edge set) pairs.
 
-    Deterministic order: sorted by vertex mask, then edge set.  A clique
-    pattern takes its copies from the clique walk; any other is found
-    |Aut(h)| times by the embedding search, and duplicates collapse.
+    Deterministic order: sorted by vertex mask, then edge set.  Each copy
+    is found |Aut(h)| times by the embedding search; duplicates collapse.
     """
     p = as_pattern(h).pattern
     if p.n == 0:
         return [(0, frozenset())]
-    if p.edge_count == p.n * (p.n - 1) // 2:
-        return sorted(
-            (c, frozenset(combinations(iter_bits(c), 2))) for c in enumerate_cliques(g, p.n)
-        )
     last = p.n - 1
     found: set[tuple[int, frozenset[tuple[int, int]]]] = set()
     pairs = None

@@ -21,26 +21,29 @@ deduplication for n <= 6 and against filtered unpruned levels in the
 test suite.
 
 Each pruned level is built once per process.  ``_store`` keeps, per
-constraint set, the levels built so far (tuples) beside the paused walk
-``_levels(MAX_ENUM_CAP, keep)``, and ``_level(n, prune)`` resumes that
-walk until level n exists; every level read in the package goes through
-it.  The store key is a normal form of the constraint set: ``u`` only
-matters beside ``delta``, so it is dropped when ``delta`` is None, and a
-set with no bound at all is the unpruned key None.  A level is published
-only once complete, and a walk that raises is dropped, so the next call
-starts it again.  The store is a bounded ``lru_cache``: a sweep over n
-under one constraint set builds each level once, at the memory cost of
-the levels it keeps.
+pruning key, the levels built so far (tuples) beside the paused walk
+``_levels(MAX_ENUM_CAP, keep)``, and ``_level(n, prune, cliques)``
+resumes that walk until level n exists; every level read in the package
+goes through it.  The key is a normal form of the constraint set (``u``
+only matters beside ``delta``, so it is dropped when ``delta`` is None,
+and a set with no bound at all is the unpruned key None) plus an
+optional clique bound (u, p), which keeps only graphs with at most p
+u-cliques.  A level is published only once complete, and a walk that
+raises is dropped, so the next call starts it again.  The level past
+``DEFAULT_ENUM_CAP`` (9 vertices, ~105 MiB unpruned) is handed out and
+not kept: its walk ends and a later call builds it again.  The store is
+a bounded ``lru_cache``: a sweep over n under one constraint set builds
+each level once, at the memory cost of the levels it keeps.
 
 There is one extremal search, fixing the number p of u-cliques as the
 paper does: ``_optimum`` takes the argmax of N(H, G) over a stream of
 candidate graphs and re-verifies every optimum.  Fixing u = 1 fixes the
 vertex count, so ``brute_extremal(n, ...)`` is the u = 1 stream;
-``brute_extremal_u`` with u >= 2 streams the constraint set's levels
-1..n_cap, filtered to k^u(G) = p.  Those levels are not pruned by the
-clique count, so one u >= 2 call costs a build of the constraint set's
-levels up to n_cap, as ``brute_extremal(n_cap, ...)`` does, and every
-other p under the same constraints reuses it.
+``brute_extremal_u`` with u >= 2 streams the levels 1..n_cap pruned by
+the constraint set and k^u <= p (clique counts only grow with the
+graph, so the pruning is hereditary), filtered to k^u(G) = p.  Each
+(constraints, u, p) has its own store, so a single call costs no more
+than the pruned walk, and only a repeated call reuses it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
@@ -217,7 +220,7 @@ def _store_key(cs: Optional[ConstraintSet]) -> Optional[ConstraintSet]:
 
 @dataclass
 class _LevelStore:
-    """The levels of one constraint set built so far, and the paused walk
+    """The levels of one pruning key built so far, and the paused walk
     that builds the next ones (None until first needed)."""
 
     keep: Optional[Callable[[Graph], bool]]
@@ -226,22 +229,37 @@ class _LevelStore:
 
 
 @lru_cache(maxsize=16)
-def _store(key: Optional[ConstraintSet]) -> _LevelStore:
-    keep = None if key is None else (lambda g: passes_constraints(g, key))
-    return _LevelStore(keep)
+def _store(key: Optional[ConstraintSet], cliques: Optional[tuple[int, int]]) -> _LevelStore:
+    if cliques is not None:
+        u, p = cliques
+        return _LevelStore(
+            lambda g: count_cliques(g, u) <= p and (key is None or passes_constraints(g, key))
+        )
+    return _LevelStore(None if key is None else (lambda g: passes_constraints(g, key)))
 
 
-def _level(n: int, prune: Optional[ConstraintSet] = None) -> tuple[Graph, ...]:
+def _level(
+    n: int,
+    prune: Optional[ConstraintSet] = None,
+    cliques: Optional[tuple[int, int]] = None,
+) -> tuple[Graph, ...]:
     """One representative per isomorphism class on n vertices passing
-    ``prune``, built at most once per process."""
+    ``prune`` and, for ``cliques`` = (u, p), with at most p u-cliques;
+    built at most once per process."""
     if not 0 <= n <= MAX_ENUM_CAP:
         raise ValueError(f"level {n} outside 0..{MAX_ENUM_CAP}")
-    store = _store(_store_key(prune))
+    store = _store(_store_key(prune), cliques)
     try:
         while len(store.levels) <= n:
             if store.walk is None:
-                store.walk = _levels(MAX_ENUM_CAP, store.keep)
-            store.levels.append(tuple(next(store.walk)[1]))
+                store.walk = islice(_levels(MAX_ENUM_CAP, store.keep), len(store.levels), None)
+            reps = tuple(next(store.walk)[1])
+            if len(store.levels) > DEFAULT_ENUM_CAP:
+                # the level past the default cap (274668 classes unpruned,
+                # ~105 MiB) is handed out, not kept, and the walk ends
+                store.walk = None
+                return reps
+            store.levels.append(reps)
     except BaseException:
         # a generator that raised is closed: start the walk again next time
         store.levels, store.walk = [], None
@@ -354,7 +372,7 @@ def brute_extremal_u(
     candidates = (
         g
         for n in range(1, n_cap + 1)
-        for g in _level(n, cs)
+        for g in _level(n, cs, (u, p))
         if count_cliques(g, u) == p
     )
     return _optimum(spec, candidates, cs, fixed, (note,))

@@ -176,6 +176,31 @@ class TestLevelStore:
         for n, reps in _levels(8, edge_budget):
             assert [g for g in _level(n, cs) if g.edge_count <= 12] == reps
 
+    def test_level_past_default_cap_is_not_kept(self):
+        # level 9 is handed out and its walk ended; levels 0..8 stay stored
+        cs = ConstraintSet(u=1, delta=2)
+        top = [reps for _, reps in _levels(9, lambda g: passes_constraints(g, cs))][9]
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="slow"):
+                assert list(enumerate_graphs(9, prune=cs, cap=9)) == top
+            store = search._store(cs, None)
+            assert len(store.levels) == 9 and store.walk is None
+
+    def test_repeated_u2_call_builds_nothing(self, monkeypatch):
+        cs = ConstraintSet(u=2, omega=3)
+        first = brute_extremal_u(6, 2, K3, cs, n_cap=7)
+        calls = count_calls(monkeypatch)
+        assert brute_extremal_u(6, 2, K3, cs, n_cap=7) == first
+        assert calls == []
+
+    def test_single_u2_call_walks_only_its_pruned_levels(self, monkeypatch):
+        search._store.cache_clear()
+        calls = count_calls(monkeypatch)
+        brute_extremal_u(1, 2, K3, ConstraintSet(u=2), n_cap=8)
+        built = len(calls)
+        list(_levels(8, lambda g: count_cliques(g, 2) <= 1))
+        assert built == len(calls) - built
+
     def test_failed_build_is_dropped(self, monkeypatch):
         search._store.cache_clear()
         cs = ConstraintSet(u=1, delta=3)
