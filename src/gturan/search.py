@@ -20,6 +20,18 @@ Correctness of the generator is cross-checked against labeled-graph
 deduplication for n <= 6 and against filtered unpruned levels in the
 test suite.
 
+Each class is expanded once per process.  The children of a class do not
+depend on the predicate that later filters them, and every pruned level
+holds the same representatives as the unpruned one, in the same order
+(the least mask of an orbit does not depend on the generators used).  So
+``_expansions`` keeps, per parent, its admissible masks with their
+settled flags and, once some walk keeps the child, the child's labeling;
+every walk builds and filters its children itself, and a child that no
+walk keeps is never labeled.  Only parents on fewer than
+``DEFAULT_ENUM_CAP`` vertices are kept, which bounds the memo by the 1253
+classes on <= 7 vertices; a labeling that raises leaves its entry
+unlabeled.
+
 Each pruned level is built once per process.  ``_store`` keeps, per
 pruning key, the levels built so far (tuples) beside the paused walk
 ``_levels(MAX_ENUM_CAP, keep)``, and ``_level(n, prune, cliques)``
@@ -90,6 +102,15 @@ class SearchOutcome:
     notes: tuple[str, ...] = ()
 
 
+_UNSET = object()  # a child not labeled yet
+
+# parent -> one [mask, settled, label] per child of _augmentations(parent),
+# label being Aut(child) generators if accepted, None if rejected (or
+# settled) and _UNSET until labeled; parents on < DEFAULT_ENUM_CAP
+# vertices only, so at most the 1253 classes on <= 7 vertices
+_expansions: dict[Graph, list[list]] = {}
+
+
 def _levels(
     n_max: int, keep: Optional[Callable[[Graph], bool]] = None
 ) -> Iterator[tuple[int, list[Graph]]]:
@@ -99,14 +120,23 @@ def _levels(
     for k in range(n_max):
         children, child_gens = [], []
         for g, gens in zip(reps, known):
-            for mask, settled in _augmentations(g, gens):
-                child = add_vertex(g, mask)
+            entries = _expansions.get(g)
+            if entries is None:
+                entries = [
+                    [mask, settled, None if settled else _UNSET]
+                    for mask, settled in _augmentations(g, gens)
+                ]
+                if g.n < DEFAULT_ENUM_CAP:
+                    _expansions[g] = entries
+            for entry in entries:
+                child = add_vertex(g, entry[0])
                 if keep is not None and not keep(child):
                     continue
-                found = None if settled else _is_canonical_deletion(child)
-                if settled or found is not None:
+                if entry[2] is _UNSET:  # labeled once some walk keeps it
+                    entry[2] = _is_canonical_deletion(child)
+                if entry[1] or entry[2] is not None:
                     children.append(child)
-                    child_gens.append(found)
+                    child_gens.append(entry[2])
         reps, known = children, child_gens
         yield k + 1, reps
 

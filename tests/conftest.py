@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from gturan import search
 from gturan.graphs import Graph, random_graph
 
 
@@ -31,3 +32,11 @@ def small_corpus() -> list[Graph]:
         random_graph(rng, rng.randint(0, 12), rng.choice([0.2, 0.4, 0.6, 0.8]))
         for _ in range(500)
     ]
+
+
+@pytest.fixture
+def cold_search() -> None:
+    """Empty the level store and the expansion memo of ``gturan.search``,
+    so the test starts from a cold process."""
+    search._store.cache_clear()
+    search._expansions.clear()

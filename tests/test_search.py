@@ -4,6 +4,7 @@ import pytest
 
 from gturan import search
 from gturan.graphs import (
+    Graph,
     add_vertex,
     canonical_code,
     complete_graph,
@@ -98,7 +99,7 @@ class TestEnumeration:
                 if settled:
                     assert _is_canonical_deletion(add_vertex(g, mask)) is not None
 
-    def test_levels_label_each_graph_at_most_once(self, monkeypatch):
+    def test_levels_label_each_graph_at_most_once(self, monkeypatch, cold_search):
         labeled = []
         label = search.automorphism_generators
 
@@ -193,16 +194,14 @@ class TestLevelStore:
         assert brute_extremal_u(6, 2, K3, cs, n_cap=7) == first
         assert calls == []
 
-    def test_single_u2_call_walks_only_its_pruned_levels(self, monkeypatch):
-        search._store.cache_clear()
+    def test_single_u2_call_walks_only_its_pruned_levels(self, monkeypatch, cold_search):
         calls = count_calls(monkeypatch)
         brute_extremal_u(1, 2, K3, ConstraintSet(u=2), n_cap=8)
         built = len(calls)
         list(_levels(8, lambda g: count_cliques(g, 2) <= 1))
         assert built == len(calls) - built
 
-    def test_failed_build_is_dropped(self, monkeypatch):
-        search._store.cache_clear()
+    def test_failed_build_is_dropped(self, monkeypatch, cold_search):
         cs = ConstraintSet(u=1, delta=3)
         calls = count_calls(monkeypatch, fail_at=100)
         with pytest.raises(RuntimeError, match="interrupted build"):
@@ -251,6 +250,120 @@ class TestLevelStore:
         with pytest.raises(ValueError, match=message):
             call()
         assert calls == []
+
+
+def fresh_levels(n_max, keep=None):
+    """The level walk without the expansion memo: every parent is expanded
+    and every kept unsettled child labeled afresh."""
+    reps, known = [Graph(0, ())], [None]
+    yield reps
+    for _ in range(n_max):
+        children, child_gens = [], []
+        for g, gens in zip(reps, known):
+            for mask, settled in _augmentations(g, gens):
+                child = add_vertex(g, mask)
+                if keep is not None and not keep(child):
+                    continue
+                found = None if settled else _is_canonical_deletion(child)
+                if settled or found is not None:
+                    children.append(child)
+                    child_gens.append(found)
+        reps, known = children, child_gens
+        yield reps
+
+
+def keep_of(cs, cliques):
+    """The keep predicate of the level store key (cs, cliques)."""
+
+    def keep(g):
+        if cliques is not None and count_cliques(g, cliques[0]) > cliques[1]:
+            return False
+        return cs is None or passes_constraints(g, cs)
+
+    return keep
+
+
+# level store keys (prune, cliques): the unpruned key, the sets criteria 2
+# and 3 read, and a k^2 <= 6 clique key
+STORE_KEYS = (
+    [(None, None)]
+    + [(cs, None) for cs in CRITERIA_SETS]
+    + [(ConstraintSet(u=2, omega=3), (2, 6))]
+)
+
+
+class TestExpansionMemo:
+    def test_each_class_expanded_and_labeled_once(self, monkeypatch, cold_search):
+        # the pruned keys first, so the unpruned walk meets expanded parents
+        labeled, expanded = [], []
+        label, augment = search.automorphism_generators, search._augmentations
+
+        def record_label(g):
+            labeled.append(g)
+            return label(g)
+
+        def record_augment(g, gens):
+            expanded.append(g)
+            return augment(g, gens)
+
+        monkeypatch.setattr(search, "automorphism_generators", record_label)
+        monkeypatch.setattr(search, "_augmentations", record_augment)
+        for cs, cliques in STORE_KEYS[1:]:
+            _level(7, cs, cliques)
+        # a child that no key keeps is never labeled
+        assert all(any(keep_of(*key)(g) for key in STORE_KEYS[1:]) for g in labeled)
+        _level(7)
+        # each class on <= 6 vertices is expanded exactly once
+        assert len(set(expanded)) == len(expanded) == 1 + 1 + 2 + 4 + 11 + 34 + 156
+        # a second key over parents already expanded expands nothing
+        expanded.clear()
+        _level(7, ConstraintSet(u=1, delta=5))
+        _level(7, ConstraintSet(omega=5), (2, 9))
+        assert expanded == []
+        assert labeled and len(set(labeled)) == len(labeled)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    def test_levels_independent_of_walk_order(self, order, cold_search):
+        for cs, cliques in STORE_KEYS[::order]:
+            for n, reps in enumerate(fresh_levels(7, keep_of(cs, cliques))):
+                assert _level(n, cs, cliques) == tuple(reps)
+
+    def test_memo_holds_only_classes_below_default_cap(self, cold_search):
+        nonisomorphic_graphs_upto(8)
+        with pytest.warns(UserWarning, match="slow"):
+            list(enumerate_graphs(9, prune=ConstraintSet(u=1, delta=2), cap=9))
+        # every class on <= 7 vertices, and nothing else
+        assert all(g.n < search.DEFAULT_ENUM_CAP for g in search._expansions)
+        assert len(search._expansions) == 1 + 1 + 2 + 4 + 11 + 34 + 156 + 1044 == 1253
+
+    def test_failed_labeling_leaves_memo_consistent(self, monkeypatch, cold_search):
+        cs = ConstraintSet(u=1, delta=3)
+        calls = []
+        real = search._is_canonical_deletion
+
+        def flaky(child):
+            calls.append(child)
+            if len(calls) == 40:
+                raise RuntimeError("interrupted labeling")
+            return real(child)
+
+        def assert_consistent():
+            for g, entries in search._expansions.items():
+                assert [(m, s) for m, s, _ in entries] == _augmentations(g, None)
+                for mask, settled, found in entries:
+                    if settled:
+                        assert found is None
+                    elif found is not search._UNSET:
+                        assert found == _is_canonical_deletion(add_vertex(g, mask))
+
+        monkeypatch.setattr(search, "_is_canonical_deletion", flaky)
+        with pytest.raises(RuntimeError, match="interrupted labeling"):
+            _level(7, cs)
+        assert len(calls) == 40
+        assert_consistent()
+        for n, reps in enumerate(fresh_levels(7, keep_of(cs, None))):
+            assert _level(n, cs) == tuple(reps)
+        assert_consistent()
 
 
 class TestBruteExtremal:
