@@ -37,7 +37,7 @@ from .counting import (
 from .freeness import ConstraintSet, check_constraints
 from .bounds import bounds_report, ratio_diagnostic
 from .localization import HypothesisViolationError, equality_family_graph, localized_report
-from .search import _level, brute_extremal, brute_extremal_u, nonisomorphic_graphs_upto
+from .search import _keep, _levels, brute_extremal, brute_extremal_u, nonisomorphic_graphs_upto
 
 DEFAULT_SEED = 20250814
 
@@ -137,8 +137,9 @@ def _extremal_grid(
     n <= n_max and t, the brute-force maximum must equal reference(n, t)."""
     ok = True
     mismatches = []
-    for level in range(1, n_max + 1):
-        reps = _level(level, cs)
+    for level, reps in _levels(n_max, _keep(cs)):
+        if not level:
+            continue
         for t in t_values:
             best = max((count_cliques(g, t) for g in reps), default=0)
             want = reference(level, t)
@@ -194,8 +195,8 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     (vertex cap 8) equals the colex interpolation count, m <= 12."""
     best = {m: 0 for m in range(13)}
     examined = 0
-    for n in range(9):
-        for g in _level(n, ConstraintSet(omega=3)):
+    for _, reps in _levels(8, _keep(ConstraintSet(omega=3))):
+        for g in reps:
             m = g.edge_count
             if m > 12:
                 continue

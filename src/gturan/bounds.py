@@ -34,7 +34,7 @@ from .counting import (
     turan_copy_count,
 )
 from .freeness import ConstraintSet, check_constraints
-from .search import _check_enum_cap, _level, _optimum
+from .search import _check_enum_cap, _keep, _levels, _optimum
 
 Density = Fraction
 
@@ -120,8 +120,10 @@ def empirical_turan_goodness(
     cs = ConstraintSet(u=1, delta=None, omega=omega)
     rows = []
     witness = None
-    for n in range(1, n_max + 1):
-        out = _optimum(spec, _level(n, cs), cs, {"n": n})
+    for n, reps in _levels(n_max, _keep(cs)):
+        if not n:
+            continue
+        out = _optimum(spec, reps, cs, {"n": n})
         t_count = turan_copy_count(spec, omega, n)
         rows.append((n, out.objective, t_count))
         if out.objective != t_count and witness is None:

@@ -151,6 +151,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.rooted is not None and args.pattern is None:
+        raise ValueError("--rooted applies only with --pattern")
     g = parse_graph_spec(args.graph)
     if args.cliques is not None:
         value = count_cliques(g, args.cliques)
@@ -158,7 +160,11 @@ def cmd_count(args) -> int:
     else:
         h = parse_graph_spec(args.pattern)
         if args.rooted:
-            root = mask_of(int(x) for x in args.rooted.split(","))
+            roots = [int(x) for x in args.rooted.split(",")]
+            for v in roots:
+                if not 0 <= v < g.n:
+                    raise ValueError(f"root vertex {v} outside 0..{g.n - 1}")
+            root = mask_of(roots)
             value = count_copies_rooted(h, g, root, root.bit_count())
             what = f"rooted copies at {_vertices_1based(root)}"
         else:
@@ -211,6 +217,7 @@ def cmd_bounds(args) -> int:
             f"  lower {_fmt_rational(sp.lower)}   upper {_fmt_rational(sp.upper)}",
         ])
         return 0
+    ParamTriple(args.u, args.delta, args.omega)  # a grid ends here: check before sweeping
     reports = []
     deltas = range(args.omega, args.delta + 1) if args.grid else [args.delta]
     for d in deltas:
@@ -428,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except ValueError as exc:  # bad user input: one line, like argparse's own errors
+    except (ValueError, OSError) as exc:  # bad input or file: one line, like argparse's
         print(f"gturan: error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,32 +20,29 @@ Correctness of the generator is cross-checked against labeled-graph
 deduplication for n <= 6 and against filtered unpruned levels in the
 test suite.
 
-Each class is expanded once per process.  The children of a class do not
-depend on the predicate that later filters them, and every pruned level
-holds the same representatives as the unpruned one, in the same order
-(the least mask of an orbit does not depend on the generators used).  So
-``_expansions`` keeps, per parent, its admissible masks with their
-settled flags and, once some walk keeps the child, the child's labeling;
-every walk builds and filters its children itself, and a child that no
-walk keeps is never labeled.  Only parents on fewer than
-``DEFAULT_ENUM_CAP`` vertices are kept, which bounds the memo by the 1253
-classes on <= 7 vertices; a labeling that raises leaves its entry
-unlabeled.
+Each class is expanded once per process, and each child built once.
+The children of a class do not depend on the predicate that later
+filters them, and every pruned level holds the same representatives as
+the unpruned one, in the same order (the least mask of an orbit does
+not depend on the generators used).  So ``_expansions``, the one
+enumeration cache, keeps per parent one entry per admissible mask: the
+child once some walk builds it, and its labeling once some walk keeps
+it.  A child that fails the canonical deletion test drops its graph,
+and later walks skip it before building or filtering it; a child that
+no walk keeps is never labeled.  Only parents on fewer than
+``DEFAULT_ENUM_CAP`` vertices are kept, so whatever the number of
+predicates the memo holds at most the children of the 1253 classes on
+<= 7 vertices (13598 graphs, 3.9 MiB, once every class on 8 vertices is
+built); the children of larger parents, level 9 among them, are handed
+out and not kept.  A walk that raises leaves the memo consistent: an
+entry it did not finish stays unbuilt or unlabeled.
 
-Each pruned level is built once per process.  ``_store`` keeps, per
-pruning key, the levels built so far (tuples) beside the paused walk
-``_levels(MAX_ENUM_CAP, keep)``, and ``_level(n, prune, cliques)``
-resumes that walk until level n exists; every level read in the package
-goes through it.  The key is a normal form of the constraint set (``u``
-only matters beside ``delta``, so it is dropped when ``delta`` is None,
-and a set with no bound at all is the unpruned key None) plus an
-optional clique bound (u, p), which keeps only graphs with at most p
-u-cliques.  A level is published only once complete, and a walk that
-raises is dropped, so the next call starts it again.  The level past
-``DEFAULT_ENUM_CAP`` (9 vertices, ~105 MiB unpruned) is handed out and
-not kept: its walk ends and a later call builds it again.  The store is
-a bounded ``lru_cache``: a sweep over n under one constraint set builds
-each level once, at the memory cost of the levels it keeps.
+Every walk filters the children with its own predicate, so a level is
+the last level of one walk: ``_level(n, prune, cliques)`` walks
+``_levels(n, _keep(prune, cliques))``, and a caller that reads several
+levels reads them from one walk.  ``_keep`` turns a constraint set and
+an optional clique bound (u, p), at most p u-cliques, into that
+predicate.
 
 There is one extremal search, fixing the number p of u-cliques as the
 paper does: ``_optimum`` takes the argmax of N(H, G) over a stream of
@@ -53,17 +50,14 @@ candidate graphs and re-verifies every optimum.  Fixing u = 1 fixes the
 vertex count, so ``brute_extremal(n, ...)`` is the u = 1 stream;
 ``brute_extremal_u`` with u >= 2 streams the levels 1..n_cap pruned by
 the constraint set and k^u <= p (clique counts only grow with the
-graph, so the pruning is hereditary), filtered to k^u(G) = p.  Each
-(constraints, u, p) has its own store, so a single call costs no more
-than the pruned walk, and only a repeated call reuses it.
+graph, so the pruning is hereditary), filtered to k^u(G) = p.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
@@ -103,19 +97,22 @@ class SearchOutcome:
 
 
 _UNSET = object()  # a child not labeled yet
+_REJECTED = object()  # a child that failed the canonical deletion test
 
-# parent -> one [mask, settled, label] per child of _augmentations(parent),
-# label being Aut(child) generators if accepted, None if rejected (or
-# settled) and _UNSET until labeled; parents on < DEFAULT_ENUM_CAP
+# parent -> one [mask, child, label] per child of _augmentations(parent):
+# child is the Graph once built, None before and once rejected; label is
+# None for a settled child, _UNSET until an unsettled child is labeled,
+# then Aut(child) generators or _REJECTED.  Parents on < DEFAULT_ENUM_CAP
 # vertices only, so at most the 1253 classes on <= 7 vertices
 _expansions: dict[Graph, list[list]] = {}
+_ROOT = Graph(0, ())  # level 0 of every walk
 
 
 def _levels(
     n_max: int, keep: Optional[Callable[[Graph], bool]] = None
 ) -> Iterator[tuple[int, list[Graph]]]:
     """Yield (n, representatives) for n = 0..n_max under a hereditary keep."""
-    reps, known = [Graph(0, ())], [None]
+    reps, known = [_ROOT], [None]
     yield 0, reps
     for k in range(n_max):
         children, child_gens = [], []
@@ -123,20 +120,27 @@ def _levels(
             entries = _expansions.get(g)
             if entries is None:
                 entries = [
-                    [mask, settled, None if settled else _UNSET]
+                    [mask, None, None if settled else _UNSET]
                     for mask, settled in _augmentations(g, gens)
                 ]
                 if g.n < DEFAULT_ENUM_CAP:
                     _expansions[g] = entries
             for entry in entries:
-                child = add_vertex(g, entry[0])
+                mask, child, label = entry
+                if label is _REJECTED:
+                    continue
+                if child is None:
+                    child = entry[1] = add_vertex(g, mask)
                 if keep is not None and not keep(child):
                     continue
-                if entry[2] is _UNSET:  # labeled once some walk keeps it
-                    entry[2] = _is_canonical_deletion(child)
-                if entry[1] or entry[2] is not None:
-                    children.append(child)
-                    child_gens.append(entry[2])
+                if label is _UNSET:  # labeled once some walk keeps it
+                    label = _is_canonical_deletion(child)
+                    if label is None:
+                        entry[1:] = None, _REJECTED
+                        continue
+                    entry[2] = label
+                children.append(child)
+                child_gens.append(label)
         reps, known = children, child_gens
         yield k + 1, reps
 
@@ -240,32 +244,20 @@ def _check_enum_cap(n: int, cap: int) -> None:
         warnings.warn(f"enumerating all graphs on {n} vertices; this is slow")
 
 
-def _store_key(cs: Optional[ConstraintSet]) -> Optional[ConstraintSet]:
-    """Normal form of a pruning constraint set: u without delta is
-    dropped, and no bound at all is None."""
-    if cs is None or cs.delta is None and cs.omega is None:
-        return None
-    return cs if cs.delta is not None else ConstraintSet(omega=cs.omega)
-
-
-@dataclass
-class _LevelStore:
-    """The levels of one pruning key built so far, and the paused walk
-    that builds the next ones (None until first needed)."""
-
-    keep: Optional[Callable[[Graph], bool]]
-    levels: list[tuple[Graph, ...]] = field(default_factory=list)
-    walk: Optional[Iterator[tuple[int, list[Graph]]]] = None
-
-
-@lru_cache(maxsize=16)
-def _store(key: Optional[ConstraintSet], cliques: Optional[tuple[int, int]]) -> _LevelStore:
+def _keep(
+    prune: Optional[ConstraintSet], cliques: Optional[tuple[int, int]] = None
+) -> Optional[Callable[[Graph], bool]]:
+    """The walk predicate of ``prune`` (None, or a set that bounds
+    nothing, keeps every graph) and, for ``cliques`` = (u, p), of at most
+    p u-cliques."""
+    if prune is not None and prune.delta is None and prune.omega is None:
+        prune = None
     if cliques is not None:
         u, p = cliques
-        return _LevelStore(
-            lambda g: count_cliques(g, u) <= p and (key is None or passes_constraints(g, key))
+        return lambda g: count_cliques(g, u) <= p and (
+            prune is None or passes_constraints(g, prune)
         )
-    return _LevelStore(None if key is None else (lambda g: passes_constraints(g, key)))
+    return None if prune is None else (lambda g: passes_constraints(g, prune))
 
 
 def _level(
@@ -274,27 +266,12 @@ def _level(
     cliques: Optional[tuple[int, int]] = None,
 ) -> tuple[Graph, ...]:
     """One representative per isomorphism class on n vertices passing
-    ``prune`` and, for ``cliques`` = (u, p), with at most p u-cliques;
-    built at most once per process."""
+    ``prune`` and, for ``cliques`` = (u, p), with at most p u-cliques."""
     if not 0 <= n <= MAX_ENUM_CAP:
         raise ValueError(f"level {n} outside 0..{MAX_ENUM_CAP}")
-    store = _store(_store_key(prune), cliques)
-    try:
-        while len(store.levels) <= n:
-            if store.walk is None:
-                store.walk = islice(_levels(MAX_ENUM_CAP, store.keep), len(store.levels), None)
-            reps = tuple(next(store.walk)[1])
-            if len(store.levels) > DEFAULT_ENUM_CAP:
-                # the level past the default cap (274668 classes unpruned,
-                # ~105 MiB) is handed out, not kept, and the walk ends
-                store.walk = None
-                return reps
-            store.levels.append(reps)
-    except BaseException:
-        # a generator that raised is closed: start the walk again next time
-        store.levels, store.walk = [], None
-        raise
-    return store.levels[n]
+    for _, reps in _levels(n, _keep(prune, cliques)):
+        pass
+    return tuple(reps)
 
 
 def enumerate_graphs(
@@ -313,7 +290,7 @@ def enumerate_graphs(
 def nonisomorphic_graphs_upto(n_max: int) -> tuple[tuple[Graph, ...], ...]:
     """Unpruned representatives for every n <= n_max."""
     _check_enum_cap(n_max, MAX_ENUM_CAP)
-    return tuple(_level(n) for n in range(n_max + 1))
+    return tuple(tuple(reps) for _, reps in _levels(n_max))
 
 
 def _optimum(
@@ -401,8 +378,9 @@ def brute_extremal_u(
     # classes and are reported as separate optima
     candidates = (
         g
-        for n in range(1, n_cap + 1)
-        for g in _level(n, cs, (u, p))
+        for n, reps in _levels(n_cap, _keep(cs, (u, p)))
+        if n
+        for g in reps
         if count_cliques(g, u) == p
     )
     return _optimum(spec, candidates, cs, fixed, (note,))

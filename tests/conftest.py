@@ -36,7 +36,6 @@ def small_corpus() -> list[Graph]:
 
 @pytest.fixture
 def cold_search() -> None:
-    """Empty the level store and the expansion memo of ``gturan.search``,
-    so the test starts from a cold process."""
-    search._store.cache_clear()
+    """Empty the expansion memo of ``gturan.search``, so the test starts
+    from a cold process."""
     search._expansions.clear()

@@ -191,6 +191,38 @@ class TestSubcommands:
         assert out == ""
         assert err == f"gturan: error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--pattern", "K3", "--rooted", "99"], "root vertex 99 outside 0..3"),
+        (["--pattern", "K3", "--rooted=-1"], "root vertex -1 outside 0..3"),
+        (["--cliques", "3", "--rooted", "0"], "--rooted applies only with --pattern"),
+    ])
+    def test_count_bad_root_is_one_line_error(self, capsys, argv, message):
+        code = main(["count", "--graph", "K4", *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"gturan: error: {message}\n"
+
+    def test_missing_files_are_one_line_errors(self, capsys, tmp_path):
+        missing = tmp_path / "missing.g6"
+        code = main(["count", "--graph", f"@{missing}", "--cliques", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"gturan: error: [Errno 2] No such file or directory: '{missing}'\n"
+        dump = tmp_path / "no-such-dir" / "optima.g6"
+        code = main(["search", "--pattern", "K3", "--n", "4", "--dump-g6", str(dump)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"gturan: error: [Errno 2] No such file or directory: '{dump}'\n"
+
+    def test_bounds_grid_checks_its_parameters(self, capsys):
+        code = main(["bounds", "--pattern", "K3", "--grid", "--delta", "2",
+                     "--omega", "4", "--u", "1", "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "gturan: error: need delta >= omega >= u+1, got (2, 4, 2)\n"
+
     @pytest.mark.parametrize("u", ["0", "-1"])
     def test_localize_bad_u_is_one_line_error(self, capsys, u):
         code = main(["localize", "--graph", "turan(3,6)", "--pattern", "K3", "--u", u])

@@ -151,7 +151,7 @@ CRITERIA_SETS = [ConstraintSet(omega=w) for w in (2, 3, 4)] + [
 ]
 
 
-class TestLevelStore:
+class TestLevelStore:  # the levels a walk reads through the expansion memo
     def test_second_walk_builds_nothing(self, monkeypatch):
         first = list(enumerate_graphs(6, prune=ConstraintSet(omega=4)))
         unpruned = list(enumerate_graphs(5))
@@ -177,15 +177,20 @@ class TestLevelStore:
         for n, reps in _levels(8, edge_budget):
             assert [g for g in _level(n, cs) if g.edge_count <= 12] == reps
 
-    def test_level_past_default_cap_is_not_kept(self):
-        # level 9 is handed out and its walk ended; levels 0..8 stay stored
+    def test_level_past_default_cap_is_not_kept(self, cold_search):
+        # level 9 is handed out: the memo keeps no parent on 8 vertices and
+        # no child on 9
         cs = ConstraintSet(u=1, delta=2)
-        top = [reps for _, reps in _levels(9, lambda g: passes_constraints(g, cs))][9]
+        top = list(fresh_levels(9, keep_of(cs, None)))[9]
         for _ in range(2):
             with pytest.warns(UserWarning, match="slow"):
                 assert list(enumerate_graphs(9, prune=cs, cap=9)) == top
-            store = search._store(cs, None)
-            assert len(store.levels) == 9 and store.walk is None
+            assert max(g.n for g in search._expansions) == search.DEFAULT_ENUM_CAP - 1
+            assert all(
+                child is None or child.n <= search.DEFAULT_ENUM_CAP
+                for entries in search._expansions.values()
+                for _, child, _ in entries
+            )
 
     def test_repeated_u2_call_builds_nothing(self, monkeypatch):
         cs = ConstraintSet(u=2, omega=3)
@@ -197,9 +202,16 @@ class TestLevelStore:
     def test_single_u2_call_walks_only_its_pruned_levels(self, monkeypatch, cold_search):
         calls = count_calls(monkeypatch)
         brute_extremal_u(1, 2, K3, ConstraintSet(u=2), n_cap=8)
-        built = len(calls)
-        list(_levels(8, lambda g: count_cliques(g, 2) <= 1))
-        assert built == len(calls) - built
+        # the parents are the pruned levels 0..7, and each of their
+        # children is built once
+        keep = keep_of(None, (2, 1))
+        parents = [g for reps in fresh_levels(7, keep) for g in reps]
+        assert set(search._expansions) == set(parents)
+        assert len(calls) == sum(len(_augmentations(g, None)) for g in parents)
+        # a second walk of the same levels builds nothing
+        calls.clear()
+        list(_levels(8, keep))
+        assert calls == []
 
     def test_failed_build_is_dropped(self, monkeypatch, cold_search):
         cs = ConstraintSet(u=1, delta=3)
@@ -273,7 +285,7 @@ def fresh_levels(n_max, keep=None):
 
 
 def keep_of(cs, cliques):
-    """The keep predicate of the level store key (cs, cliques)."""
+    """The keep predicate of the walk key (cs, cliques)."""
 
     def keep(g):
         if cliques is not None and count_cliques(g, cliques[0]) > cliques[1]:
@@ -283,7 +295,7 @@ def keep_of(cs, cliques):
     return keep
 
 
-# level store keys (prune, cliques): the unpruned key, the sets criteria 2
+# walk keys (prune, cliques): the unpruned key, the sets criteria 2
 # and 3 read, and a k^2 <= 6 clique key
 STORE_KEYS = (
     [(None, None)]
@@ -336,6 +348,25 @@ class TestExpansionMemo:
         assert all(g.n < search.DEFAULT_ENUM_CAP for g in search._expansions)
         assert len(search._expansions) == 1 + 1 + 2 + 4 + 11 + 34 + 156 + 1044 == 1253
 
+    @pytest.mark.parametrize("cs", CRITERIA_SETS, ids=str)
+    def test_pruned_levels_share_the_unpruned_graphs(self, cs):
+        for n in range(8):
+            unpruned = {g: g for g in _level(n)}
+            assert all(g is unpruned[g] for g in _level(n, cs))
+
+    def test_memo_bounded_for_any_number_of_keys(self, cold_search):
+        for cs, cliques in STORE_KEYS:
+            _level(7, cs, cliques)
+        _level(8)
+        assert len(search._expansions) <= 1253
+        rejected = [
+            child
+            for entries in search._expansions.values()
+            for _, child, label in entries
+            if label is search._REJECTED
+        ]
+        assert rejected and all(child is None for child in rejected)
+
     def test_failed_labeling_leaves_memo_consistent(self, monkeypatch, cold_search):
         cs = ConstraintSet(u=1, delta=3)
         calls = []
@@ -349,12 +380,18 @@ class TestExpansionMemo:
 
         def assert_consistent():
             for g, entries in search._expansions.items():
-                assert [(m, s) for m, s, _ in entries] == _augmentations(g, None)
-                for mask, settled, found in entries:
+                augmentations = _augmentations(g, None)
+                assert [mask for mask, _, _ in entries] == [m for m, _ in augmentations]
+                for (mask, child, label), (_, settled) in zip(entries, augmentations):
+                    found = _is_canonical_deletion(add_vertex(g, mask))
+                    if label is search._REJECTED:
+                        assert child is None and found is None
+                        continue
+                    assert child is None or child == add_vertex(g, mask)
                     if settled:
-                        assert found is None
-                    elif found is not search._UNSET:
-                        assert found == _is_canonical_deletion(add_vertex(g, mask))
+                        assert label is None
+                    elif label is not search._UNSET:
+                        assert label == found
 
         monkeypatch.setattr(search, "_is_canonical_deletion", flaky)
         with pytest.raises(RuntimeError, match="interrupted labeling"):
