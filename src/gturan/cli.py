@@ -161,9 +161,11 @@ def cmd_count(args) -> int:
         h = parse_graph_spec(args.pattern)
         if args.rooted:
             roots = [int(x) for x in args.rooted.split(",")]
-            for v in roots:
+            for i, v in enumerate(roots):
                 if not 0 <= v < g.n:
                     raise ValueError(f"root vertex {v} outside 0..{g.n - 1}")
+                if v in roots[:i]:
+                    raise ValueError(f"root vertex {v} repeated")
             root = mask_of(roots)
             value = count_copies_rooted(h, g, root, root.bit_count())
             what = f"rooted copies at {_vertices_1based(root)}"

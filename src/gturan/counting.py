@@ -149,13 +149,6 @@ def clique_number(g: Graph) -> int:
     return _max_clique(g.adj, 0, g.vertex_mask)
 
 
-def max_clique_containing(g: Graph, c: int) -> int:
-    """Size of a largest clique of G containing the clique ``c``."""
-    if not is_clique(g, c):
-        raise ValueError("given vertex set is not a clique")
-    return _max_clique(g.adj, c.bit_count(), common_neighborhood(g, c))
-
-
 def is_clique(g: Graph, mask: int) -> bool:
     for v in iter_bits(mask):
         if mask & ~g.adj[v] & ~(1 << v):
@@ -168,9 +161,11 @@ def is_clique(g: Graph, mask: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _search_order(h: Graph) -> tuple[list[int], list[list[int]]]:
+@lru_cache(maxsize=1024)
+def _search_order(h: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Pattern vertex order (greedy: most placed neighbours, then degree)
-    plus, per position, the earlier positions adjacent in the pattern."""
+    plus, per position, the earlier positions adjacent in the pattern.
+    Cached per pattern, so a pattern searched many times is ordered once."""
     n = h.n
     order: list[int] = []
     placed = 0
@@ -185,15 +180,15 @@ def _search_order(h: Graph) -> tuple[list[int], list[list[int]]]:
                 best_key, best_v = key, v
         order.append(best_v)
         placed |= 1 << best_v
-    back = []
-    for i, v in enumerate(order):
-        back.append([j for j in range(i) if h.has_edge(v, order[j])])
-    return order, back
+    back = tuple(
+        tuple(j for j in range(i) if h.has_edge(v, order[j])) for i, v in enumerate(order)
+    )
+    return tuple(order), back
 
 
 def _frontier(
     h: Graph, adj: tuple[int, ...], start: int
-) -> Iterator[tuple[list[int], list[int], int]]:
+) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
     """The one embedding search: every placement of all pattern vertices
     but the last, in ``_search_order``, on the host rows ``adj`` with
     every image inside the vertex mask ``start``.
@@ -399,9 +394,10 @@ def count_copies_rooted(h: Graph | PatternSpec, g: Graph, c: int, u: int) -> int
         raise ValueError("root set size does not match u")
     if u > spec.dom_count:
         raise ValueError(f"pattern has {spec.dom_count} dominating vertices, need {u}")
+    common = common_neighborhood(g, c)  # rejects a root set outside the host
     if not is_clique(g, c):
         raise ValueError("root set is not a clique")
-    return _count_copies(pattern_spec(spec.down(u)), g.adj, common_neighborhood(g, c))
+    return _count_copies(pattern_spec(spec.down(u)), g.adj, common)
 
 
 def copies_through(h: Graph | PatternSpec, g: Graph, s: int) -> int:

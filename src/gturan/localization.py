@@ -15,6 +15,11 @@ H - Dom(H) in the common neighbourhood N(C), so no copy is listed:
 
     weighted_sum = sum over d-cliques C of w(C) * N(H - Dom H, G[N(C)]).
 
+The report is one clique walk (``counting._cliques``) that carries N(C):
+each step fixes a (d-1)-clique and its common neighbourhood, so N(C) of
+each completion v is one AND with v's row.  Statistics are memoized per
+u-clique, weights per (clique size, codegree).
+
 The localized inequality bounds the weighted sum by k^u(G) / C(dom(H), u),
 with exact equality on disjoint unions of balanced Turán graphs (plus any
 K_u-free tail).  A zero weight denominator aborts the report: it can only
@@ -34,12 +39,16 @@ from .graphs import Graph, common_neighborhood, disjoint_union, iter_bits
 from .families import turan
 from .counting import (
     PatternSpec,
+    _cliques,
+    _count_copies,
+    _max_clique,
     as_pattern,
     count_cliques,
     count_copies_rooted,
     count_subgraph_copies,
     enumerate_cliques,
-    max_clique_containing,
+    is_clique,
+    pattern_spec,
     turan_copy_count,
 )
 from .bounds import turan_threshold_bound
@@ -74,9 +83,10 @@ def clique_weights(g: Graph, c: int, u: int) -> tuple[int, int]:
     """(largest clique size through c, common-neighbour count of c)."""
     if c.bit_count() != u:
         raise ValueError("clique size does not match u")
-    omega_c = max_clique_containing(g, c)  # validates c is a clique
-    delta_c = common_neighborhood(g, c).bit_count()
-    return omega_c, delta_c
+    common = common_neighborhood(g, c)
+    if not is_clique(g, c):
+        raise ValueError("given vertex set is not a clique")
+    return _max_clique(g.adj, u, common), common.bit_count()
 
 
 @dataclass(frozen=True)
@@ -108,34 +118,33 @@ class LocalReport:
         assert self.equality == (self.weighted_sum == self.bound)
 
 
-def _dominating_clique(
-    g: Graph, spec: PatternSpec, clique: int, u: int,
+def _row(
+    g: Graph, spec: PatternSpec, bits: list[int], copies: int, u: int,
     stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
     threshold: int,
-) -> DominatingClique | None:
-    """The row of a dom(H)-clique of g, or None if it dominates no copy.
-    ``stats`` memoizes clique_weights per u-clique, ``weights`` the weight
-    per (clique size, codegree)."""
-    k = count_copies_rooted(spec, g, clique, spec.dom_count)
-    if k == 0:
-        return None
+) -> DominatingClique:
+    """The row of the dom(H)-clique of g with the ascending one-vertex
+    masks ``bits``, which dominates ``copies`` copies.  ``stats``
+    memoizes clique_weights per u-clique, ``weights`` the weight per
+    (clique size, codegree)."""
     cs = cd = -1
     wit_cs = wit_cd = 0
-    for pick in combinations([1 << v for v in iter_bits(clique)], u):
-        c = sum(pick)
-        if c not in stats:
-            stats[c] = clique_weights(g, c, u)
-        oc, dc = stats[c]
+    for c in map(sum, combinations(bits, u)):
+        stat = stats.get(c)
+        if stat is None:
+            stat = stats[c] = clique_weights(g, c, u)
+        oc, dc = stat
         if oc > cs:
             cs, wit_cs = oc, c
         if dc > cd:
             cd, wit_cd = dc, c
+    clique = sum(bits)
     if (cs, cd) not in weights:
         denom = turan_copy_count(spec.down(u), cs - u, cd)
         if denom == 0:
             raise HypothesisViolationError(clique, cs, cd, threshold)
         weights[cs, cd] = Fraction(1, denom)
-    return DominatingClique(clique, cs, cd, weights[cs, cd], k, wit_cs, wit_cd)
+    return DominatingClique(clique, cs, cd, weights[cs, cd], copies, wit_cs, wit_cd)
 
 
 def copy_weights(
@@ -144,10 +153,12 @@ def copy_weights(
     """The row of Dom(J) for one copy J, a (vertex mask, edge set) pair of
     ``counting.enumerate_copies``; Dom(J) is read on J's own edges.  Not
     on the path of ``localized_report``, which lists no copies."""
+    spec = as_pattern(h)
     verts, edges = copy
     degree = Counter(v for edge in edges for v in edge)
     clique = sum(1 << v for v in iter_bits(verts) if degree[v] == verts.bit_count() - 1)
-    return _dominating_clique(g, as_pattern(h), clique, u, {}, {}, 1)
+    copies = count_copies_rooted(spec, g, clique, spec.dom_count)
+    return _row(g, spec, [1 << v for v in iter_bits(clique)], copies, u, {}, {}, 1)
 
 
 def localized_report(
@@ -164,24 +175,32 @@ def localized_report(
     separately.
     """
     spec = as_pattern(h)
-    if not 1 <= u <= spec.dom_count:
-        raise ValueError(
-            f"u={u} outside 1..{spec.dom_count}, the pattern's dominating count")
+    d = spec.dom_count
+    if not 1 <= u <= d:
+        raise ValueError(f"u={u} outside 1..{d}, the pattern's dominating count")
+    rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
+    adj = g.adj
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
     classes: dict[tuple[int, int], int] = {}  # (clique size, codegree) -> copies
     per_clique = []
-    for clique in enumerate_cliques(g, spec.dom_count):
-        row = _dominating_clique(g, spec, clique, u, stats, weights, threshold)
-        if row is not None:
-            key = (row.clique_size, row.codegree)
-            classes[key] = classes.get(key, 0) + row.copies
-            per_clique.append(row)
+    for chosen, ext in _cliques(adj, g.vertex_mask, d):
+        bits = [1 << w for w in iter_bits(chosen)]
+        around = g.vertex_mask  # N(chosen), so N(chosen | v) = around & adj[v]
+        for w in iter_bits(chosen):
+            around &= adj[w]
+        for v in iter_bits(ext):
+            k = _count_copies(rest, adj, around & adj[v])
+            if k:
+                row = _row(g, spec, bits + [1 << v], k, u, stats, weights, threshold)
+                key = (row.clique_size, row.codegree)
+                classes[key] = classes.get(key, 0) + k
+                per_clique.append(row)
     # stats holds exactly the u-subsets of the cliques that dominate a copy
     hypothesis_ok = all(oc >= threshold + u for oc, _ in stats.values())
     weighted_sum = sum((weights[key] * k for key, k in classes.items()), Fraction(0))
-    bound = Fraction(count_cliques(g, u), comb(spec.dom_count, u))
-    exempt = tuple(c for c in enumerate_cliques(g, u) if c not in stats)
+    u_cliques = list(enumerate_cliques(g, u))
+    bound = Fraction(len(u_cliques), comb(d, u))
     return LocalReport(
         tuple(per_clique),
         sum(classes.values()),
@@ -190,7 +209,7 @@ def localized_report(
         weighted_sum <= bound,
         weighted_sum == bound,
         hypothesis_ok,
-        exempt,
+        tuple(c for c in u_cliques if c not in stats),
     )
 
 

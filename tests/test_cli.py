@@ -194,6 +194,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv, message", [
         (["--pattern", "K3", "--rooted", "99"], "root vertex 99 outside 0..3"),
         (["--pattern", "K3", "--rooted=-1"], "root vertex -1 outside 0..3"),
+        (["--pattern", "K3", "--rooted", "0,0"], "root vertex 0 repeated"),
         (["--cliques", "3", "--rooted", "0"], "--rooted applies only with --pattern"),
     ])
     def test_count_bad_root_is_one_line_error(self, capsys, argv, message):

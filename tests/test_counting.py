@@ -30,11 +30,11 @@ from gturan.counting import (
     enumerate_cliques,
     enumerate_copies,
     has_clique,
-    max_clique_containing,
     pattern_spec,
     turan_copy_count,
 )
 from gturan.freeness import contains_subgraph
+from gturan.localization import clique_weights
 
 from oracles import (
     brute_automorphism_count,
@@ -81,12 +81,6 @@ class TestCliques:
         assert clique_number(empty_graph(0)) == 0
         assert clique_number(union_of(complete_graph(3), complete_graph(5))) == 5
 
-    def test_max_clique_containing(self):
-        t = turan(4, 6)
-        assert max_clique_containing(t, mask_of([0])) == 4
-        with pytest.raises(ValueError):
-            max_clique_containing(t, mask_of([0, 1]))  # same part, not a clique
-
     def test_clique_sizes_against_subset_oracle(self, small_corpus):
         rng = random.Random(11)
         for g in small_corpus:
@@ -95,7 +89,7 @@ class TestCliques:
             if omega == 0:
                 continue
             c = rng.choice(list(enumerate_cliques(g, rng.randint(1, omega))))
-            assert max_clique_containing(g, c) == subset_max_clique(g, set_bits(c))
+            assert clique_weights(g, c, c.bit_count())[0] == subset_max_clique(g, set_bits(c))
 
 
 def set_bits(mask):
@@ -280,6 +274,15 @@ class TestRootedCopies:
         # a null derived pattern still needs a clique root
         with pytest.raises(ValueError, match="not a clique"):
             count_copies_rooted(complete_graph(3), path_graph(3), mask_of([0, 1, 2]), 3)
+
+    def test_root_outside_host_rejected(self):
+        # the same error as copies_through, not an IndexError from the rows
+        k3, k4 = complete_graph(3), complete_graph(4)
+        for root in (1 << 99, mask_of([0, 4])):
+            with pytest.raises(ValueError, match="^vertex set not contained in the graph$"):
+                count_copies_rooted(k3, k4, root, root.bit_count())
+            with pytest.raises(ValueError, match="^vertex set not contained in the graph$"):
+                copies_through(k3, k4, root)
 
     def test_rooted_equals_direct_enumeration(self):
         # independent check of the bijection: count copies whose dominating

@@ -22,10 +22,12 @@ from gturan.counting import (
     count_copies_rooted,
     delete_dominating,
     enumerate_copies,
+    pattern_spec,
     turan_copy_count,
 )
 from gturan.freeness import ConstraintSet, check_constraints
 from gturan.localization import (
+    DominatingClique,
     HypothesisViolationError,
     clique_weights,
     copy_weights,
@@ -44,13 +46,16 @@ class TestCliqueWeights:
     def test_examples(self):
         assert clique_weights(K5, mask_of([2]), 1) == (5, 4)
         assert clique_weights(cycle_graph(4), mask_of([0]), 1) == (2, 2)
-        # an edge across the two size-2 parts of T_4(6)
+        # a vertex, and an edge across the two size-2 parts, of T_4(6)
         t = turan(4, 6)
+        assert clique_weights(t, mask_of([0]), 1) == (4, 4)
         assert clique_weights(t, mask_of([0, 2]), 2) == (4, 2)
 
     def test_not_a_clique_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a clique"):
             clique_weights(cycle_graph(4), mask_of([0, 2]), 2)
+        with pytest.raises(ValueError, match="not a clique"):
+            clique_weights(turan(4, 6), mask_of([0, 1]), 2)  # same part
 
     def test_relations(self):
         # codegree always at least clique size minus u
@@ -263,6 +268,68 @@ ORACLE_PATTERNS = [
 ]
 
 
+def rebuilt_rows(g, h, u):
+    """The report's rows rebuilt clique by clique from the public
+    ``count_copies_rooted`` and ``clique_weights``: every dom(H)-clique in
+    lexicographic order of its sorted vertex tuple, each statistic
+    maximized over the clique's u-subsets in the same order, its first
+    maximizer the witness.  Returns (rows, None), or (rows so far, the
+    first clique whose weight denominator vanishes)."""
+    spec = pattern_spec(h)
+    d = spec.dom_count
+    rows = []
+    for vs in combinations(range(g.n), d):
+        if not all(g.has_edge(a, b) for a, b in combinations(vs, 2)):
+            continue
+        clique = mask_of(vs)
+        copies = count_copies_rooted(h, g, clique, d)
+        if not copies:
+            continue
+        cs = cd = -1
+        for c in (mask_of(sub) for sub in combinations(vs, u)):
+            oc, dc = clique_weights(g, c, u)
+            if oc > cs:
+                cs, wit_cs = oc, c
+            if dc > cd:
+                cd, wit_cd = dc, c
+        denom = turan_copy_count(spec.down(u), cs - u, cd)
+        if denom == 0:
+            return rows, clique
+        rows.append(DominatingClique(
+            clique, cs, cd, Fraction(1, denom), copies, wit_cs, wit_cd))
+    return rows, None
+
+
+def assert_rows_rebuilt(g, h, u):
+    """Every row of the report, not only its totals, equals its rebuild,
+    or the report raises on the first clique whose rebuild does."""
+    rows, violation = rebuilt_rows(g, h, u)
+    if violation is None:
+        assert list(localized_report(g, h, u, 1).per_clique) == rows
+        return
+    with pytest.raises(HypothesisViolationError) as err:
+        localized_report(g, h, u, 1)
+    assert err.value.clique == violation
+
+
+@pytest.mark.parametrize("g, h, first", [
+    # K2vI3, u = 1: the K5 block's edges weigh 1/4 each, and the edges
+    # {5, 6} and {10, 11} of both K2vI3 blocks have clique size 3 and
+    # codegree 4, where T_2(4) holds no star K1,3
+    (union_of(K5, complete_split(2, 3), complete_split(2, 3)),
+     complete_split(2, 3), [5, 6]),
+    # the wheel W5: the hubs 6 and 12 of the plain wheels have clique
+    # size 3, and T_2(5) holds no C5; the hub of K1vK5 weighs 1/12
+    (union_of(join(complete_graph(1), K5), join(complete_graph(1), cycle_graph(5)),
+              join(complete_graph(1), cycle_graph(5))),
+     join(complete_graph(1), cycle_graph(5)), [6]),
+])
+def test_violation_names_first_zero_clique(g, h, first):
+    rows, violation = rebuilt_rows(g, h, 1)
+    assert rows and violation == mask_of(first)
+    assert_rows_rebuilt(g, h, 1)
+
+
 class TestPerCopyOracle:
     def test_corpus(self):
         from gturan.search import nonisomorphic_graphs_upto
@@ -281,6 +348,7 @@ class TestPerCopyOracle:
         for g in hosts:
             for h, us in ORACLE_PATTERNS:
                 for u in us:
+                    assert_rows_rebuilt(g, h, u)
                     for threshold in (1, 3):
                         want = per_copy_oracle(g, h, u, threshold)
                         assert _report_or_none(g, h, u, threshold) == want
@@ -300,6 +368,7 @@ class TestPerCopyOracle:
     def test_random_graphs(self, rng, n, p, pattern, threshold):
         g = random_graph(rng, n, p)
         h, u = pattern
+        assert_rows_rebuilt(g, h, u)
         assert _report_or_none(g, h, u, threshold) == per_copy_oracle(g, h, u, threshold)
 
 
