@@ -159,7 +159,7 @@ def cmd_count(args) -> int:
         what = f"k^{args.cliques}"
     else:
         h = parse_graph_spec(args.pattern)
-        if args.rooted:
+        if args.rooted is not None:
             roots = [int(x) for x in args.rooted.split(",")]
             for i, v in enumerate(roots):
                 if not 0 <= v < g.n:

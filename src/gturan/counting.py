@@ -18,8 +18,10 @@ sums the popcounts, ``enumerate_copies`` walks the bits and
 Every copy count is ``_count_copies`` inside a mask (the clique walk for
 complete patterns): the whole host, N(C) for copies rooted at a clique
 C, and the complement of s for copies avoiding s.  Copies in Turán hosts
-have a closed form, ``turan_copy_count``.  A slow subset-enumeration
-oracle lives in the test tree only.
+have a closed form, ``turan_copy_count``, over the partitions of V(H)
+into independent blocks; ``_independent_partitions`` counts them by
+block sizes, placing one twin class of H at a time.  Slow
+subset-enumeration and set-partition oracles live in the test tree only.
 
 All counts are Python ints (arbitrary precision); densities elsewhere use
 ``fractions.Fraction``.  No floating point enters any count or comparison.
@@ -41,6 +43,7 @@ from .graphs import (
     common_neighborhood,
     delete_vertices,
     iter_bits,
+    twin_classes,
 )
 
 
@@ -415,19 +418,40 @@ def copies_through(h: Graph | PatternSpec, g: Graph, s: int) -> int:
 @lru_cache(maxsize=1024)
 def _independent_partitions(h: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Partitions of V(h) into independent blocks, as (sorted block sizes,
-    number of partitions) pairs.  Bell(v(h)) work: patterns are small."""
+    number of partitions) pairs.
+
+    The vertices are placed one twin class (``graphs.twin_classes``) at a
+    time.  A state is the sorted blocks so far, each as (mask of the
+    classes it meets, size), with the number of partitions of the placed
+    vertices that give it.  A vertex opens a new block or joins a block
+    that meets none of its neighbours' classes, with as many ways as the
+    state has blocks of that kind.  False twins may share a block; true
+    twins are adjacent, so each takes a block of its own.  Blocks that
+    meet the same classes with the same size are interchangeable, so for
+    stars, fans and complete splits the states are partitions of an
+    integer, not the Bell(v(h)) set partitions of V(h).
+    """
+    classes = twin_classes(h.adj)
+    states: dict[tuple[tuple[int, int], ...], int] = {(): 1}
+    for i, cls in enumerate(classes):
+        row = h.adj[(cls & -cls).bit_length() - 1]
+        near = sum(1 << j for j, other in enumerate(classes) if row & other)
+        bit = 1 << i
+        for _ in range(cls.bit_count()):
+            nxt: dict[tuple[tuple[int, int], ...], int] = {}
+            for blocks, count in states.items():
+                key = tuple(sorted(blocks + ((bit, 1),)))
+                nxt[key] = nxt.get(key, 0) + count
+                for block, ways in Counter(b for b in blocks if not b[0] & near).items():
+                    out = list(blocks)
+                    out.remove(block)
+                    out.append((block[0] | bit, block[1] + 1))
+                    key = tuple(sorted(out))
+                    nxt[key] = nxt.get(key, 0) + count * ways
+            states = nxt
     profile: Counter[tuple[int, ...]] = Counter()
-
-    def place(v: int, blocks: tuple[int, ...]) -> None:
-        if v == h.n:
-            profile[tuple(sorted(b.bit_count() for b in blocks))] += 1
-            return
-        for i, b in enumerate(blocks):
-            if not h.adj[v] & b:
-                place(v + 1, blocks[:i] + (b | 1 << v,) + blocks[i + 1 :])
-        place(v + 1, blocks + (1 << v,))
-
-    place(0, ())
+    for blocks, count in states.items():
+        profile[tuple(sorted(size for _, size in blocks))] += count
     return tuple(profile.items())
 
 
@@ -438,9 +462,13 @@ def turan_copy_count(h: Graph | PatternSpec, r: int, n: int) -> int:
     block, so |Aut H| * N(H, T_r(n)) sums, over partitions of V(H) into
     independent blocks and injective block-to-part assignments, the
     products of falling factorials (part size)_{|block|} (Lovász, *Large
-    Networks and Graph Limits*, ch. 5).  T_r(n) has rem parts of q + 1 and
-    r - rem of q, so the assignment sum runs over j, the number of blocks
-    in large parts.  The null pattern counts 1 for every r >= 0.
+    Networks and Graph Limits*, ch. 5).  The partitions enter only
+    through their block sizes, counted per twin class of H by
+    ``_independent_partitions``, so patterns with large twin classes
+    (stars, fans, complete splits) stay polynomial.  T_r(n) has rem parts
+    of q + 1 and r - rem of q, so the assignment sum runs over j, the
+    number of blocks in large parts.  The null pattern counts 1 for every
+    r >= 0.
     """
     spec = as_pattern(h)
     if n < 0:

@@ -269,11 +269,11 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # Canonical form
 # ---------------------------------------------------------------------------
 #
-# Individualization-refinement canonical labeling: iterated equitable
-# refinement of an ordered partition, branching on the first non-singleton
-# cell, taking the lexicographically least relabeled adjacency over all
-# leaves.  The leaf set is isomorphism-invariant, so equal codes <=>
-# isomorphic graphs.  No external dependency.
+# Individualization-refinement canonical labeling, ``_search``: iterated
+# equitable refinement of an ordered partition, branching on the first
+# non-singleton cell, taking the lexicographically least relabeled
+# adjacency over all leaves.  The leaf set is isomorphism-invariant, so
+# equal codes <=> isomorphic graphs.  No external dependency.
 #
 # The same search yields |Aut| (McKay & Piperno, "Practical graph
 # isomorphism II", J. Symb. Comput. 60, 2014).  A leaf whose rows equal
@@ -292,6 +292,22 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # |cell|!.  Disconnected graphs are canonicalized per component,
 # multiplying |Aut| by m! per m equal components.
 #
+# The search starts from an ordered partition, so it also labels
+# coloured graphs: every leaf refines the initial cells in place, so the
+# colour at each position is fixed and only the rows are compared.  A
+# connected graph whose refined root partition has a cell that is not
+# one twin class is first quotiented by its twin classes
+# (``twin_classes``): one vertex per class, coloured by the class's size
+# and kind, the colours sorted into the initial cells.  The search runs
+# on the quotient, and the canonical order lists each class's members,
+# ascending, at its quotient vertex's position.  Isomorphic graphs have
+# colour-isomorphic quotients, whose equal leaves expand to equal rows,
+# and Aut(G) is Aut(coloured quotient) extended by the symmetric group
+# of every class, so |Aut| = |Aut(quotient)| * prod |class|!.  Balanced
+# Turán graphs and their unions thus cost one search on r vertices, not
+# one descent per vertex.  Without such a cell ``_search`` already
+# splits every twin cell at once and the quotient is skipped.
+#
 # The search also returns the canonical vertex order (the best leaf's
 # order) and the raw material of a generating set of Aut(G): the leaf
 # generators, the twin cells split on the first path (kept as bitmasks)
@@ -300,9 +316,41 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # kept generators that fix it together with the symmetric groups of the
 # twin cells split at or below it, so at the root these generate Aut(G);
 # a disconnected graph adds its components' groups and the swaps of equal
-# components.  ``automorphism_generators`` expands all of it into
+# components.  A quotient's generators and twin cells become permutations
+# that move whole classes, and each class of two or more vertices joins
+# the twin cells.  ``automorphism_generators`` expands all of it into
 # permutations; ``canonical_code``, ``isomorphic`` and
 # ``automorphism_count`` never do.
+
+
+def twin_classes(adj: Sequence[int]) -> list[int]:
+    """Twin classes of the graph with rows ``adj``, as vertex masks in
+    order of least vertex.
+
+    A class of two or more vertices is a maximal set with equal open
+    neighbourhoods (false twins, pairwise non-adjacent) or equal closed
+    neighbourhoods (true twins, pairwise adjacent); every other vertex is
+    a class of its own.  No vertex has twins of both kinds, so the
+    classes partition the vertex set.
+    """
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        by_open[row] = by_open.get(row, 0) | bit
+        by_closed[row | bit] = by_closed.get(row | bit, 0) | bit
+    classes = []
+    seen = 0
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        if seen & bit:
+            continue
+        cls = by_open[row]
+        if cls == bit:
+            cls = by_closed[row | bit]
+        seen |= cls
+        classes.append(cls)
+    return classes
 
 
 def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
@@ -438,6 +486,61 @@ def canonical_search(g: Graph) -> CanonicalForm:
     adj = g.adj
     full = (1 << n) - 1
     cells = _refine(adj, [full], [full])
+    if any(c & (c - 1) and not _is_twin_cell(adj, c) for c in cells):
+        classes = twin_classes(adj)
+        if len(classes) < n:
+            return _quotient_search(adj, classes)
+    return _search(adj, cells)
+
+
+def _quotient_search(adj: Sequence[int], classes: list[int]) -> CanonicalForm:
+    """Canonical form of a connected graph from its twin quotient,
+    coloured by class size and kind (see the comment above)."""
+    n = len(adj)
+    owner = [0] * n
+    for i, cls in enumerate(classes):
+        for v in iter_bits(cls):
+            owner[v] = i
+    qadj: list[int] = []
+    colours: dict[tuple[int, bool], int] = {}  # (size, true twins) -> classes
+    for i, cls in enumerate(classes):
+        row = adj[(cls & -cls).bit_length() - 1]
+        colour = (cls.bit_count(), bool(row & cls))
+        colours[colour] = colours.get(colour, 0) | 1 << i
+        rest = row & ~cls
+        qrow = 0
+        while rest:
+            j = owner[(rest & -rest).bit_length() - 1]
+            qrow |= 1 << j
+            rest &= ~classes[j]
+        qadj.append(qrow)
+    cells = [colours[c] for c in sorted(colours)]
+    quot = _search(qadj, _refine(qadj, cells, list(cells)))
+    members = [set_of(cls) for cls in classes]
+    order = [v for x in quot.order for v in members[x]]
+    _, rows = _leaf(adj, [1 << v for v in order])
+    gens = []
+    for qperm in quot.gens:
+        perm = [0] * n
+        for x, y in enumerate(qperm):
+            for a, b in zip(members[x], members[y]):
+                perm[a] = b
+        gens.append(perm)
+    for cell in quot.twins:
+        xs = set_of(cell)
+        gens.extend(_swap(n, zip(members[x], members[y])) for x, y in zip(xs, xs[1:]))
+    aut = quot.aut
+    for m in members:
+        aut *= factorial(len(m))
+    twins = [cls for cls in classes if cls & (cls - 1)]
+    return CanonicalForm(rows, aut, order, gens, twins, [])
+
+
+def _search(adj: Sequence[int], cells: list[int]) -> CanonicalForm:
+    """The one individualization-refinement search, below the refined
+    ordered partition ``cells`` of the connected graph with rows ``adj``
+    (see the comment above)."""
+    n = len(adj)
     if len(cells) == n:
         order, rows = _leaf(adj, cells)
         return CanonicalForm(rows, 1, order, [], [], [])
@@ -553,14 +656,12 @@ def canonical_code(g: Graph) -> bytes:
     """Isomorphism-invariant byte encoding: equal codes iff isomorphic."""
     rows = canonical_search(g).rows
     n = g.n
-    bits = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            bits = bits << 1 | (rows[i] >> j & 1)
-            nbits += 1
+    # the upper triangle column by column, as in graph6; column j holds
+    # bits 0..j-1 of row j, lowest first
+    text = "".join(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    nbits = len(text)
     nbytes = (nbits + 7) // 8
-    bits <<= nbytes * 8 - nbits
+    bits = int(text or "0", 2) << (nbytes * 8 - nbits)
     return bytes([n >> 8, n & 0xFF]) + bits.to_bytes(nbytes, "big")
 
 

@@ -4,11 +4,13 @@ None of these share code with the production counting paths: copies are
 counted by scanning vertex subsets and edge subsets directly, canonical
 forms are taken as the minimum over all permutations, and spanning-copy
 tables are built by brute force over labeled graphs.  Copy counts in
-Turán graphs are read from the part sizes alone.
+Turán graphs are read from the part sizes alone, and their block-size
+profiles from every set partition of the pattern's vertices.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb, prod
 
@@ -166,3 +168,22 @@ def turan_part_count(name: str, parts: list[int]) -> int:
     if name == "K2vI2":
         return sum(a * b * comb(n - a - b, 2) for a, b in combinations(parts, 2))
     raise ValueError(f"no part-size count for {name}")
+
+
+def set_partition_profile(h: Graph) -> dict[tuple[int, ...], int]:
+    """Partitions of V(h) into independent blocks, as sorted block sizes
+    -> number of partitions, by walking every set partition: each vertex
+    joins an earlier block it has no neighbour in, or opens a new one."""
+    profile: Counter[tuple[int, ...]] = Counter()
+
+    def place(v: int, blocks: tuple[int, ...]) -> None:
+        if v == h.n:
+            profile[tuple(sorted(b.bit_count() for b in blocks))] += 1
+            return
+        for i, b in enumerate(blocks):
+            if not h.adj[v] & b:
+                place(v + 1, blocks[:i] + (b | 1 << v,) + blocks[i + 1 :])
+        place(v + 1, blocks + (1 << v,))
+
+    place(0, ())
+    return dict(profile)

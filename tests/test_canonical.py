@@ -6,6 +6,9 @@ from collections import Counter
 from itertools import combinations
 from math import factorial, prod
 
+import pytest
+
+from gturan import graphs
 from gturan.counting import automorphism_count
 from gturan.graphs import (
     Graph,
@@ -25,7 +28,7 @@ from gturan.graphs import (
 )
 from gturan.families import turan
 
-from oracles import brute_canonical, brute_orbits
+from oracles import brute_automorphism_count, brute_canonical, brute_orbits
 
 
 def test_separates_all_classes_on_four_vertices():
@@ -103,6 +106,91 @@ def test_highly_symmetric_graphs():
         perm = list(range(g.n))
         random.Random(g.n * aut).shuffle(perm)
         assert canonical_code(relabel(g, perm)) == canonical_code(g)
+
+
+@pytest.mark.parametrize("r", [2, 16, 64, 100])
+def test_turan_at_the_vertex_cap(r):
+    g, aut = _turan_with_aut(r, 256)
+    assert automorphism_count(g) == aut
+    perm = list(range(g.n))
+    random.Random(r).shuffle(perm)
+    assert canonical_code(relabel(g, perm)) == canonical_code(g)
+
+
+def _blow_up(rng, base):
+    """``base`` with each vertex replaced by a class of 1 to 3 true or
+    false twins, randomly relabeled.  Half the time every class has the
+    same size and kind, so a regular base gives a regular blow-up."""
+    if rng.random() < 0.5:
+        sizes, cliques = [rng.randint(1, 3)] * base.n, [rng.random() < 0.5] * base.n
+    else:
+        sizes = [rng.randint(1, 3) for _ in range(base.n)]
+        cliques = [rng.random() < 0.5 for _ in range(base.n)]
+    owner = [i for i, s in enumerate(sizes) for _ in range(s)]
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(owner)), 2)
+        if base.has_edge(owner[a], owner[b]) or owner[a] == owner[b] and cliques[owner[a]]
+    ]
+    perm = list(range(len(owner)))
+    rng.shuffle(perm)
+    return from_edge_list(len(owner), [(perm[a], perm[b]) for a, b in edges])
+
+
+def _blow_ups(seed, count, max_base):
+    """Blow-ups of random graphs, cycles and paths on at most ``max_base``
+    vertices."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, max_base)
+        base = rng.choice([
+            random_graph(rng, k, rng.choice([0.3, 0.5, 0.7])),
+            cycle_graph(max(k, 3)),
+            path_graph(k),
+        ])
+        out.append(_blow_up(rng, base))
+    return out
+
+
+def test_blow_ups_against_brute_force(monkeypatch):
+    quotiented = []
+    real = graphs._quotient_search
+
+    def spy(adj, classes):
+        quotiented.append(tuple(adj))
+        return real(adj, classes)
+
+    monkeypatch.setattr(graphs, "_quotient_search", spy)
+    small = [g for g in _blow_ups(31, 400, 4) if g.n <= 8][:50]
+    by_code: dict = {}
+    by_brute: dict = {}
+    for i, g in enumerate(small):
+        by_code.setdefault(canonical_code(g), set()).add(i)
+        by_brute.setdefault((g.n, brute_canonical(g)), set()).add(i)
+        assert automorphism_count.__wrapped__(g) == brute_automorphism_count(g)
+        order, gens = automorphism_generators(g)
+        assert _orbits_of(g.n, gens) == brute_orbits(g)
+        pos = [0] * g.n
+        for j, v in enumerate(order):
+            pos[v] = j
+        assert relabel(g, pos).adj == canonical_search(g).rows
+    assert sorted(map(sorted, by_code.values())) == sorted(map(sorted, by_brute.values()))
+    assert len(by_brute) < len(small)  # some blow-ups are isomorphic
+    assert len(set(quotiented)) >= 10  # the quotient pre-pass ran
+
+
+def test_blow_ups_invariant_under_relabeling():
+    rng = random.Random(47)
+    for g in _blow_ups(46, 60, 7):
+        code = canonical_code(g)
+        aut = automorphism_count(g)
+        for _ in range(10):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            assert canonical_code(h) == code
+            assert automorphism_count(h) == aut
 
 
 def test_isomorphic_shortcut():

@@ -195,6 +195,8 @@ class TestSubcommands:
         (["--pattern", "K3", "--rooted", "99"], "root vertex 99 outside 0..3"),
         (["--pattern", "K3", "--rooted=-1"], "root vertex -1 outside 0..3"),
         (["--pattern", "K3", "--rooted", "0,0"], "root vertex 0 repeated"),
+        (["--pattern", "K3", "--rooted", "0,"], "invalid literal for int() with base 10: ''"),
+        (["--pattern", "K3", "--rooted", ""], "invalid literal for int() with base 10: ''"),
         (["--cliques", "3", "--rooted", "0"], "--rooted applies only with --pattern"),
     ])
     def test_count_bad_root_is_one_line_error(self, capsys, argv, message):

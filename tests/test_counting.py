@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gturan import search
 from gturan.graphs import (
     complete_graph,
     cycle_graph,
@@ -14,10 +15,12 @@ from gturan.graphs import (
     mask_of,
     path_graph,
     random_graph,
+    relabel,
     union_of,
 )
 from gturan.families import complete_split, turan
 from gturan.counting import (
+    _independent_partitions,
     automorphism_count,
     clique_number,
     copies_through,
@@ -39,6 +42,7 @@ from gturan.localization import clique_weights
 from oracles import (
     brute_automorphism_count,
     copies_via_table,
+    set_partition_profile,
     spanning_copy_table,
     subset_cliques,
     subset_copy_count,
@@ -358,6 +362,32 @@ class TestTuranCopyCount:
             for n in (0, 3, 257, 10**4, 10**6 + 3):
                 want = turan_part_count(name, turan_part_sizes(r, n))
                 assert turan_copy_count(h, r, n) == want, (name, r, n)
+
+
+class TestIndependentPartitions:
+    """The twin-class profile against the walk over every set partition."""
+
+    def test_every_graph_up_to_six_vertices(self):
+        rng = random.Random(606)
+        graphs = []
+        for v in range(6):
+            pairs = list(combinations(range(v), 2))
+            graphs += [
+                from_edge_list(v, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                for bits in range(1 << len(pairs))
+            ]
+        for g in search.nonisomorphic_graphs_upto(6)[6]:
+            perm = list(range(6))
+            rng.shuffle(perm)
+            graphs += [g, relabel(g, perm)]
+        for h in graphs:
+            assert dict(_independent_partitions(h)) == set_partition_profile(h), h
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_stars_and_books(self, a):
+        for k in range(10):
+            h = join(complete_graph(a), empty_graph(k))
+            assert dict(_independent_partitions(h)) == set_partition_profile(h), k
 
 
 @settings(max_examples=80, deadline=None)
