@@ -37,7 +37,7 @@ from .counting import (
 from .freeness import ConstraintSet, check_constraints
 from .bounds import bounds_report, ratio_diagnostic
 from .localization import HypothesisViolationError, equality_family_graph, localized_report
-from .search import _keep, _levels, brute_extremal, brute_extremal_u, nonisomorphic_graphs_upto
+from .search import brute_extremal, brute_extremal_u, levels, nonisomorphic_graphs_upto
 
 DEFAULT_SEED = 20250814
 
@@ -137,7 +137,7 @@ def _extremal_grid(
     n <= n_max and t, the brute-force maximum must equal reference(n, t)."""
     ok = True
     mismatches = []
-    for level, reps in _levels(n_max, _keep(cs)):
+    for level, reps in levels(n_max, cs):
         if not level:
             continue
         for t in t_values:
@@ -195,7 +195,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     (vertex cap 8) equals the colex interpolation count, m <= 12."""
     best = {m: 0 for m in range(13)}
     examined = 0
-    for _, reps in _levels(8, _keep(ConstraintSet(omega=3))):
+    for _, reps in levels(8, ConstraintSet(omega=3)):
         for g in reps:
             m = g.edge_count
             if m > 12:
@@ -337,9 +337,8 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     patterns = [(3, complete_graph(3)), (4, complete_graph(4))]
     small = [(name, h, u) for name, h in _pattern_grid() for u in (1, 2)
              if u <= pattern_spec(h).dom_count]
-    levels = nonisomorphic_graphs_upto(7)
     checked = 0
-    for reps in levels[1:]:
+    for reps in nonisomorphic_graphs_upto(7)[1:]:
         for g in reps:
             for name, h, u in small:
                 try:

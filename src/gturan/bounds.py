@@ -34,7 +34,7 @@ from .counting import (
     turan_copy_count,
 )
 from .freeness import ConstraintSet, check_constraints
-from .search import _check_enum_cap, _keep, _levels, _optimum
+from .search import _optimum, levels
 
 Density = Fraction
 
@@ -111,16 +111,15 @@ class EmpiricalGoodness:
 
 
 def empirical_turan_goodness(
-    h: Graph | PatternSpec, omega: int, n_max: int, cap: int = 8
+    h: Graph | PatternSpec, omega: int, n_max: int
 ) -> EmpiricalGoodness:
     """Exhaustively verify max N(H, G) over K_{omega+1}-free G equals the
     Turán count for every n <= n_max, from one walk of the levels."""
-    _check_enum_cap(n_max, cap)
     spec = as_pattern(h)
     cs = ConstraintSet(u=1, delta=None, omega=omega)
     rows = []
     witness = None
-    for n, reps in _levels(n_max, _keep(cs)):
+    for n, reps in levels(n_max, cs):
         if not n:
             continue
         out = _optimum(spec, reps, cs, {"n": n})

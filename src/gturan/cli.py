@@ -47,7 +47,7 @@ from .acceptance import DEFAULT_SEED, reproduce_examples, run_acceptance
 from .reports import dump_json, envelope, make_manifest
 
 _ATOM = re.compile(r"^([KIPC])(\d+)$")
-_CALL = re.compile(r"^(\w+)\(([\d,\s]*)\)$")
+_CALL = re.compile(r"^(\w+)\(([-\d,\s]*)\)$")
 
 _FAMILIES = {
     "turan": (2, lambda r, n: turan(r, n)),

@@ -167,9 +167,9 @@ def localized_report(
     """Evaluate the localized inequality on g.
 
     ``threshold`` is the caller's stand-in for the exact clique threshold
-    of the derived pattern (see ``default_threshold``).  The hypothesis
-    flag records whether every u-clique of dominating vertices of some
-    copy reaches threshold + u; the inequality is evaluated either way,
+    of the derived pattern (see ``default_threshold``), at least 1.  The
+    hypothesis flag records whether every u-clique of dominating vertices
+    of some copy reaches threshold + u; the inequality is evaluated either way,
     but only a hypothesis-clean report is inside the theorem.  u-cliques
     of G that dominate no copy are exempt from the hypothesis and listed
     separately.
@@ -178,6 +178,8 @@ def localized_report(
     d = spec.dom_count
     if not 1 <= u <= d:
         raise ValueError(f"u={u} outside 1..{d}, the pattern's dominating count")
+    if threshold < 1:
+        raise ValueError(f"threshold={threshold} is below 1, not a clique threshold")
     rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
     adj = g.adj
     stats: dict[int, tuple[int, int]] = {}

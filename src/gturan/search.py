@@ -30,19 +30,20 @@ child once some walk builds it, and its labeling once some walk keeps
 it.  A child that fails the canonical deletion test drops its graph,
 and later walks skip it before building or filtering it; a child that
 no walk keeps is never labeled.  Only parents on fewer than
-``DEFAULT_ENUM_CAP`` vertices are kept, so whatever the number of
-predicates the memo holds at most the children of the 1253 classes on
-<= 7 vertices (13598 graphs, 3.9 MiB, once every class on 8 vertices is
-built); the children of larger parents, level 9 among them, are handed
-out and not kept.  A walk that raises leaves the memo consistent: an
-entry it did not finish stays unbuilt or unlabeled.
+``ENUM_CAP`` vertices are kept, so whatever the number of predicates
+the memo holds at most the children of the 1253 classes on <= 7
+vertices (13598 graphs, 3.9 MiB, once every class on 8 vertices is
+built); the children of larger parents, which only a walk of
+``_levels`` past the cap reaches, are handed out and not kept.  A walk
+that raises leaves the memo consistent: an entry it did not finish
+stays unbuilt or unlabeled.
 
 Every walk filters the children with its own predicate, so a level is
-the last level of one walk: ``_level(n, prune, cliques)`` walks
-``_levels(n, _keep(prune, cliques))``, and a caller that reads several
-levels reads them from one walk.  ``_keep`` turns a constraint set and
-an optional clique bound (u, p), at most p u-cliques, into that
-predicate.
+the last level of one walk, and a caller that reads several levels
+reads them from one walk.  ``levels(n_max, prune, cliques)`` is the one
+way in: it rejects an ``n_max`` outside 0..``ENUM_CAP`` before any work
+and turns a constraint set and an optional clique bound (u, p), at most
+p u-cliques, into the predicate of its ``_levels`` walk.
 
 There is one extremal search, fixing the number p of u-cliques as the
 paper does: ``_optimum`` takes the argmax of N(H, G) over a stream of
@@ -55,7 +56,6 @@ graph, so the pruning is hereditary), filtered to k^u(G) = p.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -75,11 +75,11 @@ from .counting import (
     count_cliques,
     count_embeddings,
     count_subgraph_copies,
+    enumerate_cliques,
 )
 from .freeness import ConstraintSet, check_constraints, passes_constraints
 
-DEFAULT_ENUM_CAP = 8
-MAX_ENUM_CAP = 9
+ENUM_CAP = 8  # largest n_max of a walk: 12346 classes on 8 vertices
 
 
 class CompositionError(ValueError):
@@ -102,7 +102,7 @@ _REJECTED = object()  # a child that failed the canonical deletion test
 # parent -> one [mask, child, label] per child of _augmentations(parent):
 # child is the Graph once built, None before and once rejected; label is
 # None for a settled child, _UNSET until an unsettled child is labeled,
-# then Aut(child) generators or _REJECTED.  Parents on < DEFAULT_ENUM_CAP
+# then Aut(child) generators or _REJECTED.  Parents on < ENUM_CAP
 # vertices only, so at most the 1253 classes on <= 7 vertices
 _expansions: dict[Graph, list[list]] = {}
 _ROOT = Graph(0, ())  # level 0 of every walk
@@ -111,7 +111,8 @@ _ROOT = Graph(0, ())  # level 0 of every walk
 def _levels(
     n_max: int, keep: Optional[Callable[[Graph], bool]] = None
 ) -> Iterator[tuple[int, list[Graph]]]:
-    """Yield (n, representatives) for n = 0..n_max under a hereditary keep."""
+    """Yield (n, representatives) for n = 0..n_max under a hereditary keep;
+    n_max is not checked here, so callers go through ``levels``."""
     reps, known = [_ROOT], [None]
     yield 0, reps
     for k in range(n_max):
@@ -123,7 +124,7 @@ def _levels(
                     [mask, None, None if settled else _UNSET]
                     for mask, settled in _augmentations(g, gens)
                 ]
-                if g.n < DEFAULT_ENUM_CAP:
+                if g.n < ENUM_CAP:
                     _expansions[g] = entries
             for entry in entries:
                 mask, child, label = entry
@@ -231,66 +232,42 @@ def _is_canonical_deletion(child: Graph) -> Optional[list[list[int]]]:
     return None
 
 
-def _check_enum_cap(n: int, cap: int) -> None:
-    """Reject a negative n, n past the cap or a cap past the hard limit;
-    warn past the default."""
-    if n < 0:
-        raise ValueError(f"n={n} is negative")
-    if cap > MAX_ENUM_CAP:
-        raise ValueError(f"enumeration cap {cap} exceeds hard limit {MAX_ENUM_CAP}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap}")
-    if n > DEFAULT_ENUM_CAP:
-        warnings.warn(f"enumerating all graphs on {n} vertices; this is slow")
-
-
-def _keep(
-    prune: Optional[ConstraintSet], cliques: Optional[tuple[int, int]] = None
-) -> Optional[Callable[[Graph], bool]]:
-    """The walk predicate of ``prune`` (None, or a set that bounds
-    nothing, keeps every graph) and, for ``cliques`` = (u, p), of at most
-    p u-cliques."""
-    if prune is not None and prune.delta is None and prune.omega is None:
-        prune = None
-    if cliques is not None:
-        u, p = cliques
-        return lambda g: count_cliques(g, u) <= p and (
-            prune is None or passes_constraints(g, prune)
-        )
-    return None if prune is None else (lambda g: passes_constraints(g, prune))
-
-
-def _level(
-    n: int,
+def levels(
+    n_max: int,
     prune: Optional[ConstraintSet] = None,
     cliques: Optional[tuple[int, int]] = None,
-) -> tuple[Graph, ...]:
-    """One representative per isomorphism class on n vertices passing
-    ``prune`` and, for ``cliques`` = (u, p), with at most p u-cliques."""
-    if not 0 <= n <= MAX_ENUM_CAP:
-        raise ValueError(f"level {n} outside 0..{MAX_ENUM_CAP}")
-    for _, reps in _levels(n, _keep(prune, cliques)):
+) -> Iterator[tuple[int, list[Graph]]]:
+    """The walk yielding (n, representatives) for n = 0..n_max, n_max
+    checked against 0..``ENUM_CAP`` before any work: one representative
+    per isomorphism class on n vertices passing ``prune`` and, for
+    ``cliques`` = (u, p), with at most p u-cliques."""
+    if n_max < 0:
+        raise ValueError(f"n={n_max} is negative")
+    if n_max > ENUM_CAP:
+        raise ValueError(f"n={n_max} exceeds enumeration cap {ENUM_CAP}")
+    if prune is not None and prune.delta is None and prune.omega is None:
+        prune = None  # a set that bounds nothing keeps every graph
+    keep = None if prune is None else (lambda g: passes_constraints(g, prune))
+    if cliques is not None:
+        u, p = cliques
+        keep = lambda g: count_cliques(g, u) <= p and (
+            prune is None or passes_constraints(g, prune)
+        )
+    return _levels(n_max, keep)
+
+
+def enumerate_graphs(n: int, prune: Optional[ConstraintSet] = None) -> Iterator[Graph]:
+    """One representative per isomorphism class on exactly n vertices,
+    restricted by ``prune`` to graphs passing the freeness constraints (a
+    hereditary property, applied during generation)."""
+    for _, reps in levels(n, prune):
         pass
-    return tuple(reps)
-
-
-def enumerate_graphs(
-    n: int, prune: Optional[ConstraintSet] = None, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[Graph]:
-    """One representative per isomorphism class on exactly n vertices.
-
-    ``prune`` restricts to graphs passing the freeness constraints (a
-    hereditary property, applied during generation).  The default cap is
-    8; 9 is allowed but warned about (274668 classes unpruned).
-    """
-    _check_enum_cap(n, cap)
-    return iter(_level(n, prune))
+    return iter(reps)
 
 
 def nonisomorphic_graphs_upto(n_max: int) -> tuple[tuple[Graph, ...], ...]:
     """Unpruned representatives for every n <= n_max."""
-    _check_enum_cap(n_max, MAX_ENUM_CAP)
-    return tuple(tuple(reps) for _, reps in _levels(n_max))
+    return tuple(tuple(reps) for _, reps in levels(n_max))
 
 
 def _optimum(
@@ -330,11 +307,9 @@ def _optimum(
     )
 
 
-def brute_extremal(
-    n: int, h: Graph | PatternSpec, cs: ConstraintSet, cap: int = DEFAULT_ENUM_CAP
-) -> SearchOutcome:
+def brute_extremal(n: int, h: Graph | PatternSpec, cs: ConstraintSet) -> SearchOutcome:
     """Exact max of N(H, G) over free graphs on exactly n vertices."""
-    return _optimum(as_pattern(h), enumerate_graphs(n, prune=cs, cap=cap), cs, {"n": n})
+    return _optimum(as_pattern(h), enumerate_graphs(n, cs), cs, {"n": n})
 
 
 def brute_extremal_u(
@@ -343,16 +318,18 @@ def brute_extremal_u(
     h: Graph | PatternSpec,
     cs: ConstraintSet,
     n_cap: Optional[int] = None,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> SearchOutcome:
     """Exact max of N(H, G) over free graphs with k^u(G) = p, n <= n_cap.
 
     For u = 1 the clique count pins the vertex count, so the candidates
-    are those of ``brute_extremal(p, ...)``.  For u >= 2 a graph with p
-    u-cliques and no isolated vertices has at most u*p vertices, and
-    isolated vertices change neither k^u nor N(H, .) when H contains K_u,
-    so a finite vertex cap loses nothing at this scale; the reasoning is
-    recorded in the outcome notes.
+    are those of ``brute_extremal(p, ...)``.  For u >= 2 the vertex cap
+    loses nothing when n_cap >= u*p and every vertex of H lies in a
+    u-clique of H (for u = 2, H has no isolated vertex; for any u, H has
+    at least u dominating vertices): then every vertex of a copy of H lies
+    in a u-clique of G, so deleting the vertices in no u-clique keeps
+    k^u, N(H, .) and freeness and leaves at most u*p vertices.  Otherwise
+    the objective is the maximum over graphs on at most n_cap vertices
+    only.  The outcome notes say which case holds.
     """
     if u < 1:
         raise ValueError("u must be at least 1")
@@ -365,24 +342,33 @@ def brute_extremal_u(
     if u == 1:
         if n_cap is not None and n_cap != p:
             raise ValueError("for u=1 the vertex count is fixed at p")
-        return _optimum(spec, enumerate_graphs(p, prune=cs, cap=cap), cs, fixed)
+        return _optimum(spec, enumerate_graphs(p, cs), cs, fixed)
     if n_cap is None:
-        n_cap = min(u * p, DEFAULT_ENUM_CAP) if p else DEFAULT_ENUM_CAP
-    _check_enum_cap(n_cap, cap)
-    note = (
-        f"vertex cap {n_cap}: a graph with {p} cliques of size {u} and no "
-        f"isolated vertices has at most {u * p} vertices, and isolated "
-        f"vertices change neither the clique count nor the copy count"
-    )
-    # padded variants (extra isolated vertices) are distinct isomorphism
-    # classes and are reported as separate optima
+        n_cap = min(u * p, ENUM_CAP) if p else ENUM_CAP
+    # padded variants (extra vertices in no u-clique) are distinct
+    # isomorphism classes and are reported as separate optima
     candidates = (
         g
-        for n, reps in _levels(n_cap, _keep(cs, (u, p)))
+        for n, reps in levels(n_cap, cs, (u, p))
         if n
         for g in reps
         if count_cliques(g, u) == p
     )
+    covered = 0
+    for clique in enumerate_cliques(spec.pattern, u):
+        covered |= clique
+    if n_cap >= u * p and covered == spec.pattern.vertex_mask:
+        note = (
+            f"vertex cap {n_cap}: every vertex of a copy of the pattern lies "
+            f"in a clique of size {u}, and deleting the vertices in no such "
+            f"clique keeps the clique count, the copy count and freeness and "
+            f"leaves at most {u * p} vertices, so the cap loses nothing"
+        )
+    else:
+        note = (
+            f"vertex cap {n_cap}: the objective is the maximum over graphs "
+            f"on at most {n_cap} vertices only"
+        )
     return _optimum(spec, candidates, cs, fixed, (note,))
 
 

@@ -157,12 +157,21 @@ class TestSubcommands:
         ("turan(4)", "family turan takes 2 integers"),
         ("hello", "graph6: truncated bit vector"),
         ("turan(5,300)", "vertex count 300 outside [0, 256]"),
+        ("split(-1,2)", "sizes must be nonnegative"),
     ])
     def test_bad_graph_is_one_line_error(self, capsys, graph, message):
         code = main(["count", "--graph", graph, "--cliques", "3"])
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"gturan: error: {message}\n"
+
+    def test_negative_family_argument_reaches_the_builder(self, capsys):
+        # a family call with a minus sign is parsed as a call, not as graph6
+        code = main(["construct", "--family", "split(-1,2)"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "gturan: error: sizes must be nonnegative\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["search", "--pattern", "K3"], "one of the arguments --n --p is required"),
@@ -183,6 +192,8 @@ class TestSubcommands:
         (["--p", "-2", "--u", "2"], "p=-2 is negative"),
         (["--p", "3", "--u", "2", "--ncap", "-1"], "n_cap=-1 is negative"),
         (["--n", "3", "--ncap", "5"], "--ncap applies only with --p"),
+        (["--n", "9"], "n=9 exceeds enumeration cap 8"),
+        (["--p", "3", "--u", "2", "--ncap", "9"], "n=9 exceeds enumeration cap 8"),
     ])
     def test_search_bad_size_is_one_line_error(self, capsys, argv, message):
         code = main(["search", "--pattern", "K3", *argv, "--json"])
@@ -232,6 +243,15 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"gturan: error: u={u} outside 1..3, the pattern's dominating count\n"
+
+    @pytest.mark.parametrize("threshold", ["0", "-5"])
+    def test_localize_bad_threshold_is_one_line_error(self, capsys, threshold):
+        code = main(["localize", "--graph", "K4", "--pattern", "K4", "--u", "2",
+                     "--omega0", threshold])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"gturan: error: threshold={threshold} is below 1, not a clique threshold\n"
 
     def test_verify_quick_level(self, capsys):
         code, doc = run_json(capsys, "verify", "--level", "quick")

@@ -378,6 +378,13 @@ def test_bad_u_rejected():
             localized_report(K5, K3, u, 1)
 
 
+def test_threshold_below_one_rejected():
+    # with threshold <= 0 every clique passes the hypothesis trivially
+    for threshold in (0, -5):
+        with pytest.raises(ValueError, match=rf"^threshold={threshold} is below 1, "):
+            localized_report(K5, K4, 2, threshold)
+
+
 class TestEqualityFamilies:
     def test_generated_families_are_exactly_tight(self):
         rng = random.Random(8)

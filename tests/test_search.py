@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from gturan.graphs import (
     isomorphic,
     union_of,
 )
+from gturan.bounds import empirical_turan_goodness
 from gturan.families import colex_turan, turan
 from gturan.counting import count_cliques, count_subgraph_copies
 from gturan.freeness import ConstraintSet, check_constraints, passes_constraints
@@ -22,12 +24,12 @@ from gturan.search import (
     CompositionError,
     _augmentations,
     _is_canonical_deletion,
-    _level,
     _levels,
     best_composition,
     brute_extremal,
     brute_extremal_u,
     enumerate_graphs,
+    levels,
     nonisomorphic_graphs_upto,
 )
 
@@ -111,22 +113,36 @@ class TestEnumeration:
         assert [len(reps) for _, reps in _levels(7)] == [1, 1, 2, 4, 11, 34, 156, 1044]
         assert labeled and len(set(labeled)) == len(labeled)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            list(enumerate_graphs(10))
-        with pytest.raises(ValueError):
-            list(enumerate_graphs(9))  # default cap is 8
-        with pytest.warns(UserWarning):
-            # allowed with an explicit cap, but warned about; prune hard to
-            # keep the run short
-            list(enumerate_graphs(9, prune=ConstraintSet(u=1, delta=1), cap=9))
-        with pytest.raises(ValueError):  # the hard limit binds every search
-            brute_extremal_u(3, 2, K3, ConstraintSet(u=2, omega=3), n_cap=10, cap=10)
+    @pytest.mark.parametrize("call", [
+        lambda: levels(9),
+        lambda: levels(9, ConstraintSet(u=1, delta=1), (2, 1)),
+        lambda: enumerate_graphs(9, prune=ConstraintSet(u=1, delta=1)),
+        lambda: nonisomorphic_graphs_upto(9),
+        lambda: brute_extremal(9, K3, ConstraintSet(omega=3)),
+        lambda: brute_extremal_u(3, 2, K3, ConstraintSet(u=2, omega=3), n_cap=9),
+        lambda: empirical_turan_goodness(K3, 3, 9),
+    ])
+    def test_cap_enforced(self, monkeypatch, call):
+        # one cap binds every way into the walk: rejected before any child
+        # is built, with no warning
+        calls = count_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^n=9 exceeds enumeration cap 8$"):
+                call()
+        assert calls == []
 
     def test_representatives_are_pairwise_nonisomorphic(self):
         reps = list(enumerate_graphs(5))
         for a, b in combinations(reps, 2):
             assert not isomorphic(a, b)
+
+
+def top_level(n, prune=None, cliques=None) -> tuple:
+    """The last level of the walk ``levels(n, prune, cliques)``."""
+    for _, reps in levels(n, prune, cliques):
+        pass
+    return tuple(reps)
 
 
 def count_calls(monkeypatch, fail_at=None) -> list:
@@ -165,7 +181,7 @@ class TestLevelStore:  # the levels a walk reads through the expansion memo
     @pytest.mark.parametrize("cs", CRITERIA_SETS, ids=str)
     def test_levels_match_a_fresh_walk(self, cs):
         for n, reps in _levels(7, lambda g: passes_constraints(g, cs)):
-            assert _level(n, cs) == tuple(reps)
+            assert top_level(n, cs) == tuple(reps)
 
     def test_edge_budget_filters_the_clique_store(self):
         # criterion 4 reads the K4-free levels up to 8, filtered to <= 12 edges
@@ -175,19 +191,18 @@ class TestLevelStore:  # the levels a walk reads through the expansion memo
             return g.edge_count <= 12 and passes_constraints(g, cs)
 
         for n, reps in _levels(8, edge_budget):
-            assert [g for g in _level(n, cs) if g.edge_count <= 12] == reps
+            assert [g for g in top_level(n, cs) if g.edge_count <= 12] == reps
 
-    def test_level_past_default_cap_is_not_kept(self, cold_search):
-        # level 9 is handed out: the memo keeps no parent on 8 vertices and
-        # no child on 9
-        cs = ConstraintSet(u=1, delta=2)
-        top = list(fresh_levels(9, keep_of(cs, None)))[9]
+    def test_level_past_cap_is_not_kept(self, cold_search):
+        # level 9, reached only by walking _levels past the cap, is handed
+        # out: the memo keeps no parent on 8 vertices and no child on 9
+        keep = keep_of(ConstraintSet(u=1, delta=2), None)
+        top = list(fresh_levels(9, keep))[9]
         for _ in range(2):
-            with pytest.warns(UserWarning, match="slow"):
-                assert list(enumerate_graphs(9, prune=cs, cap=9)) == top
-            assert max(g.n for g in search._expansions) == search.DEFAULT_ENUM_CAP - 1
+            assert list(_levels(9, keep))[9] == (9, top)
+            assert max(g.n for g in search._expansions) == search.ENUM_CAP - 1
             assert all(
-                child is None or child.n <= search.DEFAULT_ENUM_CAP
+                child is None or child.n <= search.ENUM_CAP
                 for entries in search._expansions.values()
                 for _, child, _ in entries
             )
@@ -217,10 +232,10 @@ class TestLevelStore:  # the levels a walk reads through the expansion memo
         cs = ConstraintSet(u=1, delta=3)
         calls = count_calls(monkeypatch, fail_at=100)
         with pytest.raises(RuntimeError, match="interrupted build"):
-            _level(6, cs)
+            top_level(6, cs)
         assert len(calls) == 100
         for n, reps in _levels(6, lambda g: passes_constraints(g, cs)):
-            assert _level(n, cs) == tuple(reps)
+            assert top_level(n, cs) == tuple(reps)
 
     def test_u2_matches_clique_count_pruned_walk(self):
         # reference: the argmax over the walk pruned by k^2 <= p
@@ -255,7 +270,8 @@ class TestLevelStore:  # the levels a walk reads through the expansion memo
         (lambda: brute_extremal_u(3, 2, K3, ConstraintSet(omega=3), n_cap=-1),
          "n_cap=-1 is negative"),
         (lambda: nonisomorphic_graphs_upto(-1), "n=-1 is negative"),
-        (lambda: _level(-1), "level -1 outside"),
+        (lambda: levels(-1), "n=-1 is negative"),
+        (lambda: empirical_turan_goodness(K3, 3, -1), "n=-1 is negative"),
     ])
     def test_negative_inputs_rejected_before_work(self, monkeypatch, call, message):
         calls = count_calls(monkeypatch)
@@ -321,16 +337,16 @@ class TestExpansionMemo:
         monkeypatch.setattr(search, "automorphism_generators", record_label)
         monkeypatch.setattr(search, "_augmentations", record_augment)
         for cs, cliques in STORE_KEYS[1:]:
-            _level(7, cs, cliques)
+            top_level(7, cs, cliques)
         # a child that no key keeps is never labeled
         assert all(any(keep_of(*key)(g) for key in STORE_KEYS[1:]) for g in labeled)
-        _level(7)
+        top_level(7)
         # each class on <= 6 vertices is expanded exactly once
         assert len(set(expanded)) == len(expanded) == 1 + 1 + 2 + 4 + 11 + 34 + 156
         # a second key over parents already expanded expands nothing
         expanded.clear()
-        _level(7, ConstraintSet(u=1, delta=5))
-        _level(7, ConstraintSet(omega=5), (2, 9))
+        top_level(7, ConstraintSet(u=1, delta=5))
+        top_level(7, ConstraintSet(omega=5), (2, 9))
         assert expanded == []
         assert labeled and len(set(labeled)) == len(labeled)
 
@@ -338,26 +354,25 @@ class TestExpansionMemo:
     def test_levels_independent_of_walk_order(self, order, cold_search):
         for cs, cliques in STORE_KEYS[::order]:
             for n, reps in enumerate(fresh_levels(7, keep_of(cs, cliques))):
-                assert _level(n, cs, cliques) == tuple(reps)
+                assert top_level(n, cs, cliques) == tuple(reps)
 
-    def test_memo_holds_only_classes_below_default_cap(self, cold_search):
+    def test_memo_holds_only_classes_below_cap(self, cold_search):
         nonisomorphic_graphs_upto(8)
-        with pytest.warns(UserWarning, match="slow"):
-            list(enumerate_graphs(9, prune=ConstraintSet(u=1, delta=2), cap=9))
+        list(_levels(9, keep_of(ConstraintSet(u=1, delta=2), None)))
         # every class on <= 7 vertices, and nothing else
-        assert all(g.n < search.DEFAULT_ENUM_CAP for g in search._expansions)
+        assert all(g.n < search.ENUM_CAP for g in search._expansions)
         assert len(search._expansions) == 1 + 1 + 2 + 4 + 11 + 34 + 156 + 1044 == 1253
 
     @pytest.mark.parametrize("cs", CRITERIA_SETS, ids=str)
     def test_pruned_levels_share_the_unpruned_graphs(self, cs):
         for n in range(8):
-            unpruned = {g: g for g in _level(n)}
-            assert all(g is unpruned[g] for g in _level(n, cs))
+            unpruned = {g: g for g in top_level(n)}
+            assert all(g is unpruned[g] for g in top_level(n, cs))
 
     def test_memo_bounded_for_any_number_of_keys(self, cold_search):
         for cs, cliques in STORE_KEYS:
-            _level(7, cs, cliques)
-        _level(8)
+            top_level(7, cs, cliques)
+        top_level(8)
         assert len(search._expansions) <= 1253
         rejected = [
             child
@@ -395,11 +410,11 @@ class TestExpansionMemo:
 
         monkeypatch.setattr(search, "_is_canonical_deletion", flaky)
         with pytest.raises(RuntimeError, match="interrupted labeling"):
-            _level(7, cs)
+            top_level(7, cs)
         assert len(calls) == 40
         assert_consistent()
         for n, reps in enumerate(fresh_levels(7, keep_of(cs, None))):
-            assert _level(n, cs) == tuple(reps)
+            assert top_level(n, cs) == tuple(reps)
         assert_consistent()
 
 
@@ -450,10 +465,43 @@ class TestBruteExtremalU:
             colex_turan(3, 12), 3
         )
 
-    def test_default_cap_and_notes(self):
+    def test_default_cap_loses_nothing(self):
+        # n_cap = u*p = 6 and every vertex of K3 lies in an edge
         out = brute_extremal_u(3, 2, K3, ConstraintSet(u=2, omega=3))
         assert out.fixed == {"u": 2, "p": 3}
-        assert any("isolated" in note for note in out.notes)
+        assert out.notes == (
+            "vertex cap 6: every vertex of a copy of the pattern lies in a "
+            "clique of size 2, and deleting the vertices in no such clique "
+            "keeps the clique count, the copy count and freeness and leaves "
+            "at most 6 vertices, so the cap loses nothing",
+        )
+
+    @pytest.mark.parametrize("p, u, h, n_cap", [
+        (4, 2, K3, 7),  # n_cap < u*p
+        (1, 4, K3, 5),  # K3 holds no K4: a copy can sit outside every K4
+        (1, 3, union_of(K3, complete_graph(1)), 4),  # the K1 lies in no triangle
+        (3, 2, union_of(K3, complete_graph(1)), 6),  # the K1 lies in no edge
+    ])
+    def test_cap_only_note(self, p, u, h, n_cap):
+        out = brute_extremal_u(p, u, h, ConstraintSet(u=u, omega=4), n_cap=n_cap)
+        assert out.notes == (
+            f"vertex cap {n_cap}: the objective is the maximum over graphs "
+            f"on at most {n_cap} vertices only",
+        )
+
+    def test_cap_only_objective_grows_with_the_cap(self):
+        # one K4 and triangles around it: the objective counts copies outside
+        # every K4, so it keeps growing past u*p = 4 vertices
+        cs = ConstraintSet(u=4, omega=4)
+        objectives = [brute_extremal_u(1, 4, K3, cs, n_cap=n).objective for n in (4, 5, 6)]
+        assert objectives == [4, 5, 7]
+
+    def test_dominating_pattern_loses_nothing_for_u3(self):
+        # K4 has 4 >= 3 dominating vertices: a cap past u*p adds nothing
+        cs = ConstraintSet(u=3, omega=4)
+        at_cap = brute_extremal_u(2, 3, K4, cs, n_cap=6)
+        assert "loses nothing" in at_cap.notes[0]
+        assert brute_extremal_u(2, 3, K4, cs, n_cap=7).objective == at_cap.objective
 
     def test_unreachable_p_returns_zero_candidates(self):
         # k^2 = 1 with a forbidden edge constraint set dominating: use
