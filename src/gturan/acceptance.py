@@ -195,11 +195,9 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     (vertex cap 8) equals the colex interpolation count, m <= 12."""
     best = {m: 0 for m in range(13)}
     examined = 0
-    for _, reps in levels(8, ConstraintSet(omega=3)):
+    for _, reps in levels(8, ConstraintSet(omega=3), (2, 12)):
         for g in reps:
             m = g.edge_count
-            if m > 12:
-                continue
             examined += 1
             k3 = count_cliques(g, 3)
             if k3 > best[m]:

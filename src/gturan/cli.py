@@ -10,6 +10,7 @@ are 0-indexed; text output is 1-indexed.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -48,6 +49,7 @@ from .reports import dump_json, envelope, make_manifest
 
 _ATOM = re.compile(r"^([KIPC])(\d+)$")
 _CALL = re.compile(r"^(\w+)\(([-\d,\s]*)\)$")
+_INT = re.compile(r"-?\d+")
 
 _FAMILIES = {
     "turan": (2, lambda r, n: turan(r, n)),
@@ -77,7 +79,12 @@ def parse_graph_spec(spec: str) -> Graph:
         if name not in _FAMILIES:
             raise ValueError(f"unknown family {name!r}")
         arity, builder = _FAMILIES[name]
-        values = [int(x) for x in args.split(",")] if args.strip() else []
+        values = []
+        for arg in args.split(",") if args.strip() else []:
+            arg = arg.strip()
+            if not _INT.fullmatch(arg):
+                raise ValueError(f"family {name}: argument {arg!r} is not an integer")
+            values.append(int(arg))
         if len(values) != arity:
             raise ValueError(f"family {name} takes {arity} integers")
         return builder(*values)
@@ -436,7 +443,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args._argv = argv
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so the flush at
+        # exit does not raise again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # bad input or file: one line, like argparse's
         print(f"gturan: error: {exc}", file=sys.stderr)
         return 2

@@ -152,7 +152,10 @@ class ParamTriple:
 
 
 def lower_bound_graph(params: ParamTriple) -> Graph:
-    """T_omega(a*omega + b): the densest known family member for (u, delta, omega)."""
+    """T_omega(a*omega + b), whose copy density is the certified lower bound
+    for (u, delta, omega).  It is the optimum when omega - u divides delta,
+    and need not be otherwise: for K3 at (1, 5, 3) it gives 12/7 from T_3(7),
+    and I_3 v C_5 is free with 15 triangles on 8 vertices."""
     return turan(params.omega, params.lb_vertex_count)
 
 

@@ -219,8 +219,9 @@ def equality_family_graph(
     blocks: list[tuple[int, int]], z_tail: Graph | None = None
 ) -> Graph:
     """Disjoint union of balanced Turán graphs T_omega(a*omega) plus an
-    optional tail; the family on which the localized inequality is tight
-    (the tail must be K_u-free for the u in play)."""
+    optional tail (K_u-free for the u in play): a sufficient condition for
+    equality in the localized inequality, not a necessary one (the bowtie
+    reaches equality for K3 at u = 2)."""
     parts: list[tuple[Graph, int]] = [(turan(w, a * w), 1) for (w, a) in blocks]
     if z_tail is not None:
         parts.append((z_tail, 1))

@@ -20,30 +20,44 @@ Correctness of the generator is cross-checked against labeled-graph
 deduplication for n <= 6 and against filtered unpruned levels in the
 test suite.
 
-Each class is expanded once per process, and each child built once.
-The children of a class do not depend on the predicate that later
-filters them, and every pruned level holds the same representatives as
-the unpruned one, in the same order (the least mask of an orbit does
-not depend on the generators used).  So ``_expansions``, the one
-enumeration cache, keeps per parent one entry per admissible mask: the
-child once some walk builds it, and its labeling once some walk keeps
-it.  A child that fails the canonical deletion test drops its graph,
-and later walks skip it before building or filtering it; a child that
-no walk keeps is never labeled.  Only parents on fewer than
-``ENUM_CAP`` vertices are kept, so whatever the number of predicates
-the memo holds at most the children of the 1253 classes on <= 7
-vertices (13598 graphs, 3.9 MiB, once every class on 8 vertices is
-built); the children of larger parents, which only a walk of
-``_levels`` past the cap reaches, are handed out and not kept.  A walk
-that raises leaves the memo consistent: an entry it did not finish
-stays unbuilt or unlabeled.
+A walk generates only the neighbourhoods its constraints leave room
+for.  The new vertex of a child of g with s neighbours brings s edges and
+has the largest degree in the child, so under u = 1 with a degree bound
+delta a kept child has s <= delta (and its mask then never meets a
+vertex of degree delta), and under a clique bound (2, p) it has
+s <= p - e(g); every other key offers every size, and its predicate
+still runs on every child built, for omega and for codegrees at u >= 2.
+
+Each class is expanded once per process for each neighbourhood size a
+walk asks of it, and each child built once.  An orbit of Aut(g) keeps
+the mask size, so the least mask of each orbit does not depend on the
+sizes asked for (nor on the generators used), and the children of a
+class with s neighbours do not depend on the predicate that later
+filters them.  A walk merges the sizes it asks for in increasing mask
+order, so every pruned level holds the same representatives as the
+unpruned one, in the same order, whatever its room.  ``_expansions``,
+the one enumeration cache, keeps per parent the generators of its
+automorphism group once known (a parent accepted without labeling is
+labeled at most once, when a size first needs its orbits) and, per size
+asked for, one entry per admissible mask: the child once some walk
+builds it, and its labeling once some walk keeps it.  A child that fails
+the canonical deletion test drops its graph, and later walks skip it
+before building or filtering it; a child that no walk keeps is never
+labeled.  Only parents on fewer than ``ENUM_CAP`` vertices are kept, so
+whatever the number of predicates the memo holds at most the children
+of the 1253 classes on <= 7 vertices (13598 graphs, 4.7 MiB, once every
+class on 8 vertices is built); the children of larger parents are
+handed out and not kept.  A walk that raises leaves the memo consistent:
+an entry it did not finish stays unbuilt or unlabeled.
 
 Every walk filters the children with its own predicate, so a level is
 the last level of one walk, and a caller that reads several levels
 reads them from one walk.  ``levels(n_max, prune, cliques)`` is the one
-way in: it rejects an ``n_max`` outside 0..``ENUM_CAP`` before any work
-and turns a constraint set and an optional clique bound (u, p), at most
-p u-cliques, into the predicate of its ``_levels`` walk.
+way in: it turns a constraint set and an optional clique bound (u, p),
+at most p u-cliques, into the predicate and the room of its ``_levels``
+walk, and before any work rejects an ``n_max`` outside 0..cap, where the
+cap is ``DEGREE_CAPS[delta]`` under u = 1 with delta <= 3 (18 for
+delta <= 2, 12 for delta = 3) and ``ENUM_CAP`` = 8 otherwise.
 
 There is one extremal search, fixing the number p of u-cliques as the
 paper does: ``_optimum`` takes the argmax of N(H, G) over a stream of
@@ -57,6 +71,7 @@ graph, so the pruning is hereditary), filtered to k^u(G) = p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import merge
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -79,7 +94,12 @@ from .counting import (
 )
 from .freeness import ConstraintSet, check_constraints, passes_constraints
 
-ENUM_CAP = 8  # largest n_max of a walk: 12346 classes on 8 vertices
+# largest n_max of a walk (12346 classes on 8 vertices), and the memo keeps
+# parents on fewer vertices; a walk under u = 1 with delta <= 3 has the
+# larger cap DEGREE_CAPS[delta]: 1894 classes (unions of paths and cycles)
+# on 18 vertices for delta = 2, 36327 on 12 for delta = 3
+ENUM_CAP = 8
+DEGREE_CAPS = {0: 18, 1: 18, 2: 18, 3: 12}
 
 
 class CompositionError(ValueError):
@@ -99,34 +119,61 @@ class SearchOutcome:
 _UNSET = object()  # a child not labeled yet
 _REJECTED = object()  # a child that failed the canonical deletion test
 
-# parent -> one [mask, child, label] per child of _augmentations(parent):
-# child is the Graph once built, None before and once rejected; label is
-# None for a settled child, _UNSET until an unsettled child is labeled,
-# then Aut(child) generators or _REJECTED.  Parents on < ENUM_CAP
-# vertices only, so at most the 1253 classes on <= 7 vertices
-_expansions: dict[Graph, list[list]] = {}
+
+@dataclass(slots=True)
+class _Expansion:
+    """Memo record of one parent: the generators of its automorphism group
+    once known, and per neighbourhood size s asked for so far one entry
+    [mask, child, label] per child of ``_augmentations(parent, s, gens)``.
+    child is the Graph once built, None before and once rejected; label is
+    None for a settled child, _UNSET until an unsettled child is labeled,
+    then Aut(child) generators or _REJECTED."""
+
+    gens: Optional[list[list[int]]]
+    sizes: dict[int, list[list]] = field(default_factory=dict)
+
+
+# parent -> its _Expansion, for parents on < ENUM_CAP vertices only, so at
+# most the 1253 classes on <= 7 vertices
+_expansions: dict[Graph, _Expansion] = {}
 _ROOT = Graph(0, ())  # level 0 of every walk
 
 
 def _levels(
-    n_max: int, keep: Optional[Callable[[Graph], bool]] = None
+    n_max: int,
+    keep: Optional[Callable[[Graph], bool]] = None,
+    room: Optional[Callable[[Graph], int]] = None,
 ) -> Iterator[tuple[int, list[Graph]]]:
     """Yield (n, representatives) for n = 0..n_max under a hereditary keep;
-    n_max is not checked here, so callers go through ``levels``."""
+    ``room(g)``, when given, bounds the neighbourhood size of the children
+    of g that keep can accept, and larger ones are not generated.  n_max
+    is not checked here, so callers go through ``levels``."""
     reps, known = [_ROOT], [None]
     yield 0, reps
     for k in range(n_max):
         children, child_gens = [], []
         for g, gens in zip(reps, known):
-            entries = _expansions.get(g)
-            if entries is None:
-                entries = [
-                    [mask, None, None if settled else _UNSET]
-                    for mask, settled in _augmentations(g, gens)
-                ]
-                if g.n < ENUM_CAP:
-                    _expansions[g] = entries
-            for entry in entries:
+            record = _expansions.get(g)
+            if record is None:
+                record = _Expansion(gens)
+                if k < ENUM_CAP:
+                    _expansions[g] = record
+            sizes = record.sizes
+            first = max(map(int.bit_count, g.adj), default=0)  # top degree
+            last = k if room is None else min(k, room(g))
+            runs = []
+            for s in range(first, last + 1):
+                entries = sizes.get(s)
+                if entries is None:
+                    masks, record.gens = _augmentations(g, s, record.gens)
+                    entries = sizes[s] = [
+                        [mask, None, None if settled else _UNSET]
+                        for mask, settled in masks
+                    ]
+                if entries:
+                    runs.append(entries)
+            # masks are distinct, so the entries merge by mask alone
+            for entry in runs[0] if len(runs) == 1 else merge(*runs):
                 mask, child, label = entry
                 if label is _REJECTED:
                     continue
@@ -152,48 +199,53 @@ def _degree_sums(adj: Sequence[int]) -> tuple[list[int], list[int]]:
     return deg, [sum(deg[j] for j in iter_bits(row)) for row in adj]
 
 
-def _augmentations(g: Graph, gens: Optional[list[list[int]]]) -> list[tuple[int, bool]]:
-    """Neighbourhood masks of a new vertex that gets the largest (degree,
-    sum of neighbour degrees) in the child, one per orbit of Aut(g) on
-    vertex subsets, in increasing order, each flagged True when the child
-    is accepted without labeling: every other vertex with that pair is a
-    twin of the new vertex, hence in its orbit.  ``gens`` generates Aut(g);
-    when it is None, g is labeled if two or more masks are admissible."""
+def _augmentations(
+    g: Graph, s: int, gens: Optional[list[list[int]]]
+) -> tuple[list[tuple[int, bool]], Optional[list[list[int]]]]:
+    """Neighbourhood masks of size s of a new vertex that gets the largest
+    (degree, sum of neighbour degrees) in the child, one per orbit of Aut(g)
+    on vertex subsets, in increasing order, each flagged True when the
+    child is accepted without labeling: every other vertex with that pair
+    is a twin of the new vertex, hence in its orbit.  ``gens`` generates
+    Aut(g); when it is None, g is labeled if two or more masks are
+    admissible.  Returns the masks and the generators, None while g is
+    not labeled."""
     k = g.n
     adj = g.adj
     deg, nsum = _degree_sums(adj)
     top_deg = max(deg, default=0)
+    # the child degrees are deg + 1 on the mask and s at the new vertex, so
+    # s >= top_deg, and at s = top_deg the mask avoids the top-degree vertices
+    if not top_deg <= s <= k:
+        return [], gens
     # of_deg[d]: vertices of degree d; of_deg[-1] is of_deg[k], which is 0
     of_deg = [0] * (k + 1)
     for v, d in enumerate(deg):
         of_deg[d] |= 1 << v
     out = []
-    # the child degrees are deg + 1 on the mask and s at the new vertex, so
-    # s >= top_deg, and at s = top_deg the mask avoids the top-degree vertices
-    for s in range(top_deg, k + 1):
-        pool = range(k) if s > top_deg else [v for v in range(k) if deg[v] < s]
-        for combo in combinations(pool, s):
-            mask = 0
-            top = s
-            for i in combo:
-                mask |= 1 << i
-                top += deg[i]
-            settled = True
-            for i in iter_bits(of_deg[s] | of_deg[s - 1] & mask):
-                sum_i = nsum[i] + (adj[i] & mask).bit_count() + (s if mask >> i & 1 else 0)
-                if sum_i > top:
-                    break
-                if sum_i == top and adj[i] != mask & ~(1 << i):
-                    settled = False
-            else:
-                out.append((mask, settled))
+    pool = range(k) if s > top_deg else [v for v in range(k) if deg[v] < s]
+    for combo in combinations(pool, s):
+        mask = 0
+        top = s
+        for i in combo:
+            mask |= 1 << i
+            top += deg[i]
+        settled = True
+        for i in iter_bits(of_deg[s] | of_deg[s - 1] & mask):
+            sum_i = nsum[i] + (adj[i] & mask).bit_count() + (s if mask >> i & 1 else 0)
+            if sum_i > top:
+                break
+            if sum_i == top and adj[i] != mask & ~(1 << i):
+                settled = False
+        else:
+            out.append((mask, settled))
     out.sort()
     if len(out) < 2:
-        return out
+        return out, gens
     if gens is None:
         gens = automorphism_generators(g)[1]
     if not gens:
-        return out
+        return out, gens
     seen: set[int] = set()
     reps = []
     for mask, settled in out:
@@ -210,7 +262,7 @@ def _augmentations(g: Graph, gens: Optional[list[list[int]]]) -> list[tuple[int,
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
-    return reps
+    return reps, gens
 
 
 def _is_canonical_deletion(child: Graph) -> Optional[list[list[int]]]:
@@ -238,22 +290,32 @@ def levels(
     cliques: Optional[tuple[int, int]] = None,
 ) -> Iterator[tuple[int, list[Graph]]]:
     """The walk yielding (n, representatives) for n = 0..n_max, n_max
-    checked against 0..``ENUM_CAP`` before any work: one representative
-    per isomorphism class on n vertices passing ``prune`` and, for
-    ``cliques`` = (u, p), with at most p u-cliques."""
+    checked before any work against 0..cap, the cap ``DEGREE_CAPS[delta]``
+    under u = 1 with delta <= 3 and ``ENUM_CAP`` otherwise: one
+    representative per isomorphism class on n vertices passing ``prune``
+    and, for ``cliques`` = (u, p), with at most p u-cliques."""
     if n_max < 0:
         raise ValueError(f"n={n_max} is negative")
-    if n_max > ENUM_CAP:
-        raise ValueError(f"n={n_max} exceeds enumeration cap {ENUM_CAP}")
+    delta = prune.delta if prune is not None and prune.u == 1 else None
+    cap = DEGREE_CAPS.get(delta, ENUM_CAP)
+    if n_max > cap:
+        raise ValueError(f"n={n_max} exceeds enumeration cap {cap}")
     if prune is not None and prune.delta is None and prune.omega is None:
         prune = None  # a set that bounds nothing keeps every graph
     keep = None if prune is None else (lambda g: passes_constraints(g, prune))
+    # room: at most delta new neighbours at u = 1, and p - e(g) new edges
+    # under at most p 2-cliques
+    room = None if delta is None else (lambda g: delta)
     if cliques is not None:
         u, p = cliques
         keep = lambda g: count_cliques(g, u) <= p and (
             prune is None or passes_constraints(g, prune)
         )
-    return _levels(n_max, keep)
+        if u == 2:
+            room = (lambda g: p - g.edge_count) if delta is None else (
+                lambda g: min(delta, p - g.edge_count)
+            )
+    return _levels(n_max, keep, room)
 
 
 def enumerate_graphs(n: int, prune: Optional[ConstraintSet] = None) -> Iterator[Graph]:

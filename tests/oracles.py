@@ -5,7 +5,9 @@ counted by scanning vertex subsets and edge subsets directly, canonical
 forms are taken as the minimum over all permutations, and spanning-copy
 tables are built by brute force over labeled graphs.  Copy counts in
 Turán graphs are read from the part sizes alone, and their block-size
-profiles from every set partition of the pattern's vertices.
+profiles from every set partition of the pattern's vertices.  Class
+counts of graphs with maximum degree at most 2 come from their path and
+cycle components by an Euler transform.
 """
 
 from __future__ import annotations
@@ -187,3 +189,18 @@ def set_partition_profile(h: Graph) -> dict[tuple[int, ...], int]:
 
     place(0, ())
     return dict(profile)
+
+
+def max_degree_two_class_counts(n_max: int) -> list[int]:
+    """Isomorphism classes of graphs with maximum degree <= 2 on n = 0..n_max
+    vertices.  Such a graph is a disjoint union of paths (k >= 1 vertices)
+    and cycles (k >= 3), so the counts are the Euler transform of the
+    connected counts c_1 = c_2 = 1, c_k = 2 for k >= 3."""
+    c = [0] + [1 if k < 3 else 2 for k in range(1, n_max + 1)]
+    b = [0] + [
+        sum(d * c[d] for d in range(1, k + 1) if k % d == 0) for k in range(1, n_max + 1)
+    ]
+    a = [1]
+    for n in range(1, n_max + 1):
+        a.append(sum(b[k] * a[n - k] for k in range(1, n + 1)) // n)
+    return a

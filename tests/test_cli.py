@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,34 @@ class TestSubcommands:
         assert code == 2
         assert out == ""
         assert err == "gturan: error: sizes must be nonnegative\n"
+
+    @pytest.mark.parametrize("family, arg", [
+        ("split(1,-)", "-"),
+        ("turan(2,--3)", "--3"),
+        ("turan(4,)", ""),
+        ("lb(1,5 4,3)", "5 4"),
+    ])
+    def test_bad_family_argument_is_named(self, capsys, family, arg):
+        # each argument is parsed on its own, and the message names it
+        code = main(["construct", "--family", family])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        name = family.split("(")[0]
+        assert err == f"gturan: error: family {name}: argument {arg!r} is not an integer\n"
+
+    def test_closed_pipe_exits_quietly(self):
+        # the reader closes its end before the search writes: no error line
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gturan", "search", "--pattern", "K3", "--n", "7", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
 
     @pytest.mark.parametrize("argv, message", [
         (["search", "--pattern", "K3"], "one of the arguments --n --p is required"),

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +8,13 @@ from gturan.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    graph6_decode,
     isomorphic,
+    join,
     set_of,
     union_of,
 )
+from gturan.bounds import bounds_report
 from gturan.families import (
     ParamTriple,
     TuranSpec,
@@ -207,6 +212,20 @@ class TestLowerBoundGraph:
                     p = ParamTriple(u, delta, omega)
                     cs = ConstraintSet(u=u, delta=delta, omega=omega)
                     assert check_constraints(lower_bound_graph(p), cs).passes
+
+    def test_not_the_optimum_off_divisibility(self):
+        # omega - u = 2 does not divide delta = 5: I_3 v C_5 is free, 5-regular
+        # and K4-free, with 15 triangles on 8 vertices, above the density
+        # 12/7 of L = T_3(7) and below the upper bound 2
+        params = ParamTriple(1, 5, 3)
+        g = graph6_decode("GFzvvW")
+        assert isomorphic(g, join(empty_graph(3), cycle_graph(5)))
+        assert check_constraints(g, ConstraintSet(u=1, delta=5, omega=3)).passes
+        density = Fraction(count_cliques(g, 3), g.n)
+        assert density == Fraction(15, 8)
+        report = bounds_report(complete_graph(3), params)
+        assert isomorphic(lower_bound_graph(params), turan(3, 7))
+        assert report.lower == Fraction(12, 7) < density <= report.upper == 2
 
 
 class TestLowerBoundFamily:

@@ -10,6 +10,7 @@ from gturan.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    graph6_decode,
     join,
     mask_of,
     path_graph,
@@ -405,6 +406,16 @@ class TestEqualityFamilies:
             g = equality_family_graph(blocks, tail)
             rep = localized_report(g, complete_graph(t), u, 1)
             assert rep.equality, (t, u, blocks)
+
+    def test_equality_beyond_the_family(self):
+        # the bowtie (two triangles sharing a vertex) is no union of balanced
+        # Turán graphs plus an edgeless tail, yet reaches equality for K3 at
+        # u = 2 inside the hypothesis: the family is sufficient, not necessary
+        bowtie = graph6_decode("DQ{")
+        assert bowtie.edge_count == 6 and count_cliques(bowtie, 3) == 2
+        rep = localized_report(bowtie, K3, 2, default_threshold(K3))
+        assert rep.hypothesis_ok and rep.equality
+        assert rep.weighted_sum == rep.bound == 2
 
     def test_block_too_small_to_host_breaks_equality(self):
         # a balanced block below the pattern size contributes cliques but

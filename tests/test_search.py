@@ -33,7 +33,7 @@ from gturan.search import (
     nonisomorphic_graphs_upto,
 )
 
-from oracles import brute_canonical
+from oracles import brute_canonical, max_degree_two_class_counts
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -96,10 +96,14 @@ class TestEnumeration:
                 ]
                 if key[-1] == max(key):
                     admissible.append(mask)
-            assert [mask for mask, _ in _augmentations(g, [])] == admissible
-            for mask, settled in _augmentations(g, None):
-                if settled:
-                    assert _is_canonical_deletion(add_vertex(g, mask)) is not None
+            for s in range(g.n + 1):
+                masks, _ = _augmentations(g, s, [])
+                assert [mask for mask, _ in masks] == [
+                    mask for mask in admissible if mask.bit_count() == s
+                ]
+                for mask, settled in _augmentations(g, s, None)[0]:
+                    if settled:
+                        assert _is_canonical_deletion(add_vertex(g, mask)) is not None
 
     def test_levels_label_each_graph_at_most_once(self, monkeypatch, cold_search):
         labeled = []
@@ -113,24 +117,35 @@ class TestEnumeration:
         assert [len(reps) for _, reps in _levels(7)] == [1, 1, 2, 4, 11, 34, 156, 1044]
         assert labeled and len(set(labeled)) == len(labeled)
 
-    @pytest.mark.parametrize("call", [
-        lambda: levels(9),
-        lambda: levels(9, ConstraintSet(u=1, delta=1), (2, 1)),
-        lambda: enumerate_graphs(9, prune=ConstraintSet(u=1, delta=1)),
-        lambda: nonisomorphic_graphs_upto(9),
-        lambda: brute_extremal(9, K3, ConstraintSet(omega=3)),
-        lambda: brute_extremal_u(3, 2, K3, ConstraintSet(u=2, omega=3), n_cap=9),
-        lambda: empirical_turan_goodness(K3, 3, 9),
+    @pytest.mark.parametrize("call, n, cap", [
+        (lambda: levels(9), 9, 8),
+        (lambda: levels(19, ConstraintSet(u=1, delta=1), (2, 1)), 19, 18),
+        (lambda: enumerate_graphs(19, prune=ConstraintSet(u=1, delta=1)), 19, 18),
+        (lambda: levels(13, ConstraintSet(u=1, delta=3)), 13, 12),
+        (lambda: levels(9, ConstraintSet(u=1, delta=4)), 9, 8),
+        (lambda: levels(9, ConstraintSet(u=2, delta=1)), 9, 8),
+        (lambda: nonisomorphic_graphs_upto(9), 9, 8),
+        (lambda: brute_extremal(9, K3, ConstraintSet(omega=3)), 9, 8),
+        (lambda: brute_extremal_u(3, 2, K3, ConstraintSet(u=2, omega=3), n_cap=9), 9, 8),
+        (lambda: empirical_turan_goodness(K3, 3, 9), 9, 8),
     ])
-    def test_cap_enforced(self, monkeypatch, call):
-        # one cap binds every way into the walk: rejected before any child
-        # is built, with no warning
+    def test_cap_enforced(self, monkeypatch, call, n, cap):
+        # the cap of the walk's constraint shape binds every way into it:
+        # rejected before any child is built, with no warning
         calls = count_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^n=9 exceeds enumeration cap 8$"):
+            with pytest.raises(ValueError, match=f"^n={n} exceeds enumeration cap {cap}$"):
                 call()
         assert calls == []
+
+    def test_degree_two_matches_paths_and_cycles(self):
+        # graphs with maximum degree <= 2 are disjoint unions of paths and
+        # cycles, counted by an Euler transform
+        counts = max_degree_two_class_counts(18)
+        assert counts[:7] == [1, 1, 2, 4, 7, 11, 19] and counts[18] == 1894
+        cs = ConstraintSet(u=1, delta=2)
+        assert [len(reps) for _, reps in levels(14, cs)] == counts[:15]
 
     def test_representatives_are_pairwise_nonisomorphic(self):
         reps = list(enumerate_graphs(5))
@@ -194,17 +209,16 @@ class TestLevelStore:  # the levels a walk reads through the expansion memo
             assert [g for g in top_level(n, cs) if g.edge_count <= 12] == reps
 
     def test_level_past_cap_is_not_kept(self, cold_search):
-        # level 9, reached only by walking _levels past the cap, is handed
-        # out: the memo keeps no parent on 8 vertices and no child on 9
-        keep = keep_of(ConstraintSet(u=1, delta=2), None)
-        top = list(fresh_levels(9, keep))[9]
+        # level 9, past the memo's parents, is handed out: the memo keeps
+        # no parent on 8 vertices and no child on 9
+        cs = ConstraintSet(u=1, delta=2)
+        top = list(fresh_levels(9, keep_of(cs, None)))[9]
         for _ in range(2):
-            assert list(_levels(9, keep))[9] == (9, top)
+            assert top_level(9, cs) == tuple(top)
             assert max(g.n for g in search._expansions) == search.ENUM_CAP - 1
             assert all(
                 child is None or child.n <= search.ENUM_CAP
-                for entries in search._expansions.values()
-                for _, child, _ in entries
+                for _, _, (_, child, _) in memo_entries()
             )
 
     def test_repeated_u2_call_builds_nothing(self, monkeypatch):
@@ -217,15 +231,23 @@ class TestLevelStore:  # the levels a walk reads through the expansion memo
     def test_single_u2_call_walks_only_its_pruned_levels(self, monkeypatch, cold_search):
         calls = count_calls(monkeypatch)
         brute_extremal_u(1, 2, K3, ConstraintSet(u=2), n_cap=8)
-        # the parents are the pruned levels 0..7, and each of their
-        # children is built once
+        # the parents are the pruned levels 0..7; each is asked only the
+        # sizes with room for k^2 <= 1, and each of those children is
+        # built once
         keep = keep_of(None, (2, 1))
         parents = [g for reps in fresh_levels(7, keep) for g in reps]
         assert set(search._expansions) == set(parents)
-        assert len(calls) == sum(len(_augmentations(g, None)) for g in parents)
+        for g in parents:
+            room = range(top_degree(g), min(g.n, 1 - g.edge_count) + 1)
+            assert set(search._expansions[g].sizes) == set(room)
+        assert len(calls) == sum(
+            len(_augmentations(g, s, None)[0])
+            for g in parents
+            for s in range(min(g.n, 1 - g.edge_count) + 1)
+        )
         # a second walk of the same levels builds nothing
         calls.clear()
-        list(_levels(8, keep))
+        list(levels(8, ConstraintSet(u=2), (2, 1)))
         assert calls == []
 
     def test_failed_build_is_dropped(self, monkeypatch, cold_search):
@@ -281,14 +303,20 @@ class TestLevelStore:  # the levels a walk reads through the expansion memo
 
 
 def fresh_levels(n_max, keep=None):
-    """The level walk without the expansion memo: every parent is expanded
-    and every kept unsettled child labeled afresh."""
+    """The level walk without the expansion memo and without room: every
+    parent is expanded at every neighbourhood size, every child built and
+    filtered by ``keep`` alone, and every kept unsettled child labeled
+    afresh."""
     reps, known = [Graph(0, ())], [None]
     yield reps
     for _ in range(n_max):
         children, child_gens = [], []
         for g, gens in zip(reps, known):
-            for mask, settled in _augmentations(g, gens):
+            augmentations = []
+            for s in range(g.n + 1):
+                masks, gens = _augmentations(g, s, gens)
+                augmentations += masks
+            for mask, settled in sorted(augmentations):
                 child = add_vertex(g, mask)
                 if keep is not None and not keep(child):
                     continue
@@ -298,6 +326,19 @@ def fresh_levels(n_max, keep=None):
                     child_gens.append(found)
         reps, known = children, child_gens
         yield reps
+
+
+def top_degree(g):
+    return max((row.bit_count() for row in g.adj), default=0)
+
+
+def memo_entries():
+    """(parent, size, entry) for every entry [mask, child, label] of the
+    expansion memo."""
+    for g, record in search._expansions.items():
+        for s, entries in record.sizes.items():
+            for entry in entries:
+                yield g, s, entry
 
 
 def keep_of(cs, cliques):
@@ -320,6 +361,17 @@ STORE_KEYS = (
 )
 
 
+# walk keys with room, and the sets criteria 2 and 3 read: u = 1 degree
+# bounds, clique bounds (2, p) alone, and both beside other constraints
+ROOM_KEYS = (
+    [(cs, None) for cs in CRITERIA_SETS]
+    + [(ConstraintSet(u=1, delta=d), None) for d in (1, 5)]
+    + [(ConstraintSet(u=1, delta=3, omega=3), None)]
+    + [(None, (2, p)) for p in range(11)]
+    + [(ConstraintSet(u=1, delta=3), (2, 8)), (ConstraintSet(u=2, omega=3), (2, 10))]
+)
+
+
 class TestExpansionMemo:
     def test_each_class_expanded_and_labeled_once(self, monkeypatch, cold_search):
         # the pruned keys first, so the unpruned walk meets expanded parents
@@ -330,9 +382,9 @@ class TestExpansionMemo:
             labeled.append(g)
             return label(g)
 
-        def record_augment(g, gens):
-            expanded.append(g)
-            return augment(g, gens)
+        def record_augment(g, s, gens):
+            expanded.append((g, s))
+            return augment(g, s, gens)
 
         monkeypatch.setattr(search, "automorphism_generators", record_label)
         monkeypatch.setattr(search, "_augmentations", record_augment)
@@ -341,14 +393,46 @@ class TestExpansionMemo:
         # a child that no key keeps is never labeled
         assert all(any(keep_of(*key)(g) for key in STORE_KEYS[1:]) for g in labeled)
         top_level(7)
-        # each class on <= 6 vertices is expanded exactly once
-        assert len(set(expanded)) == len(expanded) == 1 + 1 + 2 + 4 + 11 + 34 + 156
+        # each class on <= 6 vertices is expanded exactly once at each size
+        # from its top degree up
+        classes = [g for reps in nonisomorphic_graphs_upto(6) for g in reps]
+        assert len(classes) == 1 + 1 + 2 + 4 + 11 + 34 + 156
+        assert len(set(expanded)) == len(expanded)
+        assert set(expanded) == {
+            (g, s) for g in classes for s in range(top_degree(g), g.n + 1)
+        }
         # a second key over parents already expanded expands nothing
         expanded.clear()
         top_level(7, ConstraintSet(u=1, delta=5))
         top_level(7, ConstraintSet(omega=5), (2, 9))
         assert expanded == []
         assert labeled and len(set(labeled)) == len(labeled)
+
+    @pytest.mark.parametrize("cs, cliques", ROOM_KEYS, ids=str)
+    def test_room_loses_nothing(self, cs, cliques):
+        # the walk with room equals the memo-free walk that builds every
+        # child and filters by keep alone, level for level and in order
+        degree_bound = cs is not None and cs.u == 1 and cs.delta is not None
+        n_max = 8 if degree_bound and cs.delta <= 3 else 7
+        for n, reps in enumerate(fresh_levels(n_max, keep_of(cs, cliques))):
+            assert top_level(n, cs, cliques) == tuple(reps)
+
+    def test_room_builds_only_children_keep_can_accept(self, monkeypatch, cold_search):
+        # under u = 1 with delta every child built has maximum degree <=
+        # delta, and under (2, p) at most p edges
+        built = []
+        real = search.add_vertex
+
+        def record(g, mask):
+            built.append(real(g, mask))
+            return built[-1]
+
+        monkeypatch.setattr(search, "add_vertex", record)
+        top_level(8, ConstraintSet(u=1, delta=3, omega=3))
+        assert built and all(top_degree(g) <= 3 for g in built)
+        built.clear()
+        top_level(7, ConstraintSet(omega=3), (2, 9))
+        assert built and all(g.edge_count <= 9 for g in built)
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
     def test_levels_independent_of_walk_order(self, order, cold_search):
@@ -375,10 +459,7 @@ class TestExpansionMemo:
         top_level(8)
         assert len(search._expansions) <= 1253
         rejected = [
-            child
-            for entries in search._expansions.values()
-            for _, child, label in entries
-            if label is search._REJECTED
+            child for _, _, (_, child, label) in memo_entries() if label is search._REJECTED
         ]
         assert rejected and all(child is None for child in rejected)
 
@@ -394,19 +475,21 @@ class TestExpansionMemo:
             return real(child)
 
         def assert_consistent():
-            for g, entries in search._expansions.items():
-                augmentations = _augmentations(g, None)
-                assert [mask for mask, _, _ in entries] == [m for m, _ in augmentations]
-                for (mask, child, label), (_, settled) in zip(entries, augmentations):
-                    found = _is_canonical_deletion(add_vertex(g, mask))
-                    if label is search._REJECTED:
-                        assert child is None and found is None
-                        continue
-                    assert child is None or child == add_vertex(g, mask)
-                    if settled:
-                        assert label is None
-                    elif label is not search._UNSET:
-                        assert label == found
+            for g, record in search._expansions.items():
+                for s, entries in record.sizes.items():
+                    augmentations, _ = _augmentations(g, s, None)
+                    assert _augmentations(g, s, record.gens)[0] == augmentations
+                    assert [mask for mask, _, _ in entries] == [m for m, _ in augmentations]
+                    for (mask, child, label), (_, settled) in zip(entries, augmentations):
+                        found = _is_canonical_deletion(add_vertex(g, mask))
+                        if label is search._REJECTED:
+                            assert child is None and found is None
+                            continue
+                        assert child is None or child == add_vertex(g, mask)
+                        if settled:
+                            assert label is None
+                        elif label is not search._UNSET:
+                            assert label == found
 
         monkeypatch.setattr(search, "_is_canonical_deletion", flaky)
         with pytest.raises(RuntimeError, match="interrupted labeling"):
