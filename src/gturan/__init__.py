@@ -50,7 +50,6 @@ from .bounds import (
     BoundsReport,
     bounds_report,
     copy_density,
-    empirical_turan_goodness,
     ratio_diagnostic,
     turan_threshold_bound,
 )
@@ -66,6 +65,7 @@ from .search import (
     best_composition,
     brute_extremal,
     brute_extremal_u,
+    empirical_turan_goodness,
     enumerate_graphs,
 )
 

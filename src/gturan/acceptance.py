@@ -37,7 +37,12 @@ from .counting import (
 from .freeness import ConstraintSet, check_constraints
 from .bounds import bounds_report, ratio_diagnostic
 from .localization import HypothesisViolationError, equality_family_graph, localized_report
-from .search import brute_extremal, brute_extremal_u, levels, nonisomorphic_graphs_upto
+from .search import (
+    brute_extremal,
+    brute_extremal_u,
+    empirical_turan_goodness,
+    nonisomorphic_graphs_upto,
+)
 
 DEFAULT_SEED = 20250814
 
@@ -130,91 +135,58 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
 
 
-def _extremal_grid(
-    n_max: int, t_values: tuple[int, ...], cs: ConstraintSet, reference
-) -> tuple[bool, dict]:
-    """Shared driver for the two exhaustive-oracle criteria: for every
-    n <= n_max and t, the brute-force maximum must equal reference(n, t)."""
-    ok = True
-    mismatches = []
-    for level, reps in levels(n_max, cs):
-        if not level:
-            continue
-        for t in t_values:
-            best = max((count_cliques(g, t) for g in reps), default=0)
-            want = reference(level, t)
-            if best != want:
-                ok = False
-                mismatches.append((level, t, best, want))
-    return ok, {"mismatches": mismatches}
-
-
 def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Clique-bounded oracle: max k^t over K_{omega+1}-free graphs on n
-    vertices equals the Turán count, n <= 7, omega in 2..4, t in 3..4."""
+    """Clique-bounded oracle (Zykov: K_t is Turán-good): max k^t over
+    K_{omega+1}-free graphs on n vertices equals the Turán count, n <= 7,
+    omega in 2..4, t in 3..4."""
     ok = True
     details: dict = {}
     for omega in (2, 3, 4):
-        cs = ConstraintSet(u=1, delta=None, omega=omega)
-        got, info = _extremal_grid(
-            7, (3, 4), cs, lambda n, t, w=omega: turan_copy_count(complete_graph(t), w, n)
-        )
-        ok &= got
-        details[f"omega={omega}"] = "ok" if got else info["mismatches"]
-    # spot check the public search API agrees with the shared driver
-    spot = brute_extremal(5, complete_graph(3), ConstraintSet(omega=3))
-    ok &= spot.objective == turan_copy_count(complete_graph(3), 3, 5)
-    details["spot brute_extremal(5, K3, K4-free)"] = spot.objective
+        mismatches = []
+        for t in (3, 4):
+            out = empirical_turan_goodness(complete_graph(t), omega, 7)
+            mismatches += [(n, t, best, want) for n, best, want in out.rows if best != want]
+        ok &= not mismatches
+        details[f"omega={omega}"] = mismatches or "ok"
     return CriterionResult(2, "exhaustive oracle matches Turán counts", ok, details)
 
 
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Star-bounded oracle: max k^t over K_{1,delta+1}-free graphs equals
-    the disjoint-cliques count k^t(aK_{delta+1} u K_b)."""
-
-    def reference(delta: int):
-        def ref(n: int, t: int) -> int:
-            a, b = divmod(n, delta + 1)
-            g = disjoint_union([(complete_graph(delta + 1), a), (complete_graph(b), 1)])
-            return count_cliques(g, t)
-
-        return ref
-
+    """Star-bounded oracle: max k^t over K_{1,delta+1}-free graphs on n
+    vertices equals the disjoint-cliques count k^t(aK_{delta+1} u K_b),
+    n <= 7, delta in 2..4, t in 3..4."""
     ok = True
     details: dict = {}
     for delta in (2, 3, 4):
-        cs = ConstraintSet(u=1, delta=delta, omega=None)
-        got, info = _extremal_grid(7, (3, 4), cs, reference(delta))
-        ok &= got
-        details[f"delta={delta}"] = "ok" if got else info["mismatches"]
+        cs = ConstraintSet(delta=delta)
+        mismatches = []
+        for n in range(1, 8):
+            a, b = divmod(n, delta + 1)
+            host = disjoint_union([(complete_graph(delta + 1), a), (complete_graph(b), 1)])
+            for t in (3, 4):
+                best = brute_extremal(n, complete_graph(t), cs).objective
+                want = count_cliques(host, t)
+                if best != want:
+                    mismatches.append((n, t, best, want))
+        ok &= not mismatches
+        details[f"delta={delta}"] = mismatches or "ok"
     return CriterionResult(3, "exhaustive oracle matches disjoint-clique counts", ok, details)
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Fixed-edge-count oracle: max k^3 over K_4-free graphs with m edges
     (vertex cap 8) equals the colex interpolation count, m <= 12."""
-    best = {m: 0 for m in range(13)}
-    examined = 0
-    for _, reps in levels(8, ConstraintSet(omega=3), (2, 12)):
-        for g in reps:
-            m = g.edge_count
-            examined += 1
-            k3 = count_cliques(g, 3)
-            if k3 > best[m]:
-                best[m] = k3
+    cs = ConstraintSet(u=2, omega=3)
     rows = []
-    ok = True
+    examined = 0
     for m in range(1, 13):
-        colex_value = count_cliques(colex_turan(3, m), 3)
-        rows.append((m, best[m], colex_value))
-        ok &= best[m] == colex_value
-    # spot check the public per-p search agrees
-    spot = brute_extremal_u(7, 2, complete_graph(3), ConstraintSet(u=2, omega=3), n_cap=8)
-    ok &= spot.objective == best[7]
+        out = brute_extremal_u(m, 2, complete_graph(3), cs, n_cap=8)
+        examined += out.search_space_size
+        rows.append((m, out.objective, count_cliques(colex_turan(3, m), 3)))
     return CriterionResult(
         4,
         "colex interpolation matches the fixed-edge oracle",
-        ok,
+        all(oracle == colex for _, oracle, colex in rows),
         {"rows (m, oracle, colex)": rows, "classes": examined},
     )
 

@@ -14,7 +14,9 @@ built, so delta has no vertex cap.
 with equality exactly when omega-u divides delta.  Off the divisibility
 case only the interval is reported, never a single number: the limit is
 not known there.  All densities are ``fractions.Fraction``; equality
-flags are decidable.
+flags are decidable.  Nothing here enumerates graphs: the exhaustive
+Turán-goodness check is ``search.empirical_turan_goodness``, beside the
+one extremal search.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .counting import (
     turan_copy_count,
 )
 from .freeness import ConstraintSet, check_constraints
-from .search import _optimum, levels
 
 Density = Fraction
 
@@ -95,41 +96,6 @@ def turan_threshold_bound(h: Graph) -> int:
     """Certified upper bound 300 * v(H)^9 on the clique-number threshold
     beyond which Turán graphs are exactly extremal for counting H."""
     return 300 * h.n**9
-
-
-@dataclass(frozen=True)
-class EmpiricalGoodness:
-    """Outcome of a desk-scale exhaustive check that Turán graphs maximize
-    H-counts among K_{omega+1}-free graphs.  A pass is evidence, not proof;
-    ``vacuous`` marks the zero-count regime where a pass carries no
-    information (the Turán graph hosts no copy of H at the largest size)."""
-
-    passed: bool
-    vacuous: bool
-    rows: tuple[tuple[int, int, int], ...]  # (n, exhaustive max, Turán count)
-    witness: Optional[str] = None  # first sorted graph6 optimum beating Turán
-
-
-def empirical_turan_goodness(
-    h: Graph | PatternSpec, omega: int, n_max: int
-) -> EmpiricalGoodness:
-    """Exhaustively verify max N(H, G) over K_{omega+1}-free G equals the
-    Turán count for every n <= n_max, from one walk of the levels."""
-    spec = as_pattern(h)
-    cs = ConstraintSet(u=1, delta=None, omega=omega)
-    rows = []
-    witness = None
-    for n, reps in levels(n_max, cs):
-        if not n:
-            continue
-        out = _optimum(spec, reps, cs, {"n": n})
-        t_count = turan_copy_count(spec, omega, n)
-        rows.append((n, out.objective, t_count))
-        if out.objective != t_count and witness is None:
-            witness = out.argmax[0]
-    passed = all(found == want for _, found, want in rows)
-    vacuous = turan_copy_count(spec, omega, n_max) == 0
-    return EmpiricalGoodness(passed, vacuous, tuple(rows), witness)
 
 
 def ratio_diagnostic(

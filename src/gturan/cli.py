@@ -126,7 +126,13 @@ def _vertices_1based(mask: int) -> str:
 def _emit(args, kind: str, data, text_lines: list[str]) -> None:
     doc = envelope(kind, data)
     if args.out:
-        manifest = make_manifest(["gturan"] + args._argv, vars_public(args), {})
+        # every @file input, so a replay can check it reads the same bytes
+        files = {
+            f"--{name}": spec.strip()[1:]
+            for name in ("graph", "pattern", "family")
+            if (spec := getattr(args, name, None)) and spec.strip().startswith("@")
+        }
+        manifest = make_manifest(["gturan"] + args._argv, vars_public(args), files)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump_json(envelope(kind, data, manifest)) + "\n")
     if args.json:

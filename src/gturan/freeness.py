@@ -12,9 +12,10 @@ in ``counting``, stopping at the first embedding found.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
-from .graphs import Graph, common_neighborhood, iter_bits, set_of
+from .graphs import Graph, common_neighborhood, iter_bits, mask_of, set_of
 from .counting import _frontier, clique_number, enumerate_cliques, has_clique
 
 
@@ -98,31 +99,24 @@ def check_constraints(g: Graph, cs: ConstraintSet) -> FreenessReport:
     neighbourhood together with its delta+1 least common neighbours.
     """
     omega_g = clique_number(g)
-    max_deg = max((g.degree(v) for v in range(g.n)), default=0)
     by_u: dict[int, int] = {}
-    violations: list[Violation] = []
-
+    split = None  # witness: the least u-clique with > delta common neighbours
     for uu in range(1, cs.u + 1):
         best = 0
         for c in enumerate_cliques(g, uu):
-            best = max(best, common_neighborhood(g, c).bit_count())
+            nb = common_neighborhood(g, c)
+            size = nb.bit_count()
+            best = max(best, size)
+            if split is None and uu == cs.u and cs.delta is not None and size > cs.delta:
+                split = c | mask_of(islice(iter_bits(nb), cs.delta + 1))
         by_u[uu] = best
 
+    violations: list[Violation] = []
     if cs.omega is not None and omega_g > cs.omega:
-        witness = next(enumerate_cliques(g, cs.omega + 1))
-        violations.append(Violation("clique", witness))
-
-    if cs.delta is not None:
-        for c in enumerate_cliques(g, cs.u):
-            nb = common_neighborhood(g, c)
-            if nb.bit_count() > cs.delta:
-                extra = 0
-                for v in iter_bits(nb):
-                    extra |= 1 << v
-                    if extra.bit_count() == cs.delta + 1:
-                        break
-                violations.append(Violation("split", c | extra))
-                break
-
-    return FreenessReport(omega_g, max_deg, by_u, tuple(violations))
+        violations.append(Violation("clique", next(enumerate_cliques(g, cs.omega + 1))))
+    if split is not None:
+        violations.append(Violation("split", split))
+    # the 1-cliques are the vertices, so the largest common neighbourhood
+    # of a 1-clique is the maximum degree
+    return FreenessReport(omega_g, by_u[1], by_u, tuple(violations))
 

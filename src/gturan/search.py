@@ -65,7 +65,11 @@ candidate graphs and re-verifies every optimum.  Fixing u = 1 fixes the
 vertex count, so ``brute_extremal(n, ...)`` is the u = 1 stream;
 ``brute_extremal_u`` with u >= 2 streams the levels 1..n_cap pruned by
 the constraint set and k^u <= p (clique counts only grow with the
-graph, so the pruning is hereditary), filtered to k^u(G) = p.
+graph, so the pruning is hereditary), filtered to k^u(G) = p;
+``empirical_turan_goodness`` hands it each level of one K_{omega+1}-free
+walk.  The exhaustive acceptance criteria call these three, so no other
+code takes an exhaustive maximum, and every optimum they compare is
+re-verified.
 """
 
 from __future__ import annotations
@@ -91,6 +95,7 @@ from .counting import (
     count_embeddings,
     count_subgraph_copies,
     enumerate_cliques,
+    turan_copy_count,
 )
 from .freeness import ConstraintSet, check_constraints, passes_constraints
 
@@ -367,6 +372,41 @@ def _optimum(
         fixed,
         notes,
     )
+
+
+@dataclass(frozen=True)
+class EmpiricalGoodness:
+    """Outcome of a desk-scale exhaustive check that Turán graphs maximize
+    H-counts among K_{omega+1}-free graphs.  A pass is evidence, not proof;
+    ``vacuous`` marks the zero-count regime where a pass carries no
+    information (the Turán graph hosts no copy of H at the largest size)."""
+
+    passed: bool
+    vacuous: bool
+    rows: tuple[tuple[int, int, int], ...]  # (n, exhaustive max, Turán count)
+    witness: Optional[str] = None  # first sorted graph6 optimum beating Turán
+
+
+def empirical_turan_goodness(
+    h: Graph | PatternSpec, omega: int, n_max: int
+) -> EmpiricalGoodness:
+    """Exhaustively verify max N(H, G) over K_{omega+1}-free G equals the
+    Turán count for every n <= n_max, from one walk of the levels."""
+    spec = as_pattern(h)
+    cs = ConstraintSet(u=1, delta=None, omega=omega)
+    rows = []
+    witness = None
+    for n, reps in levels(n_max, cs):
+        if not n:
+            continue
+        out = _optimum(spec, reps, cs, {"n": n})
+        t_count = turan_copy_count(spec, omega, n)
+        rows.append((n, out.objective, t_count))
+        if out.objective != t_count and witness is None:
+            witness = out.argmax[0]
+    passed = all(found == want for _, found, want in rows)
+    vacuous = turan_copy_count(spec, omega, n_max) == 0
+    return EmpiricalGoodness(passed, vacuous, tuple(rows), witness)
 
 
 def brute_extremal(n: int, h: Graph | PatternSpec, cs: ConstraintSet) -> SearchOutcome:

@@ -2,8 +2,10 @@
 line.  Run with ``pytest tests/test_acceptance.py -v -s`` or via the CLI
 (``gturan verify --level full``)."""
 
+import dataclasses
 import time
 
+from gturan import search
 from gturan.acceptance import CRITERIA
 
 
@@ -72,3 +74,18 @@ def test_corrupted_constructor_is_caught(monkeypatch):
     assert not result.passed
     assert result.cid == 6
     assert result.details["failures"]
+
+
+
+def test_corrupted_search_is_caught(monkeypatch):
+    """Negative control: an extremal search that reports one copy too many
+    must fail every exhaustive-oracle criterion."""
+    real_optimum = search._optimum
+
+    def corrupted(*args, **kwargs):
+        out = real_optimum(*args, **kwargs)
+        return dataclasses.replace(out, objective=out.objective + 1)
+
+    monkeypatch.setattr(search, "_optimum", corrupted)
+    for cid in (2, 3, 4):
+        assert not CRITERIA[cid]().passed, f"criterion {cid} passed"

@@ -9,12 +9,12 @@ from gturan.counting import count_subgraph_copies, pattern_spec
 from gturan.bounds import (
     bounds_report,
     copy_density,
-    empirical_turan_goodness,
     ratio_diagnostic,
     star_problem_bounds,
     turan_threshold_bound,
     verify_lower_bound_freeness,
 )
+from gturan.search import empirical_turan_goodness
 
 from oracles import turan_part_count, turan_part_sizes
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -307,6 +308,33 @@ class TestManifest:
         b["manifest"].pop("timestamp")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert validate_schema(json.loads(first)) == []
+
+
+    def test_file_inputs_are_hashed(self, capsys, tmp_path):
+        host, pattern = tmp_path / "k4.g6", tmp_path / "k3.g6"
+        host.write_text(graph6_encode(complete_graph(4)) + "\n")
+        pattern.write_text(graph6_encode(complete_graph(3)) + "\n")
+        out = tmp_path / "r.json"
+        main(["count", "--graph", f"@{host}", "--pattern", f"@{pattern}", "--out", str(out)])
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert doc["data"]["count"] == 4
+        assert doc["manifest"]["input_hashes"] == {
+            "--graph": hashlib.sha256(host.read_bytes()).hexdigest(),
+            "--pattern": hashlib.sha256(pattern.read_bytes()).hexdigest(),
+        }
+        assert validate_schema(doc) == []
+
+    def test_family_file_is_hashed_and_named_inputs_are_not(self, capsys, tmp_path):
+        family, out = tmp_path / "t35.g6", tmp_path / "r.json"
+        family.write_text(graph6_encode(turan(3, 5)) + "\n")
+        main(["construct", "--family", f" @{family}", "--out", str(out)])
+        assert json.loads(out.read_text())["manifest"]["input_hashes"] == {
+            "--family": hashlib.sha256(family.read_bytes()).hexdigest(),
+        }
+        main(["construct", "--family", "turan(3,5)", "--out", str(out)])
+        capsys.readouterr()
+        assert json.loads(out.read_text())["manifest"]["input_hashes"] == {}
 
 
 def test_reproduce_examples_function():

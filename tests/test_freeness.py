@@ -3,6 +3,7 @@ import pytest
 from gturan.graphs import (
     complete_graph,
     cycle_graph,
+    from_edge_list,
     path_graph,
     set_of,
 )
@@ -65,6 +66,19 @@ class TestCheckConstraints:
         # witness is the centre plus delta+1 of its neighbours
         assert v.vertices.bit_count() == 5
         assert 0 in set_of(v.vertices)
+
+    def test_u2_clique_and_split_witnesses(self):
+        # a pendant edge 0-1 on K5 = {1..5}: the first 2-clique {0, 1} has no
+        # common neighbour, the next one {1, 2} has three
+        g = from_edge_list(6, [(0, 1)] + [(a, b) for a in range(1, 6) for b in range(a + 1, 6)])
+        rep = check_constraints(g, ConstraintSet(u=2, delta=1, omega=4))
+        assert rep.clique_number == 5
+        assert rep.max_degree == 5
+        assert rep.max_common_neighborhood_by_u == {1: 5, 2: 3}
+        assert [(v.kind, v.vertex_list()) for v in rep.violations] == [
+            ("clique", (1, 2, 3, 4, 5)),  # the least 5-clique
+            ("split", (1, 2, 3, 4)),  # {1, 2} and its two least common neighbours
+        ]
 
     def test_max_codegree_map(self):
         rep = check_constraints(turan(3, 6), ConstraintSet(u=2, delta=2, omega=3))

@@ -16,7 +16,6 @@ from gturan.graphs import (
     isomorphic,
     union_of,
 )
-from gturan.bounds import empirical_turan_goodness
 from gturan.families import colex_turan, turan
 from gturan.counting import count_cliques, count_subgraph_copies
 from gturan.freeness import ConstraintSet, check_constraints, passes_constraints
@@ -28,6 +27,7 @@ from gturan.search import (
     best_composition,
     brute_extremal,
     brute_extremal_u,
+    empirical_turan_goodness,
     enumerate_graphs,
     levels,
     nonisomorphic_graphs_upto,
