@@ -14,7 +14,9 @@ The embedding search ``_frontier`` places all pattern vertices but the
 last and hands back the last one's candidate mask: ``count_embeddings``
 sums the popcounts, ``enumerate_copies`` walks the bits and
 ``freeness.contains_subgraph`` takes the lowest bit of the first mask.
-|Aut| comes from ``graphs.canonical_search``, not from self-embeddings.
+|Aut| is ``graphs.automorphism_count``, re-exported here: one
+``canonical_search`` per graph, kept with the canonical code in the one
+labeling cache of ``graphs`` (at most 256 graphs), not self-embeddings.
 Every copy count is ``_count_copies`` inside a mask (the clique walk for
 complete patterns): the whole host, N(C) for copies rooted at a clique
 C, and the complement of s for copies avoiding s.  Copies in Turán hosts
@@ -38,8 +40,8 @@ from typing import Iterator
 
 from .graphs import (
     Graph,
+    automorphism_count,
     canonical_code,
-    canonical_search,
     common_neighborhood,
     delete_vertices,
     iter_bits,
@@ -246,12 +248,6 @@ def count_embeddings(h: Graph, g: Graph) -> int:
     if h.n == 0:
         return 1
     return sum(cand.bit_count() for _, _, cand in _frontier(h, g.adj, g.vertex_mask))
-
-
-@lru_cache(maxsize=4096)
-def automorphism_count(h: Graph) -> int:
-    """Order of the automorphism group, exact, from the canonical search."""
-    return canonical_search(h).aut
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -321,6 +322,17 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # the twin cells.  ``automorphism_generators`` expands all of it into
 # permutations; ``canonical_code``, ``isomorphic`` and
 # ``automorphism_count`` never do.
+#
+# Those three read one bounded cache of labelings, ``_labeling``: per
+# graph, its canonical code and |Aut| from one ``canonical_search``, so a
+# graph that is compared and counted again is searched once.  It keeps
+# the 256 graphs used last.  An entry holds the graph (the key: its rows,
+# about 17 KB for G(256, 1/2)) and the code bytes (about 4 KB at n = 256),
+# so the cache stays under about 6 MiB.  ``canonical_search`` and
+# ``automorphism_generators`` stay uncached: their one production caller,
+# the enumeration walk, labels each child once and keeps the generators
+# it needs in ``search._expansions``, and a full form holds generator
+# lists of n ints each.
 
 
 def twin_classes(adj: Sequence[int]) -> list[int]:
@@ -358,30 +370,56 @@ def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]
 
     Splits every cell by the number of neighbours its vertices have in
     each splitter; subcell order (descending count) is isomorphism
-    invariant, keeping the cell sequence canonical.  Stops early once
-    the partition is discrete.
+    invariant, keeping the cell sequence canonical.  The counts are kept
+    as bit planes, ``planes[b]`` the vertices whose count has bit b set,
+    summed one splitter row at a time with a ripple carry.  A cell that
+    misses every plane has count 0 throughout and stays whole; any other
+    cell is cut by the planes from the highest down, which leaves its
+    parts in descending count order.  Stops early once the partition is
+    discrete.
     """
     n = len(adj)
     while queue and len(cells) < n:
         splitter = queue.pop()
+        if not splitter:
+            continue
+        low = splitter & -splitter
+        splitter ^= low
+        planes = [adj[low.bit_length() - 1]]
+        while splitter:
+            low = splitter & -splitter
+            splitter ^= low
+            carry = adj[low.bit_length() - 1]
+            for b, plane in enumerate(planes):
+                planes[b] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        planes.reverse()
+        hit = 0
+        for plane in planes:
+            hit |= plane
         out: list[int] = []
         for cell in cells:
-            if cell & (cell - 1) == 0:  # singleton
+            if not cell & hit or cell & (cell - 1) == 0:  # count 0, or a singleton
                 out.append(cell)
                 continue
-            groups: dict[int, int] = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                k = (adj[low.bit_length() - 1] & splitter).bit_count()
-                groups[k] = groups.get(k, 0) | low
-            if len(groups) == 1:
-                out.append(cell)
-            else:
-                for k in sorted(groups, reverse=True):
-                    out.append(groups[k])
-                    queue.append(groups[k])
+            parts = [cell]
+            for plane in planes:
+                if cell & plane and cell & plane != cell:  # this bit varies in the cell
+                    cut = []
+                    for part in parts:
+                        high = part & plane
+                        if high and high != part:
+                            cut += (high, part ^ high)
+                        else:
+                            cut.append(part)
+                    parts = cut
+            out += parts
+            if len(parts) > 1:
+                queue += parts
         cells = out
     return cells
 
@@ -652,9 +690,12 @@ def automorphism_generators(g: Graph) -> tuple[list[int], list[list[int]]]:
     return order, gens
 
 
-def canonical_code(g: Graph) -> bytes:
-    """Isomorphism-invariant byte encoding: equal codes iff isomorphic."""
-    rows = canonical_search(g).rows
+@lru_cache(maxsize=256)
+def _labeling(g: Graph) -> tuple[bytes, int]:
+    """Canonical code and |Aut| of ``g`` from one ``canonical_search``;
+    the one cache of labelings (see the comment above)."""
+    form = canonical_search(g)
+    rows = form.rows
     n = g.n
     # the upper triangle column by column, as in graph6; column j holds
     # bits 0..j-1 of row j, lowest first
@@ -662,7 +703,19 @@ def canonical_code(g: Graph) -> bytes:
     nbits = len(text)
     nbytes = (nbits + 7) // 8
     bits = int(text or "0", 2) << (nbytes * 8 - nbits)
-    return bytes([n >> 8, n & 0xFF]) + bits.to_bytes(nbytes, "big")
+    return bytes([n >> 8, n & 0xFF]) + bits.to_bytes(nbytes, "big"), form.aut
+
+
+def canonical_code(g: Graph) -> bytes:
+    """Isomorphism-invariant byte encoding: equal codes iff isomorphic.
+    Read from the labeling cache, so each graph is searched once."""
+    return _labeling(g)[0]
+
+
+def automorphism_count(g: Graph) -> int:
+    """Order of the automorphism group, exact, read from the same
+    labeling cache as ``canonical_code``."""
+    return _labeling(g)[1]
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gturan import search
+from gturan import graphs, search
 from gturan.graphs import Graph, random_graph
 
 
@@ -39,3 +39,10 @@ def cold_search() -> None:
     """Empty the expansion memo of ``gturan.search``, so the test starts
     from a cold process."""
     search._expansions.clear()
+
+
+@pytest.fixture
+def cold_labels() -> None:
+    """Empty the labeling cache of ``gturan.graphs``, so every graph the
+    test labels is searched afresh."""
+    graphs._labeling.cache_clear()

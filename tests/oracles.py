@@ -7,7 +7,9 @@ tables are built by brute force over labeled graphs.  Copy counts in
 Turán graphs are read from the part sizes alone, and their block-size
 profiles from every set partition of the pattern's vertices.  Class
 counts of graphs with maximum degree at most 2 come from their path and
-cycle components by an Euler transform.
+cycle components by an Euler transform.  Partition refinement counts
+each vertex's neighbours in a splitter one vertex at a time, the
+reference for the bit-plane kernel of ``graphs._refine``.
 """
 
 from __future__ import annotations
@@ -204,3 +206,35 @@ def max_degree_two_class_counts(n_max: int) -> list[int]:
     for n in range(1, n_max + 1):
         a.append(sum(b[k] * a[n - k] for k in range(1, n + 1)) // n)
     return a
+
+
+def reference_refine(adj, cells: list[int], queue: list[int]) -> list[int]:
+    """Equitable refinement of an ordered partition, one vertex at a
+    time: each non-singleton cell is grouped by the popcount of every
+    member's row inside the splitter, groups in descending count order,
+    and a cell that splits pushes its parts onto the queue.  Stops once
+    the partition is discrete.  Reads only ``adj``; ``cells`` and
+    ``queue`` are vertex masks, and ``queue`` is consumed."""
+    n = len(adj)
+    while queue and len(cells) < n:
+        splitter = queue.pop()
+        out: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                out.append(cell)
+                continue
+            groups: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                k = (adj[low.bit_length() - 1] & splitter).bit_count()
+                groups[k] = groups.get(k, 0) | low
+            if len(groups) == 1:
+                out.append(cell)
+            else:
+                for k in sorted(groups, reverse=True):
+                    out.append(groups[k])
+                    queue.append(groups[k])
+        cells = out
+    return cells

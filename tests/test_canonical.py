@@ -1,6 +1,7 @@
 """Canonical code: brute-force agreement, relabel invariance, and class
 separation."""
 
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -18,6 +19,7 @@ from gturan.graphs import (
     complete_graph,
     empty_graph,
     from_edge_list,
+    graph6_encode,
     isomorphic,
     iter_bits,
     path_graph,
@@ -27,8 +29,14 @@ from gturan.graphs import (
     union_of,
 )
 from gturan.families import turan
+from gturan.search import nonisomorphic_graphs_upto
 
-from oracles import brute_automorphism_count, brute_canonical, brute_orbits
+from oracles import (
+    brute_automorphism_count,
+    brute_canonical,
+    brute_orbits,
+    reference_refine,
+)
 
 
 def test_separates_all_classes_on_four_vertices():
@@ -153,7 +161,7 @@ def _blow_ups(seed, count, max_base):
     return out
 
 
-def test_blow_ups_against_brute_force(monkeypatch):
+def test_blow_ups_against_brute_force(monkeypatch, cold_labels):
     quotiented = []
     real = graphs._quotient_search
 
@@ -168,7 +176,7 @@ def test_blow_ups_against_brute_force(monkeypatch):
     for i, g in enumerate(small):
         by_code.setdefault(canonical_code(g), set()).add(i)
         by_brute.setdefault((g.n, brute_canonical(g)), set()).add(i)
-        assert automorphism_count.__wrapped__(g) == brute_automorphism_count(g)
+        assert canonical_search(g).aut == brute_automorphism_count(g)
         order, gens = automorphism_generators(g)
         assert _orbits_of(g.n, gens) == brute_orbits(g)
         pos = [0] * g.n
@@ -236,3 +244,130 @@ def test_generators_against_brute_orbits():
         for i, v in enumerate(order):
             pos[v] = i
         assert relabel(g, pos).adj == canonical_search(g).rows
+
+
+def _pinned_graphs():
+    """Seeded, randomly relabeled symmetric graphs: Turán and Paley
+    graphs, complements of clique unions, cycle unions and blow-ups."""
+    rng = random.Random(1848)
+    gs = [turan(r, n) for r, n in [(2, 7), (3, 10), (4, 12), (5, 23), (7, 64), (16, 256)]]
+    gs += [_paley_with_aut(q)[0] for q in (13, 17, 29)]
+    gs += [_co_cliques_with_aut(k, t)[0] for k, t in [(3, 4), (4, 3)]]
+    gs += [
+        union_of(cycle_graph(5), cycle_graph(5), cycle_graph(7)),
+        union_of(*[cycle_graph(4)] * 3),
+        union_of(cycle_graph(6), path_graph(3), cycle_graph(6)),
+    ]
+    gs += _blow_ups(61, 30, 6)
+    out = []
+    for g in gs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(relabel(g, perm))
+    return out
+
+
+# SHA-256 of the forms below when this pin was set.  Search argmax strings
+# and the reproduced examples are written in these forms, so a change of
+# any canonical form must show here first.
+PINNED_DIGEST = "49efa2931af72d40c41c87fc68ef4a1f3b19a3ecb90009e413cba485129439d5"
+
+
+def test_canonical_forms_are_pinned():
+    digest = hashlib.sha256()
+    for level in nonisomorphic_graphs_upto(7):
+        for g in level:
+            digest.update(graph6_encode(g).encode("ascii") + b"\n")
+    for g in _pinned_graphs():
+        digest.update(canonical_code(g))
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _code_of_rows(n, rows):
+    """Canonical-code bytes of adjacency rows, bit by bit: n in two bytes,
+    then the upper triangle column by column (graph6 order), eight bits a
+    byte, zero-padded."""
+    bits = [rows[j] >> i & 1 for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 8)
+    body = bytes(int("".join(map(str, bits[k : k + 8])), 2) for k in range(0, len(bits), 8))
+    return bytes([n >> 8, n & 0xFF]) + body
+
+
+def test_each_graph_is_labeled_once(monkeypatch, cold_labels):
+    searched = []
+    real = graphs.canonical_search
+
+    def spy(g):
+        searched.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "canonical_search", spy)
+    g, aut = _paley_with_aut(13)
+    h = relabel(g, [(5 * v + 3) % 13 for v in range(13)])
+    assert g != h
+    assert isomorphic(g, h)
+    assert canonical_code(h) == canonical_code(g)
+    assert automorphism_count(h) == aut
+    assert isomorphic(g, Graph(h.n, tuple(h.adj)))  # equal to h, built apart
+    assert searched == [g, h]
+
+
+def test_cached_labeling_matches_a_fresh_search(small_corpus, cold_labels):
+    rng = random.Random(1849)
+    for g in small_corpus:
+        for _ in range(3):  # g, then two relabelings
+            form = canonical_search(g)
+            assert canonical_code(g) == _code_of_rows(g.n, form.rows)
+            assert automorphism_count(g) == form.aut
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = relabel(g, perm)
+
+
+def _refine_cases(rng, g):
+    """(cells, queue) pairs on ``g`` shaped like the searches' calls: the
+    whole vertex set, colour classes with every class queued (as in
+    ``_quotient_search``), one vertex individualized from the refined
+    root (as in ``_search``), and random ordered partitions with partial
+    queues, some holding an empty splitter."""
+    n = g.n
+    full = g.vertex_mask
+    cases = [([full], [full])]
+    colour = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
+    classes = [sum(1 << v for v in range(n) if colour[v] == c) for c in sorted(set(colour))]
+    cases.append((classes, list(classes)))
+    root = reference_refine(g.adj, [full], [full])
+    target = next((i for i, c in enumerate(root) if c & (c - 1)), None)
+    if target is not None:
+        cell = root[target]
+        v = rng.choice(list(iter_bits(cell)))
+        cases.append((root[:target] + [1 << v, cell ^ 1 << v] + root[target + 1 :], [1 << v]))
+    for _ in range(3):
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 8))))
+        cells = [sum(1 << v for v in order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        queue = rng.sample(cells, rng.randint(0, len(cells)))
+        if rng.random() < 0.3:
+            queue.insert(rng.randint(0, len(queue)), 0)
+        cases.append((cells, queue))
+    return cases
+
+
+def test_bit_plane_refinement_matches_per_vertex_reference():
+    rng = random.Random(2029)
+    gs = [
+        random_graph(rng, n, p)
+        for n in (1, 2, 7, 31, 63, 64, 65, 129, 256)
+        for p in (0.1, 0.5, 0.9)
+    ]
+    gs += [turan(r, 256) for r in (2, 7, 64)]
+    gs += [_paley_with_aut(q)[0] for q in (13, 37, 101)]
+    gs += _blow_ups(83, 12, 40)  # twin-heavy, up to 120 vertices
+    for g in gs:
+        for cells, queue in _refine_cases(rng, g):
+            ours, theirs = list(queue), list(queue)
+            assert graphs._refine(g.adj, list(cells), ours) == reference_refine(
+                g.adj, list(cells), theirs
+            )
+            assert ours == theirs  # the same parts were queued
