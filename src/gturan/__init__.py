@@ -26,13 +26,11 @@ from .families import (
     TuranSpec,
     colex_turan,
     complete_split,
-    join_with_clique,
     lower_bound_family,
     lower_bound_graph,
     turan,
 )
 from .counting import (
-    PatternSpec,
     automorphism_count,
     clique_number,
     copies_through,
@@ -49,7 +47,6 @@ from .freeness import ConstraintSet, FreenessReport, check_constraints, contains
 from .bounds import (
     BoundsReport,
     bounds_report,
-    copy_density,
     ratio_diagnostic,
     turan_threshold_bound,
 )
@@ -62,7 +59,6 @@ from .localization import (
 )
 from .search import (
     SearchOutcome,
-    best_composition,
     brute_extremal,
     brute_extremal_u,
     empirical_turan_goodness,

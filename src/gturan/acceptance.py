@@ -199,11 +199,10 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     ok = True
     failures = []
     for name, h in _pattern_grid():
-        spec = pattern_spec(h)
-        for u in range(1, spec.dom_count + 1):
+        for u in range(1, pattern_spec(h).dom_count + 1):
             for omega in range(u + 1, 7):
                 for delta in range(omega, 15):
-                    rep = bounds_report(spec, ParamTriple(u, delta, omega))
+                    rep = bounds_report(h, ParamTriple(u, delta, omega))
                     points += 1
                     good = rep.lower <= rep.upper and (not rep.divisible or rep.equal)
                     if rep.equal:
@@ -250,15 +249,15 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     ok = True
     bad = []
     tested = 0
-    specs = [(name, pattern_spec(h)) for name, h in _pattern_grid()]
+    patterns = [(name, h, pattern_spec(h).dom_count) for name, h in _pattern_grid()]
     for _ in range(200):
         n = rng.randint(1, 12)
         g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
-        for name, spec in specs:
-            for u in range(1, spec.dom_count + 1):
-                lhs = comb(spec.dom_count, u) * count_subgraph_copies(spec, g)
+        for name, h, d in patterns:
+            for u in range(1, d + 1):
+                lhs = comb(d, u) * count_subgraph_copies(h, g)
                 rhs = sum(
-                    count_copies_rooted(spec, g, c, u) for c in enumerate_cliques(g, u)
+                    count_copies_rooted(h, g, c, u) for c in enumerate_cliques(g, u)
                 )
                 tested += 1
                 if lhs != rhs:
@@ -397,7 +396,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     for name, h, u, omega, dmax in grid:
         spec = pattern_spec(h)
         for delta in range(omega, dmax + 1):
-            rep = bounds_report(spec, ParamTriple(u, delta, omega))
+            rep = bounds_report(h, ParamTriple(u, delta, omega))
             if rep.upper == 0:
                 continue
             ratio = rep.lower / rep.upper

@@ -27,28 +27,13 @@ from math import comb
 from typing import Optional
 
 from .graphs import Graph, complete_graph
-from .families import ParamTriple, lower_bound_graph
-from .counting import (
-    PatternSpec,
-    as_pattern,
-    count_cliques,
-    count_subgraph_copies,
-    turan_copy_count,
-)
-from .freeness import ConstraintSet, check_constraints
+from .families import ParamTriple
+from .counting import pattern_spec, turan_copy_count
 
 Density = Fraction
 
 
-def copy_density(h: Graph | PatternSpec, g: Graph, u: int) -> Fraction:
-    """Copies of h per u-clique of g, exact."""
-    ku = count_cliques(g, u)
-    if ku == 0:
-        raise ValueError("graph has no u-cliques; density undefined")
-    return Fraction(count_subgraph_copies(h, g), ku)
-
-
-def _turan_density(h: Graph | PatternSpec, u: int, r: int, n: int) -> Fraction:
+def _turan_density(h: Graph, u: int, r: int, n: int) -> Fraction:
     """Copies of h per u-clique of T_r(n), exact, without building it."""
     return Fraction(
         turan_copy_count(h, r, n), turan_copy_count(complete_graph(u), r, n)
@@ -73,14 +58,14 @@ class BoundsReport:
             assert self.lower == self.upper
 
 
-def bounds_report(h: Graph | PatternSpec, params: ParamTriple) -> BoundsReport:
+def bounds_report(h: Graph, params: ParamTriple) -> BoundsReport:
     """Exact lower/upper sandwich on the limiting density for (h, params)."""
-    spec = as_pattern(h)
+    spec = pattern_spec(h)
     if spec.dom_count < params.u:
         raise ValueError(
             f"pattern has {spec.dom_count} dominating vertices, need {params.u}"
         )
-    lower = _turan_density(spec, params.u, params.omega, params.lb_vertex_count)
+    lower = _turan_density(h, params.u, params.omega, params.lb_vertex_count)
     upper = Fraction(
         turan_copy_count(spec.down(params.u), params.omega - params.u, params.delta),
         comb(spec.dom_count, params.u),
@@ -98,9 +83,7 @@ def turan_threshold_bound(h: Graph) -> int:
     return 300 * h.n**9
 
 
-def ratio_diagnostic(
-    h: Graph | PatternSpec, r: int, n: int, u: int
-) -> tuple[Fraction, Fraction]:
+def ratio_diagnostic(h: Graph, r: int, n: int, u: int) -> tuple[Fraction, Fraction]:
     """Exact pair (count ratio, telescoped floor):
 
         N(H, T_r(n-u)) / N(H, T_r(n))   and   prod_i (1 - v(H)/(n-i)).
@@ -108,16 +91,15 @@ def ratio_diagnostic(
     The ratio lies in [floor, 1] whenever r is at or above the Turán
     threshold of H; finite stand-in for the limit-equals-1 statements.
     """
-    spec = as_pattern(h)
-    denom = turan_copy_count(spec, r, n)
+    denom = turan_copy_count(h, r, n)
     if denom == 0:
         raise ValueError("pattern count in T_r(n) is zero; ratio undefined")
     if n - u + 1 <= 0:
         raise ValueError("n - u must be positive")
-    num = turan_copy_count(spec, r, n - u)
+    num = turan_copy_count(h, r, n - u)
     bound = Fraction(1)
     for i in range(u):
-        bound *= Fraction(n - i - spec.pattern.n, n - i)
+        bound *= Fraction(n - i - h.n, n - i)
     return Fraction(num, denom), bound
 
 
@@ -130,23 +112,16 @@ class StarProblemBounds:
     upper: Fraction
 
 
-def star_problem_bounds(
-    h: Graph | PatternSpec, u: int, delta: int, omega: int
-) -> StarProblemBounds:
-    spec = as_pattern(h)
+def star_problem_bounds(h: Graph, u: int, delta: int, omega: int) -> StarProblemBounds:
+    spec = pattern_spec(h)
     if spec.dom_count < u:
         raise ValueError("pattern has too few dominating vertices")
     if not delta >= omega >= u + 1:
         raise ValueError("need delta >= omega >= u + 1")
-    lower = _turan_density(spec, u, omega, delta + delta // (omega - 1))
+    lower = _turan_density(h, u, omega, delta + delta // (omega - 1))
     upper = Fraction(
         turan_copy_count(spec.down(u), omega - u, delta - u + 1),
         comb(spec.dom_count, u),
     )
     return StarProblemBounds(lower, upper)
 
-
-def verify_lower_bound_freeness(params: ParamTriple) -> bool:
-    """The lower-bound graph really is {K_u v I_{delta+1}, K_{omega+1}}-free."""
-    cs = ConstraintSet(u=params.u, delta=params.delta, omega=params.omega)
-    return check_constraints(lower_bound_graph(params), cs).passes

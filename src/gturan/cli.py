@@ -218,6 +218,8 @@ def cmd_verify_free(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.star_problem and args.grid:
+        raise ValueError("--grid does not apply with --star-problem")
     h = parse_graph_spec(args.pattern)
     if args.star_problem:
         sp = star_problem_bounds(h, args.u, args.delta, args.omega)

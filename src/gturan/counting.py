@@ -25,6 +25,12 @@ into independent blocks; ``_independent_partitions`` counts them by
 block sizes, placing one twin class of H at a time.  Slow
 subset-enumeration and set-partition oracles live in the test tree only.
 
+Patterns are plain ``Graph``s.  A function that takes one looks up
+``pattern_spec(h)`` itself: the ``PatternSpec`` record, cached per
+pattern, behind it (dominating count, |Aut|, and the patterns left by
+deleting dominating vertices).  Only private helpers such as
+``_count_copies`` take the record.
+
 All counts are Python ints (arbitrary precision); densities elsewhere use
 ``fractions.Fraction``.  No floating point enters any count or comparison.
 """
@@ -34,14 +40,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import perm
 from typing import Iterator
 
 from .graphs import (
     Graph,
     automorphism_count,
-    canonical_code,
     common_neighborhood,
     delete_vertices,
     iter_bits,
@@ -263,8 +267,9 @@ def dominating_vertices(h: Graph) -> int:
 def delete_dominating(h: Graph, u: int) -> Graph:
     """Delete u dominating vertices (the lexicographically least ones).
 
-    The result is independent of the choice; ``pattern_spec`` asserts
-    this over every choice via canonical codes.
+    The result does not depend on the choice up to isomorphism: two
+    dominating vertices are true twins, so swapping them is an
+    automorphism of h.
     """
     dom = dominating_vertices(h)
     if u < 0 or dom.bit_count() < u:
@@ -280,10 +285,10 @@ def delete_dominating(h: Graph, u: int) -> Graph:
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """A pattern graph with its dominating structure precomputed."""
+    """The cached record behind a pattern graph: its dominating count,
+    |Aut| and the patterns left by deleting dominating vertices."""
 
     pattern: Graph
-    dom_mask: int
     dom_count: int
     aut_count: int
     derived: tuple[Graph, ...]  # derived[u-1] = pattern with u dominating vertices deleted
@@ -298,26 +303,9 @@ class PatternSpec:
 
 @lru_cache(maxsize=1024)
 def pattern_spec(h: Graph) -> PatternSpec:
-    dom = dominating_vertices(h)
-    dcount = dom.bit_count()
-    dom_vertices = list(iter_bits(dom))
-    # the dominating set must induce a clique
-    assert is_clique(h, dom)
-    derived = []
-    for u in range(1, dcount + 1):
-        choices = [
-            delete_vertices(h, sum(1 << v for v in pick))
-            for pick in combinations(dom_vertices, u)
-        ]
-        codes = {canonical_code(c) for c in choices}
-        if len(codes) != 1:
-            raise AssertionError("dominating-vertex deletion is choice-dependent")
-        derived.append(delete_dominating(h, u))
-    return PatternSpec(h, dom, dcount, automorphism_count(h), tuple(derived))
-
-
-def as_pattern(h: Graph | PatternSpec) -> PatternSpec:
-    return h if isinstance(h, PatternSpec) else pattern_spec(h)
+    dcount = dominating_vertices(h).bit_count()
+    derived = tuple(delete_dominating(h, u) for u in range(1, dcount + 1))
+    return PatternSpec(h, dcount, automorphism_count(h), derived)
 
 
 # ---------------------------------------------------------------------------
@@ -338,38 +326,35 @@ def _count_copies(spec: PatternSpec, adj: tuple[int, ...], cand: int) -> int:
     return copies
 
 
-def count_subgraph_copies(h: Graph | PatternSpec, g: Graph) -> int:
+def count_subgraph_copies(h: Graph, g: Graph) -> int:
     """Number of subgraphs of g isomorphic to h (vertex+edge sets).
 
     Equals the injective edge-preserving map count divided by |Aut(h)|;
     complete patterns are counted as cliques.
     """
-    return _count_copies(as_pattern(h), g.adj, g.vertex_mask)
+    return _count_copies(pattern_spec(h), g.adj, g.vertex_mask)
 
 
-def enumerate_copies(
-    h: Graph | PatternSpec, g: Graph
-) -> list[tuple[int, frozenset[tuple[int, int]]]]:
+def enumerate_copies(h: Graph, g: Graph) -> list[tuple[int, frozenset[tuple[int, int]]]]:
     """All copies of h in g as (vertex mask, edge set) pairs.
 
     Deterministic order: sorted by vertex mask, then edge set.  Each copy
     is found |Aut(h)| times by the embedding search; duplicates collapse.
     """
-    p = as_pattern(h).pattern
-    if p.n == 0:
+    if h.n == 0:
         return [(0, frozenset())]
-    last = p.n - 1
+    last = h.n - 1
     found: set[tuple[int, frozenset[tuple[int, int]]]] = set()
     pairs = None
-    for order, images, cand in _frontier(p, g.adj, g.vertex_mask):
+    for order, images, cand in _frontier(h, g.adj, g.vertex_mask):
         if pairs is None:  # the order is fixed; read its edges once
             pairs = [
                 (a, b)
                 for b in range(last)
                 for a in range(b)
-                if p.has_edge(order[a], order[b])
+                if h.has_edge(order[a], order[b])
             ]
-            to_last = [a for a in range(last) if p.has_edge(order[a], order[last])]
+            to_last = [a for a in range(last) if h.has_edge(order[a], order[last])]
         prefix = []
         for a, b in pairs:
             x, y = images[a], images[b]
@@ -381,14 +366,14 @@ def enumerate_copies(
     return sorted(found, key=lambda c: (c[0], sorted(c[1])))
 
 
-def count_copies_rooted(h: Graph | PatternSpec, g: Graph, c: int, u: int) -> int:
+def count_copies_rooted(h: Graph, g: Graph, c: int, u: int) -> int:
     """Copies of h in g in which every vertex of the u-clique c dominates.
 
     Computed through the exact identity with the derived pattern: the
     copies through c correspond bijectively to copies of the u-fold
     dominating-deletion of h inside the common neighbourhood of c.
     """
-    spec = as_pattern(h)
+    spec = pattern_spec(h)
     if c.bit_count() != u:
         raise ValueError("root set size does not match u")
     if u > spec.dom_count:
@@ -399,13 +384,13 @@ def count_copies_rooted(h: Graph | PatternSpec, g: Graph, c: int, u: int) -> int
     return _count_copies(pattern_spec(spec.down(u)), g.adj, common)
 
 
-def copies_through(h: Graph | PatternSpec, g: Graph, s: int) -> int:
+def copies_through(h: Graph, g: Graph, s: int) -> int:
     """Copies of h in g containing at least one vertex of s."""
     if s & ~g.vertex_mask:
         raise ValueError("vertex set not contained in the graph")
     if s == 0:
         return 0
-    spec = as_pattern(h)
+    spec = pattern_spec(h)
     return _count_copies(spec, g.adj, g.vertex_mask) - _count_copies(
         spec, g.adj, g.vertex_mask & ~s
     )
@@ -451,7 +436,7 @@ def _independent_partitions(h: Graph) -> tuple[tuple[tuple[int, ...], int], ...]
     return tuple(profile.items())
 
 
-def turan_copy_count(h: Graph | PatternSpec, r: int, n: int) -> int:
+def turan_copy_count(h: Graph, r: int, n: int) -> int:
     """N(H, T_r(n)) in closed form, without building the host.
 
     An embedding of H sends the preimage of each part to an independent
@@ -466,14 +451,13 @@ def turan_copy_count(h: Graph | PatternSpec, r: int, n: int) -> int:
     number of blocks in large parts.  The null pattern counts 1 for every
     r >= 0.
     """
-    spec = as_pattern(h)
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    if r < min(spec.pattern.n, 1):
-        raise ValueError(f"part count must be at least {min(spec.pattern.n, 1)}")
+    if r < min(h.n, 1):
+        raise ValueError(f"part count must be at least {min(h.n, 1)}")
     q, rem = divmod(n, r) if r else (0, 0)
     total = 0
-    for sizes, mult in _independent_partitions(spec.pattern):
+    for sizes, mult in _independent_partitions(h):
         # e[j]: block products with j of the blocks so far in large parts
         e = [1]
         for b in sizes:
@@ -481,6 +465,6 @@ def turan_copy_count(h: Graph | PatternSpec, r: int, n: int) -> int:
             e = [x * small + y * large for x, y in zip(e + [0], [0] + e)]
         k = len(sizes)
         total += mult * sum(c * perm(rem, j) * perm(r - rem, k - j) for j, c in enumerate(e))
-    copies, left = divmod(total, spec.aut_count)
+    copies, left = divmod(total, pattern_spec(h).aut_count)
     assert left == 0, "embedding count not divisible by automorphism count"
     return copies

@@ -173,13 +173,6 @@ def lower_bound_family(params: ParamTriple, p: int) -> Graph:
     return disjoint_union([(lb, q), (complete_graph(params.u), r)])
 
 
-def join_with_clique(j: Graph, u: int) -> Graph:
-    """H = J joined with K_u, so deleting u dominating vertices recovers J."""
-    if u < 0:
-        raise ValueError("clique size must be nonnegative")
-    return join(j, complete_graph(u))
-
-
 def candidate_extremal_union(u: int, delta: int, omega: int, size: int) -> Graph:
     """Conjectured extremal union for sizes that are not multiples of the
     lower-bound block; emitted for inspection only, nothing is asserted.

@@ -805,12 +805,6 @@ def graph6_decode(s: str | bytes) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def write_g6(path: str, graphs: Iterable[Graph]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for g in graphs:
-            fh.write(graph6_encode(g) + "\n")
-
-
 def read_g6(path: str) -> list[Graph]:
     out = []
     with open(path, "r", encoding="ascii") as fh:

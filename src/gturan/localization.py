@@ -42,7 +42,6 @@ from .counting import (
     _cliques,
     _count_copies,
     _max_clique,
-    as_pattern,
     count_cliques,
     count_copies_rooted,
     count_subgraph_copies,
@@ -70,13 +69,12 @@ class HypothesisViolationError(RuntimeError):
         )
 
 
-def default_threshold(h: Graph | PatternSpec) -> int:
+def default_threshold(h: Graph) -> int:
     """Default clique threshold: 1 for complete patterns (exact), else the
     certified 300 v^9 bound."""
-    spec = as_pattern(h)
-    if spec.dom_count == spec.pattern.n:
+    if pattern_spec(h).dom_count == h.n:
         return 1
-    return turan_threshold_bound(spec.pattern)
+    return turan_threshold_bound(h)
 
 
 def clique_weights(g: Graph, c: int, u: int) -> tuple[int, int]:
@@ -148,22 +146,20 @@ def _row(
 
 
 def copy_weights(
-    g: Graph, copy: tuple[int, frozenset[tuple[int, int]]], h: Graph | PatternSpec, u: int
+    g: Graph, copy: tuple[int, frozenset[tuple[int, int]]], h: Graph, u: int
 ) -> DominatingClique:
     """The row of Dom(J) for one copy J, a (vertex mask, edge set) pair of
     ``counting.enumerate_copies``; Dom(J) is read on J's own edges.  Not
     on the path of ``localized_report``, which lists no copies."""
-    spec = as_pattern(h)
+    spec = pattern_spec(h)
     verts, edges = copy
     degree = Counter(v for edge in edges for v in edge)
     clique = sum(1 << v for v in iter_bits(verts) if degree[v] == verts.bit_count() - 1)
-    copies = count_copies_rooted(spec, g, clique, spec.dom_count)
+    copies = count_copies_rooted(h, g, clique, spec.dom_count)
     return _row(g, spec, [1 << v for v in iter_bits(clique)], copies, u, {}, {}, 1)
 
 
-def localized_report(
-    g: Graph, h: Graph | PatternSpec, u: int, threshold: int
-) -> LocalReport:
+def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
     """Evaluate the localized inequality on g.
 
     ``threshold`` is the caller's stand-in for the exact clique threshold
@@ -174,7 +170,7 @@ def localized_report(
     of G that dominate no copy are exempt from the hypothesis and listed
     separately.
     """
-    spec = as_pattern(h)
+    spec = pattern_spec(h)
     d = spec.dom_count
     if not 1 <= u <= d:
         raise ValueError(f"u={u} outside 1..{d}, the pattern's dominating count")
@@ -228,12 +224,10 @@ def equality_family_graph(
     return disjoint_union(parts)
 
 
-def global_recovery_holds(
-    g: Graph, h: Graph | PatternSpec, u: int, delta: int, omega: int
-) -> bool:
+def global_recovery_holds(g: Graph, h: Graph, u: int, delta: int, omega: int) -> bool:
     """Global corollary: on a {K_u v I_{delta+1}, K_{omega+1}}-free graph,
     N(H, G) <= N(H^{down u}, T_{omega-u}(delta)) * k^u(G) / C(dom, u)."""
-    spec = as_pattern(h)
-    lhs = count_subgraph_copies(spec, g)
+    spec = pattern_spec(h)
+    lhs = count_subgraph_copies(h, g)
     cap = turan_copy_count(spec.down(u), omega - u, delta)
     return lhs * comb(spec.dom_count, u) <= cap * count_cliques(g, u)

@@ -79,22 +79,14 @@ from heapq import merge
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .graphs import (
-    Graph,
-    add_vertex,
-    automorphism_generators,
-    disjoint_union,
-    graph6_encode,
-    is_connected,
-    iter_bits,
-)
+from .graphs import Graph, add_vertex, automorphism_generators, graph6_encode, iter_bits
 from .counting import (
     PatternSpec,
-    as_pattern,
+    _count_copies,
     count_cliques,
     count_embeddings,
-    count_subgraph_copies,
     enumerate_cliques,
+    pattern_spec,
     turan_copy_count,
 )
 from .freeness import ConstraintSet, check_constraints, passes_constraints
@@ -105,10 +97,6 @@ from .freeness import ConstraintSet, check_constraints, passes_constraints
 # on 18 vertices for delta = 2, 36327 on 12 for delta = 3
 ENUM_CAP = 8
 DEGREE_CAPS = {0: 18, 1: 18, 2: 18, 3: 12}
-
-
-class CompositionError(ValueError):
-    """Target u-clique count not reachable from the given components."""
 
 
 @dataclass(frozen=True)
@@ -355,7 +343,7 @@ def _optimum(
     examined = 0
     for g in graphs:
         examined += 1
-        val = count_subgraph_copies(spec, g)
+        val = _count_copies(spec, g.adj, g.vertex_mask)
         if val > best:
             best, argmax = val, [g]
         elif val == best:
@@ -387,12 +375,10 @@ class EmpiricalGoodness:
     witness: Optional[str] = None  # first sorted graph6 optimum beating Turán
 
 
-def empirical_turan_goodness(
-    h: Graph | PatternSpec, omega: int, n_max: int
-) -> EmpiricalGoodness:
+def empirical_turan_goodness(h: Graph, omega: int, n_max: int) -> EmpiricalGoodness:
     """Exhaustively verify max N(H, G) over K_{omega+1}-free G equals the
     Turán count for every n <= n_max, from one walk of the levels."""
-    spec = as_pattern(h)
+    spec = pattern_spec(h)
     cs = ConstraintSet(u=1, delta=None, omega=omega)
     rows = []
     witness = None
@@ -400,24 +386,24 @@ def empirical_turan_goodness(
         if not n:
             continue
         out = _optimum(spec, reps, cs, {"n": n})
-        t_count = turan_copy_count(spec, omega, n)
+        t_count = turan_copy_count(h, omega, n)
         rows.append((n, out.objective, t_count))
         if out.objective != t_count and witness is None:
             witness = out.argmax[0]
     passed = all(found == want for _, found, want in rows)
-    vacuous = turan_copy_count(spec, omega, n_max) == 0
+    vacuous = turan_copy_count(h, omega, n_max) == 0
     return EmpiricalGoodness(passed, vacuous, tuple(rows), witness)
 
 
-def brute_extremal(n: int, h: Graph | PatternSpec, cs: ConstraintSet) -> SearchOutcome:
+def brute_extremal(n: int, h: Graph, cs: ConstraintSet) -> SearchOutcome:
     """Exact max of N(H, G) over free graphs on exactly n vertices."""
-    return _optimum(as_pattern(h), enumerate_graphs(n, cs), cs, {"n": n})
+    return _optimum(pattern_spec(h), enumerate_graphs(n, cs), cs, {"n": n})
 
 
 def brute_extremal_u(
     p: int,
     u: int,
-    h: Graph | PatternSpec,
+    h: Graph,
     cs: ConstraintSet,
     n_cap: Optional[int] = None,
 ) -> SearchOutcome:
@@ -439,7 +425,7 @@ def brute_extremal_u(
         raise ValueError(f"p={p} is negative")
     if n_cap is not None and n_cap < 0:
         raise ValueError(f"n_cap={n_cap} is negative")
-    spec = as_pattern(h)
+    spec = pattern_spec(h)
     fixed = {"u": u, "p": p}
     if u == 1:
         if n_cap is not None and n_cap != p:
@@ -457,9 +443,9 @@ def brute_extremal_u(
         if count_cliques(g, u) == p
     )
     covered = 0
-    for clique in enumerate_cliques(spec.pattern, u):
+    for clique in enumerate_cliques(h, u):
         covered |= clique
-    if n_cap >= u * p and covered == spec.pattern.vertex_mask:
+    if n_cap >= u * p and covered == h.vertex_mask:
         note = (
             f"vertex cap {n_cap}: every vertex of a copy of the pattern lies "
             f"in a clique of size {u}, and deleting the vertices in no such "
@@ -473,45 +459,3 @@ def brute_extremal_u(
         )
     return _optimum(spec, candidates, cs, fixed, (note,))
 
-
-def best_composition(
-    components: Sequence[Graph], h: Graph | PatternSpec, p: int, u: int
-) -> Graph:
-    """Disjoint multiset of the given connected components with total
-    u-clique count exactly p maximizing the total copy count, by dynamic
-    programming over p (unbounded knapsack).
-    """
-    spec = as_pattern(h)
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    items = []
-    for comp in components:
-        if not is_connected(comp):
-            raise ValueError("components must be connected")
-        w = count_cliques(comp, u)
-        v = count_subgraph_copies(spec, comp)
-        if w == 0:
-            continue  # cannot contribute u-cliques; useless as filler
-        items.append((comp, w, v))
-    if not any(w > 0 for _, w, _ in items):
-        raise CompositionError("no component contains a u-clique")
-    NEG = -1
-    value = [NEG] * (p + 1)
-    choice = [-1] * (p + 1)
-    value[0] = 0
-    for j in range(1, p + 1):
-        for idx, (_, w, v) in enumerate(items):
-            if w <= j and value[j - w] != NEG and value[j - w] + v > value[j]:
-                value[j] = value[j - w] + v
-                choice[j] = idx
-    if value[p] == NEG:
-        raise CompositionError(f"no multiset of components reaches k^u = {p}")
-    counts = [0] * len(items)
-    j = p
-    while j > 0:
-        idx = choice[j]
-        counts[idx] += 1
-        j -= items[idx][1]
-    return disjoint_union(
-        [(items[i][0], counts[i]) for i in range(len(items)) if counts[i]]
-    )

@@ -4,15 +4,14 @@ from math import comb
 import pytest
 
 from gturan.graphs import complete_graph, cycle_graph, path_graph
-from gturan.families import ParamTriple, complete_split, turan
+from gturan.families import ParamTriple, complete_split, lower_bound_graph, turan
 from gturan.counting import count_subgraph_copies, pattern_spec
+from gturan.freeness import ConstraintSet, check_constraints
 from gturan.bounds import (
     bounds_report,
-    copy_density,
     ratio_diagnostic,
     star_problem_bounds,
     turan_threshold_bound,
-    verify_lower_bound_freeness,
 )
 from gturan.search import empirical_turan_goodness
 
@@ -22,18 +21,6 @@ K2 = complete_graph(2)
 K3 = complete_graph(3)
 K4 = complete_graph(4)
 BOOK = complete_split(2, 2)
-
-
-class TestCopyDensity:
-    def test_examples(self):
-        assert copy_density(K3, K3, 1) == Fraction(1, 3)
-        assert copy_density(K3, turan(4, 6), 1) == 2
-        # one triangle subgraph over three edges
-        assert copy_density(K3, K3, 2) == Fraction(1, 3)
-
-    def test_zero_clique_count_rejected(self):
-        with pytest.raises(ValueError):
-            copy_density(K3, cycle_graph(4), 3)
 
 
 class TestBoundsReport:
@@ -71,7 +58,7 @@ class TestBoundsReport:
             for u in range(1, min(spec.dom_count, 2) + 1):
                 for omega in range(u + 1, 6):
                     for delta in range(omega, 12):
-                        rep = bounds_report(spec, ParamTriple(u, delta, omega))
+                        rep = bounds_report(h, ParamTriple(u, delta, omega))
                         assert rep.lower <= rep.upper
                         if rep.divisible:
                             assert rep.equal
@@ -82,9 +69,9 @@ class TestBoundsReport:
             for omega in (u + 2, u + 3):
                 for delta in range(omega, 14):
                     params = ParamTriple(u, delta, omega)
-                    spec = pattern_spec(K3) if u == 1 else pattern_spec(K4)
-                    rep = bounds_report(spec, params)
-                    reduced = spec.down(u)
+                    h = K3 if u == 1 else K4
+                    rep = bounds_report(h, params)
+                    reduced = pattern_spec(h).down(u)
                     denom = count_subgraph_copies(reduced, turan(omega - u, delta))
                     if denom == 0 or rep.upper == 0:
                         continue
@@ -122,7 +109,9 @@ class TestBoundsReport:
         for u in (1, 2):
             for omega in range(u + 1, 6):
                 for delta in range(omega, 10):
-                    assert verify_lower_bound_freeness(ParamTriple(u, delta, omega))
+                    params = ParamTriple(u, delta, omega)
+                    cs = ConstraintSet(u=u, delta=delta, omega=omega)
+                    assert check_constraints(lower_bound_graph(params), cs).passes
 
 
 class TestThresholdBound:

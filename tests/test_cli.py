@@ -270,6 +270,14 @@ class TestSubcommands:
         assert out == ""
         assert err == "gturan: error: need delta >= omega >= u+1, got (2, 4, 2)\n"
 
+    def test_bounds_star_problem_rejects_grid(self, capsys):
+        code = main(["bounds", "--pattern", "K3", "--u", "1", "--delta", "6",
+                     "--omega", "3", "--star-problem", "--grid", "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "gturan: error: --grid does not apply with --star-problem\n"
+
     @pytest.mark.parametrize("u", ["0", "-1"])
     def test_localize_bad_u_is_one_line_error(self, capsys, u):
         code = main(["localize", "--graph", "turan(3,6)", "--pattern", "K3", "--u", u])

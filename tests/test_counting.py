@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from gturan import search
 from gturan.graphs import (
+    canonical_code,
     complete_graph,
     cycle_graph,
+    delete_vertices,
     empty_graph,
     from_edge_list,
+    iter_bits,
     join,
     mask_of,
     path_graph,
@@ -19,6 +22,7 @@ from gturan.graphs import (
     union_of,
 )
 from gturan.families import complete_split, turan
+from gturan.acceptance import _pattern_grid
 from gturan.counting import (
     _independent_partitions,
     automorphism_count,
@@ -129,10 +133,27 @@ class TestDominating:
         assert spec.down(2) == empty_graph(2)
 
     def test_pattern_spec_derived_independence(self):
-        # all deletion choices agree; asserted internally, spot check K_5
         spec = pattern_spec(complete_graph(5))
         for u in range(1, 6):
             assert spec.down(u) == complete_graph(5 - u)
+        # dominating vertices are true twins, so deleting any u of them
+        # leaves one isomorphism class: the one pattern_spec keeps
+        rng = random.Random(19)
+        patterns = [h for _, h in _pattern_grid()]
+        patterns += [complete_graph(5), complete_split(2, 3)]
+        for u in range(4):
+            for _ in range(6):
+                j = random_graph(rng, rng.randint(0, 5), 0.5)
+                patterns.append(join(complete_graph(u), j))
+        for h in patterns:
+            spec = pattern_spec(h)
+            dom = list(iter_bits(dominating_vertices(h)))
+            for u in range(1, spec.dom_count + 1):
+                codes = {
+                    canonical_code(delete_vertices(h, mask_of(pick)))
+                    for pick in combinations(dom, u)
+                }
+                assert codes == {canonical_code(spec.down(u))}
 
 
 class TestCopyCounts:
@@ -300,18 +321,16 @@ class TestRootedCopies:
                 for u in range(1, spec.dom_count + 1):
                     for c in enumerate_cliques(g, u):
                         direct = 0
-                        for verts, edges in enumerate_copies(spec, g):
+                        for verts, edges in enumerate_copies(h, g):
                             if c & ~verts:
                                 continue
                             dom = _copy_dominating(verts, edges)
                             if c & ~dom == 0:
                                 direct += 1
-                        assert direct == count_copies_rooted(spec, g, c, u)
+                        assert direct == count_copies_rooted(h, g, c, u)
 
 
 def _copy_dominating(verts, edges):
-    from gturan.graphs import iter_bits
-
     vs = list(iter_bits(verts))
     deg = {v: 0 for v in vs}
     for a, b in edges:
@@ -417,9 +436,9 @@ class TestCopiesThrough:
             for h in patterns:
                 spec = pattern_spec(h)
                 for u in range(1, spec.dom_count + 1):
-                    lhs = comb(spec.dom_count, u) * count_subgraph_copies(spec, g)
+                    lhs = comb(spec.dom_count, u) * count_subgraph_copies(h, g)
                     rhs = sum(
-                        count_copies_rooted(spec, g, c, u)
+                        count_copies_rooted(h, g, c, u)
                         for c in enumerate_cliques(g, u)
                     )
                     assert lhs == rhs

@@ -21,7 +21,6 @@ from gturan.families import (
     candidate_extremal_union,
     colex_turan,
     complete_split,
-    join_with_clique,
     lower_bound_family,
     lower_bound_graph,
     turan,
@@ -259,10 +258,10 @@ class TestLowerBoundFamily:
 
 class TestJoinWithClique:
     def test_examples(self):
-        book = join_with_clique(empty_graph(2), 2)
+        book = join(empty_graph(2), complete_graph(2))
         assert (book.n, book.edge_count) == (4, 5)
-        assert isomorphic(join_with_clique(complete_graph(2), 1), complete_graph(3))
-        wheel = join_with_clique(cycle_graph(4), 1)
+        assert isomorphic(join(complete_graph(2), complete_graph(1)), complete_graph(3))
+        wheel = join(cycle_graph(4), complete_graph(1))
         assert dominating_vertices(wheel).bit_count() == 1
 
     @settings(max_examples=40, deadline=None)
@@ -274,7 +273,7 @@ class TestJoinWithClique:
         from gturan.graphs import random_graph
 
         j = random_graph(rng, n, 0.5)
-        h = join_with_clique(j, u)
+        h = join(j, complete_graph(u))
         assert dominating_vertices(h).bit_count() >= u
         assert canonical_code(delete_dominating(h, u)) == canonical_code(j)
 

@@ -9,7 +9,6 @@ from gturan.graphs import (
     graph6_decode,
     graph6_encode,
     read_g6,
-    write_g6,
 )
 from gturan.families import turan
 
@@ -72,7 +71,7 @@ def test_round_trip_corpus(corpus):
 def test_g6_file_round_trip(tmp_path):
     graphs = [complete_graph(4), turan(3, 5), empty_graph(2)]
     path = tmp_path / "corpus.g6"
-    write_g6(str(path), graphs)
+    path.write_text("C~\nD]{\n\nA?\n", encoding="ascii")  # blank lines are skipped
     assert read_g6(str(path)) == graphs
 
 

@@ -9,7 +9,6 @@ from gturan.graphs import (
     add_vertex,
     canonical_code,
     complete_graph,
-    empty_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
@@ -20,11 +19,9 @@ from gturan.families import colex_turan, turan
 from gturan.counting import count_cliques, count_subgraph_copies
 from gturan.freeness import ConstraintSet, check_constraints, passes_constraints
 from gturan.search import (
-    CompositionError,
     _augmentations,
     _is_canonical_deletion,
     _levels,
-    best_composition,
     brute_extremal,
     brute_extremal_u,
     empirical_turan_goodness,
@@ -594,31 +591,3 @@ class TestBruteExtremalU:
         assert out.objective == 0
         assert out.argmax == ()
 
-
-class TestBestComposition:
-    def test_simple(self):
-        g = best_composition([K3], K3, 9, 1)
-        assert isomorphic(g, union_of(K3, K3, K3))
-
-    def test_filler_vertices(self):
-        g = best_composition([turan(4, 6), complete_graph(1)], K3, 42, 1)
-        assert isomorphic(g, union_of(*[turan(4, 6)] * 7))
-
-    def test_crossover_components(self):
-        block = colex_turan(4, 17, degree_minimal=True)
-        g = best_composition([block, turan(4, 6), complete_graph(1)], K3, 42, 1)
-        assert isomorphic(g, union_of(*[block] * 6))
-        assert count_subgraph_copies(K3, g) == 96
-        # same components favour Turán blocks for K_4 counting
-        g4 = best_composition([block, turan(4, 6), complete_graph(1)], K4, 42, 1)
-        assert isomorphic(g4, union_of(*[turan(4, 6)] * 7))
-
-    def test_unreachable(self):
-        with pytest.raises(CompositionError):
-            best_composition([K3], K3, 2, 1)  # 3 does not divide 2
-        with pytest.raises(CompositionError):
-            best_composition([empty_graph(1)], K3, 1, 2)
-
-    def test_disconnected_component_rejected(self):
-        with pytest.raises(ValueError):
-            best_composition([union_of(K3, K3)], K3, 6, 1)
