@@ -1,10 +1,11 @@
 """Command-line front door.
 
 Subcommands: construct | count | verify-free | bounds | localize |
-search | reproduce-examples | verify.  Output is a human-readable table
-by default; ``--json`` switches stdout to the JSON envelope and ``--out``
-writes the envelope (with run manifest) to a file.  Vertex sets in JSON
-are 0-indexed; text output is 1-indexed.
+search | reproduce-examples | verify.  Each builds one report, its JSON
+data.  By default stdout shows that data as text (``reports.text_lines``);
+``--json`` switches stdout to the JSON envelope and ``--out`` writes the
+envelope (with run manifest) to a file.  Vertex sets are 0-indexed in
+both views.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import __version__
@@ -45,7 +45,7 @@ from .bounds import bounds_report, star_problem_bounds
 from .localization import default_threshold, localized_report
 from .search import brute_extremal, brute_extremal_u
 from .acceptance import DEFAULT_SEED, reproduce_examples, run_acceptance
-from .reports import dump_json, envelope, make_manifest
+from .reports import dump_json, envelope, make_manifest, text_lines
 
 _ATOM = re.compile(r"^([KIPC])(\d+)$")
 _CALL = re.compile(r"^(\w+)\(([-\d,\s]*)\)$")
@@ -113,17 +113,7 @@ def _parse_atom(spec: str) -> Graph:
     return cycle_graph(size)
 
 
-def _fmt_rational(x: Fraction | None) -> str:
-    if x is None:
-        return "-"
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _vertices_1based(mask: int) -> str:
-    return "{" + ", ".join(str(v + 1) for v in set_of(mask)) + "}"
-
-
-def _emit(args, kind: str, data, text_lines: list[str]) -> None:
+def _emit(args, kind: str, data) -> None:
     doc = envelope(kind, data)
     if args.out:
         # every @file input, so a replay can check it reads the same bytes
@@ -132,18 +122,15 @@ def _emit(args, kind: str, data, text_lines: list[str]) -> None:
             for name in ("graph", "pattern", "family")
             if (spec := getattr(args, name, None)) and spec.strip().startswith("@")
         }
-        manifest = make_manifest(["gturan"] + args._argv, vars_public(args), files)
+        params = {k: v for k, v in vars(args).items() if not k.startswith("_") and k != "func"}
+        manifest = make_manifest(["gturan"] + args._argv, params, files)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump_json(envelope(kind, data, manifest)) + "\n")
     if args.json:
         print(dump_json(doc))
     else:
-        for line in text_lines:
+        for line in text_lines(doc["data"]):
             print(line)
-
-
-def vars_public(args) -> dict:
-    return {k: v for k, v in vars(args).items() if not k.startswith("_") and k != "func"}
 
 
 def cmd_construct(args) -> int:
@@ -154,12 +141,7 @@ def cmd_construct(args) -> int:
         "m": g.edge_count,
         "graph6": graph6_encode(g),
     }
-    _emit(args, "construct", data, [
-        f"family   {args.family}",
-        f"vertices {g.n}",
-        f"edges    {g.edge_count}",
-        f"graph6   {data['graph6']}",
-    ])
+    _emit(args, "construct", data)
     return 0
 
 
@@ -167,9 +149,9 @@ def cmd_count(args) -> int:
     if args.rooted is not None and args.pattern is None:
         raise ValueError("--rooted applies only with --pattern")
     g = parse_graph_spec(args.graph)
+    roots = None
     if args.cliques is not None:
         value = count_cliques(g, args.cliques)
-        what = f"k^{args.cliques}"
     else:
         h = parse_graph_spec(args.pattern)
         if args.rooted is not None:
@@ -181,12 +163,11 @@ def cmd_count(args) -> int:
                     raise ValueError(f"root vertex {v} repeated")
             root = mask_of(roots)
             value = count_copies_rooted(h, g, root, root.bit_count())
-            what = f"rooted copies at {_vertices_1based(root)}"
         else:
             value = count_subgraph_copies(h, g)
-            what = "copies"
-    data = {"pattern": args.pattern, "graph": args.graph, "count": value}
-    _emit(args, "count", data, [f"{what} in {args.graph}: {value}"])
+    data = {"graph": args.graph, "pattern": args.pattern, "cliques": args.cliques,
+            "rooted": roots, "count": value}
+    _emit(args, "count", data)
     return 0
 
 
@@ -205,15 +186,7 @@ def cmd_verify_free(args) -> int:
             {"kind": v.kind, "vertices": list(v.vertex_list())} for v in rep.violations
         ],
     }
-    lines = [
-        f"graph            {args.graph}",
-        f"clique number    {rep.clique_number}",
-        f"max degree       {rep.max_degree}",
-        f"result           {'free' if rep.passes else 'NOT free'}",
-    ]
-    for v in rep.violations:
-        lines.append(f"violation        {v.kind}: {_vertices_1based(v.vertices)}")
-    _emit(args, "freeness", data, lines)
+    _emit(args, "freeness", data)
     return 0 if rep.passes else 1
 
 
@@ -229,10 +202,7 @@ def cmd_bounds(args) -> int:
             "conjectural": True,
             "lower": sp.lower, "upper": sp.upper,
         }
-        _emit(args, "bounds", data, [
-            "star-forbidden variant (conjectural, nothing asserted):",
-            f"  lower {_fmt_rational(sp.lower)}   upper {_fmt_rational(sp.upper)}",
-        ])
+        _emit(args, "bounds", data)
         return 0
     ParamTriple(args.u, args.delta, args.omega)  # a grid ends here: check before sweeping
     reports = []
@@ -249,13 +219,7 @@ def cmd_bounds(args) -> int:
         }
         for r in reports
     ]
-    lines = ["   u  delta  omega  lower      upper      equal"]
-    for r in reports:
-        lines.append(
-            f"  {r.params.u:2d}  {r.params.delta:5d}  {r.params.omega:5d}  "
-            f"{_fmt_rational(r.lower):9s}  {_fmt_rational(r.upper):9s}  {r.equal}"
-        )
-    _emit(args, "bounds-grid" if args.grid else "bounds", data, lines)
+    _emit(args, "bounds-grid" if args.grid else "bounds", data)
     return 0
 
 
@@ -284,22 +248,7 @@ def cmd_localize(args) -> int:
             }
             for row in rep.per_clique
         ]
-    lines = [
-        f"copies           {rep.copies}",
-        f"weighted sum     {_fmt_rational(rep.weighted_sum)}",
-        f"bound            {_fmt_rational(rep.bound)}",
-        f"holds            {rep.holds}" + ("  (equality)" if rep.equality else ""),
-        f"hypothesis ok    {rep.hypothesis_ok}",
-        f"exempt cliques   {len(rep.exempt_cliques)}",
-    ]
-    if args.per_clique:
-        lines.append("  clique                        clique_size codegree weight copies")
-        for row in rep.per_clique:
-            lines.append(
-                f"  {_vertices_1based(row.clique):28s}  {row.clique_size:11d} "
-                f"{row.codegree:8d} {_fmt_rational(row.weight):6s} {row.copies}"
-            )
-    _emit(args, "localize", data, lines)
+    _emit(args, "localize", data)
     return 0
 
 
@@ -324,21 +273,12 @@ def cmd_search(args) -> int:
         "fixed": out.fixed,
         "notes": list(out.notes),
     }
-    lines = [
-        f"objective        {out.objective}",
-        f"optima (up to isomorphism): {len(out.argmax)}",
-    ] + [f"  {s}" for s in out.argmax] + [f"note: {n}" for n in out.notes]
-    _emit(args, "search", data, lines)
+    _emit(args, "search", data)
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    data = reproduce_examples()
-    _emit(args, "reproduce-examples", data, [
-        "42-vertex crossover:",
-        f"  triangles: 6 colex blocks {data['k3_colex_blocks']} > {data['k3_turan_blocks']} 7 Turán blocks",
-        f"  K4 copies: 7 Turán blocks {data['k4_turan_blocks']} > {data['k4_colex_blocks']} 6 colex blocks",
-    ])
+    _emit(args, "reproduce-examples", reproduce_examples())
     return 0
 
 
@@ -353,16 +293,8 @@ def cmd_verify(args) -> int:
         }
         for r in results
     ]
-    lines = []
-    for r in results:
-        lines.append(
-            f"criterion {r.cid:2d} {'PASS' if r.passed else 'FAIL'}  "
-            f"({r.elapsed:6.1f}s)  {r.description}"
-        )
-    ok = all(r.passed for r in results)
-    lines.append(f"{'all criteria passed' if ok else 'FAILURES PRESENT'}")
-    _emit(args, "verify", data, lines)
-    return 0 if ok else 1
+    _emit(args, "verify", data)
+    return 0 if all(r.passed for r in results) else 1
 
 
 @cache  # parsing leaves the parser unchanged, so one serves every call

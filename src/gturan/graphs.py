@@ -3,8 +3,7 @@
 Conventions used throughout the package:
 
 * A graph on ``n`` vertices has vertex set ``{0, ..., n-1}``.  Vertices are
-  0-indexed internally; human-readable output (``str(g)``, CLI tables)
-  shows them 1-indexed.
+  0-indexed everywhere but ``str(g)``, which shows them 1-indexed.
 * Vertex sets are plain Python ints used as bitmasks (bit ``i`` set means
   vertex ``i`` is in the set).  Python ints are arbitrary-precision, so a
   single representation covers every graph up to ``MAX_VERTICES``.

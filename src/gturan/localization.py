@@ -42,6 +42,7 @@ from .counting import (
     _cliques,
     _count_copies,
     _max_clique,
+    _representatives,
     count_cliques,
     count_copies_rooted,
     count_subgraph_copies,
@@ -84,7 +85,7 @@ def clique_weights(g: Graph, c: int, u: int) -> tuple[int, int]:
     common = common_neighborhood(g, c)
     if not is_clique(g, c):
         raise ValueError("given vertex set is not a clique")
-    return _max_clique(g.adj, u, common), common.bit_count()
+    return _max_clique(g.adj, u, common & _representatives(g.adj)), common.bit_count()
 
 
 @dataclass(frozen=True)
@@ -117,20 +118,22 @@ class LocalReport:
 
 
 def _row(
-    g: Graph, spec: PatternSpec, bits: list[int], copies: int, u: int,
+    g: Graph, spec: PatternSpec, bits: list[int], copies: int, u: int, reps: int,
     stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
     threshold: int,
 ) -> DominatingClique:
     """The row of the dom(H)-clique of g with the ascending one-vertex
-    masks ``bits``, which dominates ``copies`` copies.  ``stats``
-    memoizes clique_weights per u-clique, ``weights`` the weight per
+    masks ``bits``, which dominates ``copies`` copies.  ``reps`` is
+    ``counting._representatives`` of g, ``stats`` memoizes (largest
+    clique, codegree) per u-clique and ``weights`` the weight per
     (clique size, codegree)."""
     cs = cd = -1
     wit_cs = wit_cd = 0
     for c in map(sum, combinations(bits, u)):
         stat = stats.get(c)
         if stat is None:
-            stat = stats[c] = clique_weights(g, c, u)
+            common = common_neighborhood(g, c)
+            stat = stats[c] = (_max_clique(g.adj, u, common & reps), common.bit_count())
         oc, dc = stat
         if oc > cs:
             cs, wit_cs = oc, c
@@ -156,7 +159,8 @@ def copy_weights(
     degree = Counter(v for edge in edges for v in edge)
     clique = sum(1 << v for v in iter_bits(verts) if degree[v] == verts.bit_count() - 1)
     copies = count_copies_rooted(h, g, clique, spec.dom_count)
-    return _row(g, spec, [1 << v for v in iter_bits(clique)], copies, u, {}, {}, 1)
+    bits = [1 << v for v in iter_bits(clique)]
+    return _row(g, spec, bits, copies, u, _representatives(g.adj), {}, {}, 1)
 
 
 def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
@@ -178,6 +182,7 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
         raise ValueError(f"threshold={threshold} is below 1, not a clique threshold")
     rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
     adj = g.adj
+    reps = _representatives(adj)
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
     classes: dict[tuple[int, int], int] = {}  # (clique size, codegree) -> copies
@@ -190,7 +195,7 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
         for v in iter_bits(ext):
             k = _count_copies(rest, adj, around & adj[v])
             if k:
-                row = _row(g, spec, bits + [1 << v], k, u, stats, weights, threshold)
+                row = _row(g, spec, bits + [1 << v], k, u, reps, stats, weights, threshold)
                 key = (row.clique_size, row.codegree)
                 classes[key] = classes.get(key, 0) + k
                 per_clique.append(row)

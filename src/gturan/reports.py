@@ -1,11 +1,10 @@
 """JSON report envelope: serialization of package values, the run
-manifest, and a small structural validator for the shipped schema.
+manifest, the text view of a report, and a small structural validator
+for the shipped schema.
 
 Exact rationals serialize as ``{"num": "...", "den": "..."}`` with string
 payloads; the integers involved overflow the range JSON readers can be
-trusted with.  Graphs serialize as graph6 strings.  Vertex sets are
-0-indexed arrays (the 1-indexed convention is for human-readable text
-only).
+trusted with.  Vertex sets are 0-indexed arrays, in the text view too.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import json
 from fractions import Fraction
 from importlib import resources
 from typing import Any
-
-from .graphs import Graph, graph6_encode
 
 SCHEMA_VERSION = "1"
 
@@ -32,12 +29,6 @@ def to_jsonable(obj: Any) -> Any:
         return obj
     if isinstance(obj, Fraction):
         return fraction_json(obj)
-    if isinstance(obj, Graph):
-        return graph6_encode(obj)
-    if isinstance(obj, bytes):
-        return obj.hex()
-    if isinstance(obj, frozenset):
-        return sorted(to_jsonable(x) for x in obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -49,6 +40,47 @@ def to_jsonable(obj: Any) -> Any:
             if not f.name.startswith("_")
         }
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def text_lines(data: Any) -> list[str]:
+    """The text view of a report's JSON data, in the data's key order:
+    one aligned ``key  value`` line per field, and an aligned table with
+    one header row for a non-empty list of objects, under its key.  The
+    data of ``bounds`` and ``verify`` is such a list, shown as a table
+    alone."""
+    if isinstance(data, list):
+        return _table(data)
+    width = max(map(len, data), default=0)
+    lines = []
+    for key, value in data.items():
+        if value and isinstance(value, list) and all(isinstance(r, dict) for r in value):
+            lines += [key] + ["  " + row for row in _table(value)]
+        else:
+            lines.append(f"{key:<{width}}  {_cell(value)}")
+    return lines
+
+
+def _table(rows: list[dict]) -> list[str]:
+    keys = list(rows[0])
+    grid = [keys] + [[_cell(r.get(k)) for k in keys] for r in rows]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    return ["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in grid]
+
+
+def _cell(x: Any) -> str:
+    """One value on one line: ``p/q`` (or ``p``) for a rational, ``[a, b]``
+    for a list, ``k=v, ...`` for an object, ``-`` for null."""
+    if x is None:
+        return "-"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, dict):
+        if x.keys() == {"num", "den"}:
+            return x["num"] if x["den"] == "1" else f"{x['num']}/{x['den']}"
+        return ", ".join(f"{k}={_cell(v)}" for k, v in x.items())
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_cell, x)) + "]"
+    return str(x)
 
 
 def make_manifest(command: list[str], parameters: dict, inputs: dict[str, str]) -> dict:

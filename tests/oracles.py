@@ -1,11 +1,12 @@
 """Slow, independent oracles used only by the test suite.
 
 None of these share code with the production counting paths: copies are
-counted by scanning vertex subsets and edge subsets directly, canonical
-forms are taken as the minimum over all permutations, and spanning-copy
-tables are built by brute force over labeled graphs.  Copy counts in
-Turán graphs are read from the part sizes alone, and their block-size
-profiles from every set partition of the pattern's vertices.  Class
+counted by scanning vertex subsets and edge subsets directly, and listed
+by trying every injective map of the pattern into every vertex subset;
+canonical forms are taken as the minimum over all permutations, and
+spanning-copy tables are built by brute force over labeled graphs.  Copy
+counts in Turán graphs are read from the part sizes alone, and their
+block-size profiles from every set partition of the pattern's vertices.  Class
 counts of graphs with maximum degree at most 2 come from their path and
 cycle components by an Euler transform.  Partition refinement counts
 each vertex's neighbours in a splitter one vertex at a time, the
@@ -47,6 +48,24 @@ def subset_copy_count(h: Graph, g: Graph) -> int:
                     total += 1
                     break
     return total
+
+
+def subset_copies(h: Graph, g: Graph) -> list[tuple[int, frozenset[tuple[int, int]]]]:
+    """Every copy of h in g as a (vertex mask, edge set) pair, each edge
+    an ascending vertex pair: every vertex subset of size v(h) with
+    enough edges, every bijection of h onto it, duplicates removed.
+    Sorted by vertex mask, then edge set."""
+    h_edges = list(h.edges())
+    found = set()
+    for verts in combinations(range(g.n), h.n):
+        if sum(g.has_edge(a, b) for a, b in combinations(verts, 2)) < len(h_edges):
+            continue
+        mask = sum(1 << v for v in verts)
+        for image in permutations(verts):
+            if all(g.has_edge(image[a], image[b]) for a, b in h_edges):
+                edges = frozenset(tuple(sorted((image[a], image[b]))) for a, b in h_edges)
+                found.add((mask, edges))
+    return sorted(found, key=lambda c: (c[0], sorted(c[1])))
 
 
 def subset_cliques(g: Graph, t: int) -> list[tuple[int, ...]]:

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from gturan import cli
+from gturan.acceptance import CriterionResult
 from gturan.cli import main, parse_graph_spec, reproduce_examples
 from gturan.graphs import complete_graph, graph6_encode, isomorphic
 from gturan.families import turan
-from gturan.reports import validate_schema
+from gturan.reports import text_lines, validate_schema
 
 
 def run(capsys, *argv):
@@ -343,6 +345,77 @@ class TestManifest:
         main(["construct", "--family", "turan(3,5)", "--out", str(out)])
         capsys.readouterr()
         assert json.loads(out.read_text())["manifest"]["input_hashes"] == {}
+
+
+class TestTextView:
+    @pytest.mark.parametrize("argv, code", [
+        (["construct", "--family", "turan(4,6)"], 0),
+        (["count", "--graph", "turan(4,6)", "--cliques", "3"], 0),
+        (["count", "--graph", "K4", "--pattern", "K3"], 0),
+        (["count", "--graph", "K4", "--pattern", "K3", "--rooted", "0,1"], 0),
+        (["verify-free", "--graph", "colexdm(4,17)", "--u", "1", "--delta", "5",
+          "--omega", "4"], 0),
+        (["verify-free", "--graph", "K5", "--u", "2", "--delta", "2", "--omega", "4"], 1),
+        (["bounds", "--pattern", "K3", "--u", "1", "--delta", "6", "--omega", "4"], 0),
+        (["bounds", "--pattern", "K3", "--u", "1", "--delta", "9", "--omega", "4",
+          "--grid"], 0),
+        (["bounds", "--pattern", "K2vI2", "--u", "2", "--delta", "6", "--omega", "4",
+          "--star-problem"], 0),
+        (["localize", "--graph", "turan(3,6)", "--pattern", "K3", "--u", "1",
+          "--omega0", "1", "--per-clique"], 0),
+        (["localize", "--graph", "C5", "--pattern", "K3", "--u", "2"], 0),
+        (["search", "--pattern", "K3", "--n", "5", "--omega", "3"], 0),
+        (["search", "--pattern", "K3", "--p", "6", "--u", "2", "--omega", "3",
+          "--ncap", "5"], 0),
+        (["reproduce-examples"], 0),
+        (["verify"], 1),
+    ])
+    def test_text_is_the_view_of_the_json_data(self, capsys, monkeypatch, argv, code):
+        # a fixed suite result with one failure, so both runs report the
+        # same elapsed times and verify exits 1
+        monkeypatch.setattr(cli, "run_acceptance", lambda level, seed: [
+            CriterionResult(1, "first", True, elapsed=0.25),
+            CriterionResult(2, "second", False, elapsed=1.5),
+        ])
+        got, doc = run_json(capsys, *argv)
+        assert got == code
+        data = doc["data"]
+        seen = []
+        monkeypatch.setattr(cli, "text_lines", lambda d: seen.append(d) or text_lines(d))
+        got, out = run(capsys, *argv)
+        assert got == code
+        # the JSON prints keys sorted, the text keeps the data's own order
+        assert seen == [data]
+        assert out.splitlines() == text_lines(seen[0])
+        keys = data[0] if isinstance(data, list) else data
+        assert keys and all(key in out for key in keys)
+
+    def test_rendering_rules(self):
+        data = {
+            "name": "K3",
+            "ratio": {"num": "-7", "den": "3"},
+            "whole": {"num": "4", "den": "1"},
+            "missing": None,
+            "flags": [True, False],
+            "params": {"u": 1, "delta": None},
+            "empty": [],
+            "rows": [{"v": [0, 1], "w": {"num": "1", "den": "6"}},
+                     {"v": [10, 11], "w": None}],
+        }
+        assert text_lines(data) == [
+            "name     K3",
+            "ratio    -7/3",
+            "whole    4",
+            "missing  -",
+            "flags    [true, false]",
+            "params   u=1, delta=-",
+            "empty    []",
+            "rows",
+            "  v         w",
+            "  [0, 1]    1/6",
+            "  [10, 11]  -",
+        ]
+        assert text_lines([{"a": 1, "bb": "x"}]) == ["a  bb", "1  x"]
 
 
 def test_reproduce_examples_function():

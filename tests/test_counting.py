@@ -49,6 +49,7 @@ from oracles import (
     set_partition_profile,
     spanning_copy_table,
     subset_cliques,
+    subset_copies,
     subset_copy_count,
     subset_max_clique,
     turan_part_count,
@@ -98,6 +99,29 @@ class TestCliques:
                 continue
             c = rng.choice(list(enumerate_cliques(g, rng.randint(1, omega))))
             assert clique_weights(g, c, c.bit_count())[0] == subset_max_clique(g, set_bits(c))
+
+    def test_clique_sizes_on_false_twin_blow_ups(self):
+        # each vertex of a small base becomes a class of up to five false
+        # twins, randomly relabeled: the shape on which a clique search
+        # without the one-vertex-per-class cut never prunes
+        rng = random.Random(23)
+        for _ in range(60):
+            base = random_graph(rng, rng.randint(1, 5), rng.choice([0.5, 0.8, 1.0]))
+            owner = [v for v in range(base.n) for _ in range(rng.randint(1, 5))]
+            perm = list(range(len(owner)))
+            rng.shuffle(perm)
+            g = from_edge_list(len(owner), [
+                (perm[a], perm[b])
+                for a, b in combinations(range(len(owner)), 2)
+                if base.has_edge(owner[a], owner[b])
+            ])
+            assert clique_number(g) == subset_max_clique(g)
+            for u in (1, 2):
+                for c in list(enumerate_cliques(g, u))[:6]:
+                    assert clique_weights(g, c, u)[0] == subset_max_clique(g, set_bits(c))
+
+    def test_clique_number_of_turan_at_the_vertex_cap(self):
+        assert clique_number(turan(8, 256)) == 8
 
 
 def set_bits(mask):
@@ -224,7 +248,9 @@ class TestCopyCounts:
             for h in patterns:
                 want = subset_copy_count(h, g)
                 assert count_subgraph_copies(h, g) == want
-                assert len(enumerate_copies(h, g)) == want
+                copies = subset_copies(h, g)
+                assert len(copies) == want
+                assert enumerate_copies(h, g) == copies
                 assert contains_subgraph(g, h)[0] == (want > 0)
 
     def test_against_spanning_tables_all_graphs_to_seven(self):
@@ -272,6 +298,7 @@ class TestCopyCounts:
     def test_enumerate_copies_properties(self):
         g = complete_graph(4)
         copies = enumerate_copies(path_graph(3), g)
+        assert copies == subset_copies(path_graph(3), g)
         assert len(copies) == count_subgraph_copies(path_graph(3), g) == 12
         for verts, edges in copies:
             assert verts.bit_count() == 3
@@ -321,7 +348,7 @@ class TestRootedCopies:
                 for u in range(1, spec.dom_count + 1):
                     for c in enumerate_cliques(g, u):
                         direct = 0
-                        for verts, edges in enumerate_copies(h, g):
+                        for verts, edges in subset_copies(h, g):
                             if c & ~verts:
                                 continue
                             dom = _copy_dominating(verts, edges)

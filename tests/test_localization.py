@@ -22,7 +22,6 @@ from gturan.counting import (
     count_cliques,
     count_copies_rooted,
     delete_dominating,
-    enumerate_copies,
     pattern_spec,
     turan_copy_count,
 )
@@ -37,6 +36,8 @@ from gturan.localization import (
     global_recovery_holds,
     localized_report,
 )
+
+from oracles import subset_copies
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -81,7 +82,7 @@ class TestCopyWeights:
         for row in rows:
             assert (row.clique_size, row.codegree, row.copies) == (5, 4, 1)
             assert row.weight == Fraction(1, 6)
-        assert copy_weights(K5, enumerate_copies(K3, K5)[0], K3, 1) == rows[0]
+        assert copy_weights(K5, subset_copies(K3, K5)[0], K3, 1) == rows[0]
 
     def test_triangle_in_t48(self):
         t = turan(4, 8)
@@ -105,12 +106,12 @@ class TestCopyWeights:
         # though every vertex dominates the host
         book = complete_split(2, 2)
         rep = localized_report(K4, book, 2, 1)
-        assert rep.copies == len(enumerate_copies(book, K4)) == 6
+        assert rep.copies == len(subset_copies(book, K4)) == 6
         assert len(rep.per_clique) == 6
         for row in rep.per_clique:
             assert row.clique.bit_count() == 2 and row.copies == 1
             assert (row.clique_size, row.codegree) == (4, 2)
-        cw = copy_weights(K4, enumerate_copies(book, K4)[0], book, 2)
+        cw = copy_weights(K4, subset_copies(book, K4)[0], book, 2)
         assert cw.clique.bit_count() == 2
         assert (cw.clique_size, cw.codegree) == (4, 2)
 
@@ -120,7 +121,7 @@ class TestCopyWeights:
             g = random_graph(rng, rng.randint(3, 9), 0.6)
             for u in (1, 2):
                 rows = {r.clique: r for r in localized_report(g, K3, u, 1).per_clique}
-                for verts_edges in enumerate_copies(K3, g):
+                for verts_edges in subset_copies(K3, g):
                     cw = copy_weights(g, verts_edges, K3, u)
                     assert cw == rows[verts_edges[0]]
                     assert cw.codegree >= cw.clique_size - u
@@ -220,12 +221,12 @@ def _largest_clique_through(g, c):
 
 def per_copy_oracle(g, h, u, threshold):
     """The localized report summed copy by copy: each copy of h listed by
-    ``enumerate_copies``, its dominating vertices read from its own edge
-    set and its weights maximized over its u-subsets by brute force.
+    ``oracles.subset_copies``, its dominating vertices read from its own
+    edge set and its weights maximized over its u-subsets by brute force.
     Returns (copies, weighted sum, hypothesis flag, sorted exempt
     u-cliques), or None where some copy's weight is undefined."""
     derived = delete_dominating(h, u)
-    copies = enumerate_copies(h, g)
+    copies = subset_copies(h, g)
     omega: dict[tuple[int, ...], int] = {}
     total = Fraction(0)
     for verts, edges in copies:
@@ -406,6 +407,13 @@ class TestEqualityFamilies:
             g = equality_family_graph(blocks, tail)
             rep = localized_report(g, complete_graph(t), u, 1)
             assert rep.equality, (t, u, blocks)
+
+    def test_large_turan_host_is_tight(self):
+        # 16 false twins per part: clique sizes are searched on one vertex
+        # per part, or this report does not finish
+        rep = localized_report(turan(6, 96), K3, 2, 1)
+        assert rep.hypothesis_ok and rep.equality
+        assert rep.weighted_sum == rep.bound == Fraction(count_cliques(turan(6, 96), 2), 3)
 
     def test_equality_beyond_the_family(self):
         # the bowtie (two triangles sharing a vertex) is no union of balanced
