@@ -17,8 +17,14 @@ H - Dom(H) in the common neighbourhood N(C), so no copy is listed:
 
 The report is one clique walk (``counting._cliques``) that carries N(C):
 each step fixes a (d-1)-clique and its common neighbourhood, so N(C) of
-each completion v is one AND with v's row.  Statistics are memoized per
-u-clique, weights per (clique size, codegree).
+each completion v is one AND with v's row.  Each clique's two statistics
+are maxima over its u-subsets: those inside the (d-1)-clique are looked
+up once per prefix, at its first completion that dominates a copy, and
+only the C(d-1, u-1) u-subsets through v per completion.  The statistics
+are memoized per u-clique; the weight is checked once per (clique size,
+codegree) class, the first time the class appears, and the totals are
+summed over the classes.  The per-clique rows, with their witnesses, are
+built from the walk's cliques only when ``per_clique`` is first read.
 
 The localized inequality bounds the weighted sum by k^u(G) / C(dom(H), u),
 with exact equality on disjoint unions of balanced Turán graphs (plus any
@@ -30,10 +36,12 @@ threshold parameter.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
+from typing import Callable, Iterator
 
 from .graphs import Graph, common_neighborhood, disjoint_union, iter_bits
 from .families import turan
@@ -85,7 +93,22 @@ def clique_weights(g: Graph, c: int, u: int) -> tuple[int, int]:
     common = common_neighborhood(g, c)
     if not is_clique(g, c):
         raise ValueError("given vertex set is not a clique")
-    return _max_clique(g.adj, u, common & _representatives(g.adj)), common.bit_count()
+    return _stat(g.adj, u, common, _representatives(g.adj))
+
+
+def _stat(adj: tuple[int, ...], u: int, common: int, reps: int) -> tuple[int, int]:
+    """(largest clique size, codegree) of a u-clique with common
+    neighbourhood ``common``; ``reps`` is ``counting._representatives``."""
+    return _max_clique(adj, u, common & reps), common.bit_count()
+
+
+def _weight(down: Graph, u: int, key: tuple[int, int], clique: int, threshold: int) -> Fraction:
+    """The weight of the (clique size, codegree) class ``key``, first met
+    on the dominating clique ``clique``."""
+    denom = turan_copy_count(down, key[0] - u, key[1])
+    if denom == 0:
+        raise HypothesisViolationError(clique, *key, threshold)
+    return Fraction(1, denom)
 
 
 @dataclass(frozen=True)
@@ -103,7 +126,6 @@ class DominatingClique:
 
 @dataclass(frozen=True)
 class LocalReport:
-    per_clique: tuple[DominatingClique, ...]  # cliques dominating a copy
     copies: int
     weighted_sum: Fraction
     bound: Fraction
@@ -111,10 +133,17 @@ class LocalReport:
     equality: bool
     hypothesis_ok: bool
     exempt_cliques: tuple[int, ...]  # u-cliques dominating no copy
+    _rows: Callable[[], tuple[DominatingClique, ...]] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         assert self.holds == (self.weighted_sum <= self.bound)
         assert self.equality == (self.weighted_sum == self.bound)
+
+    @cached_property
+    def per_clique(self) -> tuple[DominatingClique, ...]:
+        """The rows of the cliques dominating a copy, in walk order; built
+        on first read."""
+        return self._rows()
 
 
 def _row(
@@ -132,8 +161,7 @@ def _row(
     for c in map(sum, combinations(bits, u)):
         stat = stats.get(c)
         if stat is None:
-            common = common_neighborhood(g, c)
-            stat = stats[c] = (_max_clique(g.adj, u, common & reps), common.bit_count())
+            stat = stats[c] = _stat(g.adj, u, common_neighborhood(g, c), reps)
         oc, dc = stat
         if oc > cs:
             cs, wit_cs = oc, c
@@ -141,10 +169,7 @@ def _row(
             cd, wit_cd = dc, c
     clique = sum(bits)
     if (cs, cd) not in weights:
-        denom = turan_copy_count(spec.down(u), cs - u, cd)
-        if denom == 0:
-            raise HypothesisViolationError(clique, cs, cd, threshold)
-        weights[cs, cd] = Fraction(1, denom)
+        weights[cs, cd] = _weight(spec.down(u), u, (cs, cd), clique, threshold)
     return DominatingClique(clique, cs, cd, weights[cs, cd], copies, wit_cs, wit_cd)
 
 
@@ -161,6 +186,62 @@ def copy_weights(
     copies = count_copies_rooted(h, g, clique, spec.dom_count)
     bits = [1 << v for v in iter_bits(clique)]
     return _row(g, spec, bits, copies, u, _representatives(g.adj), {}, {}, 1)
+
+
+def _dominating_classes(
+    g: Graph, spec: PatternSpec, u: int, threshold: int, reps: int,
+    stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
+) -> Iterator[tuple[int, tuple[int, int], int]]:
+    """Every dom(H)-clique C of g that dominates a copy, in walk order, as
+    ``(C, (clique size, codegree), copies with Dom(J) = C)``.
+
+    ``stats`` gets (largest clique, codegree) of exactly the u-subsets of
+    these cliques, and ``weights`` the weight of each class, checked the
+    first time the class appears.  ``reps`` is ``counting._representatives``
+    of g."""
+    d = spec.dom_count
+    rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
+    down = spec.down(u)
+    adj = g.adj
+    full = g.vertex_mask
+    for chosen, ext in _cliques(adj, full, d):
+        around = full  # N(chosen), so N(chosen | v) = around & adj[v]
+        for w in iter_bits(chosen):
+            around &= adj[w]
+        tails = None  # the (u-1)-subsets of chosen with their common neighbourhoods
+        for v in iter_bits(ext):
+            k = _count_copies(rest, adj, around & adj[v])
+            if not k:
+                continue
+            if tails is None:  # chosen's own u-subsets, once
+                bits = [1 << w for w in iter_bits(chosen)]
+                low_cs = low_cd = -1
+                for c in map(sum, combinations(bits, u)):
+                    stat = stats.get(c)
+                    if stat is None:
+                        stat = stats[c] = _stat(adj, u, common_neighborhood(g, c), reps)
+                    low_cs = max(low_cs, stat[0])
+                    low_cd = max(low_cd, stat[1])
+                tails = []
+                for t in map(sum, combinations(bits, u - 1)):
+                    common = full
+                    for w in iter_bits(t):
+                        common &= adj[w]
+                    tails.append((t, common))
+            bit = 1 << v
+            cs, cd = low_cs, low_cd
+            for t, common in tails:
+                stat = stats.get(t | bit)
+                if stat is None:
+                    stat = stats[t | bit] = _stat(adj, u, common & adj[v], reps)
+                if stat[0] > cs:
+                    cs = stat[0]
+                if stat[1] > cd:
+                    cd = stat[1]
+            key = (cs, cd)
+            if key not in weights:
+                weights[key] = _weight(down, u, key, chosen | bit, threshold)
+            yield chosen | bit, key, k
 
 
 def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
@@ -180,32 +261,27 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
         raise ValueError(f"u={u} outside 1..{d}, the pattern's dominating count")
     if threshold < 1:
         raise ValueError(f"threshold={threshold} is below 1, not a clique threshold")
-    rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
-    adj = g.adj
-    reps = _representatives(adj)
+    reps = _representatives(g.adj)
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
     classes: dict[tuple[int, int], int] = {}  # (clique size, codegree) -> copies
-    per_clique = []
-    for chosen, ext in _cliques(adj, g.vertex_mask, d):
-        bits = [1 << w for w in iter_bits(chosen)]
-        around = g.vertex_mask  # N(chosen), so N(chosen | v) = around & adj[v]
-        for w in iter_bits(chosen):
-            around &= adj[w]
-        for v in iter_bits(ext):
-            k = _count_copies(rest, adj, around & adj[v])
-            if k:
-                row = _row(g, spec, bits + [1 << v], k, u, reps, stats, weights, threshold)
-                key = (row.clique_size, row.codegree)
-                classes[key] = classes.get(key, 0) + k
-                per_clique.append(row)
+    walked = []  # (clique, copies), for the rows
+    for clique, key, k in _dominating_classes(g, spec, u, threshold, reps, stats, weights):
+        classes[key] = classes.get(key, 0) + k
+        walked.append((clique, k))
+
+    def rows() -> tuple[DominatingClique, ...]:
+        return tuple(
+            _row(g, spec, [1 << w for w in iter_bits(c)], k, u, reps, stats, weights, threshold)
+            for c, k in walked
+        )
+
     # stats holds exactly the u-subsets of the cliques that dominate a copy
     hypothesis_ok = all(oc >= threshold + u for oc, _ in stats.values())
     weighted_sum = sum((weights[key] * k for key, k in classes.items()), Fraction(0))
     u_cliques = list(enumerate_cliques(g, u))
     bound = Fraction(len(u_cliques), comb(d, u))
     return LocalReport(
-        tuple(per_clique),
         sum(classes.values()),
         weighted_sum,
         bound,
@@ -213,6 +289,7 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
         weighted_sum == bound,
         hypothesis_ok,
         tuple(c for c in u_cliques if c not in stats),
+        rows,
     )
 
 

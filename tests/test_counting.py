@@ -13,6 +13,7 @@ from gturan.graphs import (
     delete_vertices,
     empty_graph,
     from_edge_list,
+    induced_subgraph,
     iter_bits,
     join,
     mask_of,
@@ -24,6 +25,7 @@ from gturan.graphs import (
 from gturan.families import complete_split, turan
 from gturan.acceptance import _pattern_grid
 from gturan.counting import (
+    _count_copies,
     _independent_partitions,
     automorphism_count,
     clique_number,
@@ -236,6 +238,7 @@ class TestCopyCounts:
         rng = random.Random(9)
         patterns = [
             complete_graph(3),
+            complete_graph(4),
             path_graph(3),
             cycle_graph(4),
             complete_split(2, 2),
@@ -294,6 +297,20 @@ class TestCopyCounts:
                 assert count_subgraph_copies(h, reps[idx]) == copies_via_table(
                     h, table, reps[idx]
                 )
+
+    def test_edgeless_patterns_against_embeddings(self):
+        # I_r (r >= 2) is counted as a binomial of the mask's popcount; the
+        # embedding search in the induced sub-host, over |Aut|, is the
+        # independent route
+        rng = random.Random(21)
+        for _ in range(25):
+            g = random_graph(rng, rng.randint(0, 9), rng.choice([0.3, 0.6]))
+            masks = [g.vertex_mask] + [rng.getrandbits(g.n) for _ in range(3)]
+            for r in (2, 3, 4):
+                h = empty_graph(r)
+                for mask in masks:
+                    want = count_embeddings(h, induced_subgraph(g, mask)) // automorphism_count(h)
+                    assert _count_copies(pattern_spec(h), g.adj, mask) == want
 
     def test_enumerate_copies_properties(self):
         g = complete_graph(4)

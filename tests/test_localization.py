@@ -1,4 +1,7 @@
+import hashlib
+import io
 import random
+from contextlib import redirect_stdout
 from itertools import combinations
 from fractions import Fraction
 
@@ -6,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gturan import cli
 from gturan.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
     graph6_decode,
+    graph6_encode,
     join,
     mask_of,
     path_graph,
@@ -329,7 +334,58 @@ def assert_rows_rebuilt(g, h, u):
 def test_violation_names_first_zero_clique(g, h, first):
     rows, violation = rebuilt_rows(g, h, 1)
     assert rows and violation == mask_of(first)
+    # the report raises before any row is read: the walk checks each
+    # (clique size, codegree) class's weight the first time it appears
     assert_rows_rebuilt(g, h, 1)
+
+
+# The grid of the pinned-output and totals tests: seeded random hosts, a
+# Turán union, and K2vI2 + P3, whose prefixes 4 and 5 (the path 4-5-6)
+# complete only to edges of codegree 0, so no clique through them
+# dominates a K2vI2 copy and their u-cliques stay exempt.  Patterns are
+# (name, dominating count), with u running over 1..dominating count.
+GRID_HOSTS = [
+    random_graph(random.Random(0), 14, 0.5),
+    random_graph(random.Random(1), 18, 0.3),
+    random_graph(random.Random(2), 22, 0.2),
+    union_of(turan(3, 6), turan(4, 8)),
+    union_of(complete_split(2, 2), path_graph(3)),
+]
+GRID_PATTERNS = [("K3", 3), ("K4", 4), ("K2vI2", 2), ("K1vI3", 1), ("K1vP4", 1)]
+GRID = [(g, name, u) for g in GRID_HOSTS for name, d in GRID_PATTERNS for u in range(1, d + 1)]
+
+# SHA-256 of every grid point's ``localize --json`` output, in grid order,
+# without and then with ``--per-clique``
+LOCALIZE_GRID_SHA256 = "ce541d0e98bb6ed95cd42086380fa1d99a1b628b1a91804e5dff18426ab9cd6e"
+
+
+def test_localize_output_pinned():
+    digest = hashlib.sha256()
+    for g, name, u in GRID:
+        argv = ["localize", "--graph", graph6_encode(g), "--pattern", name,
+                "--u", str(u), "--omega0", "1", "--json"]
+        for extra in ([], ["--per-clique"]):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli.main(argv + extra) == 0
+            digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == LOCALIZE_GRID_SHA256
+
+
+def test_prefix_without_copies_stays_exempt():
+    g = GRID_HOSTS[-1]
+    h = complete_split(2, 2)
+    assert localized_report(g, h, 1, 1).exempt_cliques == tuple(1 << v for v in range(2, 7))
+    edges = [mask_of(e) for e in [(0, 2), (0, 3), (1, 2), (1, 3), (4, 5), (5, 6)]]
+    assert sorted(localized_report(g, h, 2, 1).exempt_cliques) == sorted(edges)
+
+
+@pytest.mark.parametrize("g, name, u", GRID)
+def test_class_totals_equal_row_sums(g, name, u):
+    rep = localized_report(g, cli.parse_graph_spec(name), u, 1)
+    assert rep.copies == sum(row.copies for row in rep.per_clique)
+    assert rep.weighted_sum == sum(
+        (row.weight * row.copies for row in rep.per_clique), Fraction(0))
 
 
 class TestPerCopyOracle:
