@@ -9,18 +9,18 @@ Two explicit-stack searches do all the work, both on the host's rows
 with a candidate vertex mask, so no sub-host is ever built.  The clique
 walk ``_cliques`` hands back, per (t-1)-clique in the mask, the mask of
 its completions: ``count_cliques`` sums the popcounts,
-``enumerate_cliques`` walks the bits (and so lists the copies of a
-complete pattern), ``has_clique`` takes the first.  The embedding search
-``_frontier`` places all pattern vertices but the last and hands back
-the last one's candidate mask: ``count_embeddings`` sums the popcounts,
-``enumerate_copies`` walks the bits for any other pattern and
+``enumerate_cliques`` walks the bits, ``has_clique`` takes the first.
+The embedding search ``_frontier`` places all pattern vertices but the
+last and hands back the last one's candidate mask: ``count_embeddings``
+sums the popcounts, ``enumerate_copies`` walks the bits and
 ``freeness.contains_subgraph`` takes the lowest bit of the first mask.
 |Aut| is ``graphs.automorphism_count``, re-exported here: one
 ``canonical_search`` per graph, kept with the canonical code in the one
 labeling cache of ``graphs`` (at most 256 graphs), not self-embeddings.
 Every copy count is ``_count_copies`` inside a mask (the clique walk for
-complete patterns, a binomial for edgeless ones): the whole host, N(C) for copies rooted at a clique
-C, and the complement of s for copies avoiding s.  Copies in Turán hosts
+complete patterns, a binomial for edgeless ones): the whole host, N(C)
+for copies rooted at a clique C, and the complement of s for copies
+avoiding s.  Copies in Turán hosts
 have a closed form, ``turan_copy_count``, over the partitions of V(H)
 into independent blocks; ``_independent_partitions`` counts them by
 block sizes, placing one twin class of H at a time.  Slow
@@ -41,7 +41,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb, perm
 from typing import Iterator
 
@@ -353,16 +352,11 @@ def count_subgraph_copies(h: Graph, g: Graph) -> int:
 def enumerate_copies(h: Graph, g: Graph) -> list[tuple[int, frozenset[tuple[int, int]]]]:
     """All copies of h in g as (vertex mask, edge set) pairs.
 
-    Deterministic order: sorted by vertex mask, then edge set.  A
-    complete pattern is listed clique by clique; any other copy is found
-    |Aut(h)| times by the embedding search, and duplicates collapse.
+    Deterministic order: sorted by vertex mask, then edge set.  Each copy
+    is found |Aut(h)| times by the embedding search; duplicates collapse.
     """
     if h.n == 0:
         return [(0, frozenset())]
-    if pattern_spec(h).dom_count == h.n:  # complete: one copy per clique
-        return sorted(
-            (c, frozenset(combinations(iter_bits(c), 2))) for c in enumerate_cliques(g, h.n)
-        )
     last = h.n - 1
     found: set[tuple[int, frozenset[tuple[int, int]]]] = set()
     pairs = None

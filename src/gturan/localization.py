@@ -17,14 +17,13 @@ H - Dom(H) in the common neighbourhood N(C), so no copy is listed:
 
 The report is one clique walk (``counting._cliques``) that carries N(C):
 each step fixes a (d-1)-clique and its common neighbourhood, so N(C) of
-each completion v is one AND with v's row.  Each clique's two statistics
-are maxima over its u-subsets: those inside the (d-1)-clique are looked
-up once per prefix, at its first completion that dominates a copy, and
-only the C(d-1, u-1) u-subsets through v per completion.  The statistics
-are memoized per u-clique; the weight is checked once per (clique size,
+each completion v is one AND with v's row.  A clique's two statistics
+are maxima over its u-subsets, memoized per u-clique (``_maxima``, which
+``copy_weights`` shares); the weight is checked once per (clique size,
 codegree) class, the first time the class appears, and the totals are
-summed over the classes.  The per-clique rows, with their witnesses, are
-built from the walk's cliques only when ``per_clique`` is first read.
+summed over the classes.  The walk keeps each clique's row as a plain
+tuple; the ``DominatingClique`` rows are built from them only when
+``per_clique`` is first read.
 
 The localized inequality bounds the weighted sum by k^u(G) / C(dom(H), u),
 with exact equality on disjoint unions of balanced Turán graphs (plus any
@@ -41,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graphs import Graph, common_neighborhood, disjoint_union, iter_bits
 from .families import turan
@@ -133,7 +132,8 @@ class LocalReport:
     equality: bool
     hypothesis_ok: bool
     exempt_cliques: tuple[int, ...]  # u-cliques dominating no copy
-    _rows: Callable[[], tuple[DominatingClique, ...]] = field(repr=False, compare=False)
+    # the fields of each row of ``per_clique``, in walk order
+    _rows: tuple[tuple[int, int, int, Fraction, int, int, int], ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         assert self.holds == (self.weighted_sum <= self.bound)
@@ -143,34 +143,33 @@ class LocalReport:
     def per_clique(self) -> tuple[DominatingClique, ...]:
         """The rows of the cliques dominating a copy, in walk order; built
         on first read."""
-        return self._rows()
+        return tuple(DominatingClique(*row) for row in self._rows)
 
 
-def _row(
-    g: Graph, spec: PatternSpec, bits: list[int], copies: int, u: int, reps: int,
-    stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
-    threshold: int,
-) -> DominatingClique:
-    """The row of the dom(H)-clique of g with the ascending one-vertex
-    masks ``bits``, which dominates ``copies`` copies.  ``reps`` is
-    ``counting._representatives`` of g, ``stats`` memoizes (largest
-    clique, codegree) per u-clique and ``weights`` the weight per
-    (clique size, codegree)."""
+def _maxima(
+    adj: tuple[int, ...], u: int, bits: list[int], reps: int,
+    stats: dict[int, tuple[int, int]],
+) -> tuple[int, int, int, int]:
+    """(clique size, codegree, witness of each) of the clique with the
+    ascending one-vertex masks ``bits``: both statistics maximized over
+    its u-subsets in lexicographic order, the first maximizer the
+    witness.  ``reps`` is ``counting._representatives`` of the host and
+    ``stats`` memoizes (largest clique, codegree) per u-clique."""
     cs = cd = -1
     wit_cs = wit_cd = 0
     for c in map(sum, combinations(bits, u)):
         stat = stats.get(c)
         if stat is None:
-            stat = stats[c] = _stat(g.adj, u, common_neighborhood(g, c), reps)
+            common = -1
+            for w in iter_bits(c):
+                common &= adj[w]
+            stat = stats[c] = _stat(adj, u, common, reps)
         oc, dc = stat
         if oc > cs:
             cs, wit_cs = oc, c
         if dc > cd:
             cd, wit_cd = dc, c
-    clique = sum(bits)
-    if (cs, cd) not in weights:
-        weights[cs, cd] = _weight(spec.down(u), u, (cs, cd), clique, threshold)
-    return DominatingClique(clique, cs, cd, weights[cs, cd], copies, wit_cs, wit_cd)
+    return cs, cd, wit_cs, wit_cd
 
 
 def copy_weights(
@@ -185,63 +184,41 @@ def copy_weights(
     clique = sum(1 << v for v in iter_bits(verts) if degree[v] == verts.bit_count() - 1)
     copies = count_copies_rooted(h, g, clique, spec.dom_count)
     bits = [1 << v for v in iter_bits(clique)]
-    return _row(g, spec, bits, copies, u, _representatives(g.adj), {}, {}, 1)
+    cs, cd, wit_cs, wit_cd = _maxima(g.adj, u, bits, _representatives(g.adj), {})
+    weight = _weight(spec.down(u), u, (cs, cd), clique, 1)
+    return DominatingClique(clique, cs, cd, weight, copies, wit_cs, wit_cd)
 
 
-def _dominating_classes(
-    g: Graph, spec: PatternSpec, u: int, threshold: int, reps: int,
+def _dominating_rows(
+    g: Graph, spec: PatternSpec, u: int, threshold: int,
     stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
-) -> Iterator[tuple[int, tuple[int, int], int]]:
+) -> Iterator[tuple[int, int, int, Fraction, int, int, int]]:
     """Every dom(H)-clique C of g that dominates a copy, in walk order, as
-    ``(C, (clique size, codegree), copies with Dom(J) = C)``.
+    the fields of its ``DominatingClique`` row.
 
     ``stats`` gets (largest clique, codegree) of exactly the u-subsets of
-    these cliques, and ``weights`` the weight of each class, checked the
-    first time the class appears.  ``reps`` is ``counting._representatives``
-    of g."""
+    these cliques, and ``weights`` the weight of each (clique size,
+    codegree) class, checked the first time the class appears."""
     d = spec.dom_count
     rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
     down = spec.down(u)
     adj = g.adj
-    full = g.vertex_mask
-    for chosen, ext in _cliques(adj, full, d):
-        around = full  # N(chosen), so N(chosen | v) = around & adj[v]
+    reps = _representatives(adj)
+    for chosen, ext in _cliques(adj, g.vertex_mask, d):
+        bits = [1 << w for w in iter_bits(chosen)]
+        around = g.vertex_mask  # N(chosen), so N(chosen | v) = around & adj[v]
         for w in iter_bits(chosen):
             around &= adj[w]
-        tails = None  # the (u-1)-subsets of chosen with their common neighbourhoods
         for v in iter_bits(ext):
             k = _count_copies(rest, adj, around & adj[v])
             if not k:
                 continue
-            if tails is None:  # chosen's own u-subsets, once
-                bits = [1 << w for w in iter_bits(chosen)]
-                low_cs = low_cd = -1
-                for c in map(sum, combinations(bits, u)):
-                    stat = stats.get(c)
-                    if stat is None:
-                        stat = stats[c] = _stat(adj, u, common_neighborhood(g, c), reps)
-                    low_cs = max(low_cs, stat[0])
-                    low_cd = max(low_cd, stat[1])
-                tails = []
-                for t in map(sum, combinations(bits, u - 1)):
-                    common = full
-                    for w in iter_bits(t):
-                        common &= adj[w]
-                    tails.append((t, common))
-            bit = 1 << v
-            cs, cd = low_cs, low_cd
-            for t, common in tails:
-                stat = stats.get(t | bit)
-                if stat is None:
-                    stat = stats[t | bit] = _stat(adj, u, common & adj[v], reps)
-                if stat[0] > cs:
-                    cs = stat[0]
-                if stat[1] > cd:
-                    cd = stat[1]
-            key = (cs, cd)
-            if key not in weights:
-                weights[key] = _weight(down, u, key, chosen | bit, threshold)
-            yield chosen | bit, key, k
+            clique = chosen | 1 << v
+            cs, cd, wit_cs, wit_cd = _maxima(adj, u, bits + [1 << v], reps, stats)
+            weight = weights.get((cs, cd))
+            if weight is None:
+                weight = weights[cs, cd] = _weight(down, u, (cs, cd), clique, threshold)
+            yield clique, cs, cd, weight, k, wit_cs, wit_cd
 
 
 def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
@@ -261,21 +238,12 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
         raise ValueError(f"u={u} outside 1..{d}, the pattern's dominating count")
     if threshold < 1:
         raise ValueError(f"threshold={threshold} is below 1, not a clique threshold")
-    reps = _representatives(g.adj)
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
+    rows = tuple(_dominating_rows(g, spec, u, threshold, stats, weights))
     classes: dict[tuple[int, int], int] = {}  # (clique size, codegree) -> copies
-    walked = []  # (clique, copies), for the rows
-    for clique, key, k in _dominating_classes(g, spec, u, threshold, reps, stats, weights):
-        classes[key] = classes.get(key, 0) + k
-        walked.append((clique, k))
-
-    def rows() -> tuple[DominatingClique, ...]:
-        return tuple(
-            _row(g, spec, [1 << w for w in iter_bits(c)], k, u, reps, stats, weights, threshold)
-            for c, k in walked
-        )
-
+    for _, cs, cd, _, k, _, _ in rows:
+        classes[cs, cd] = classes.get((cs, cd), 0) + k
     # stats holds exactly the u-subsets of the cliques that dominate a copy
     hypothesis_ok = all(oc >= threshold + u for oc, _ in stats.values())
     weighted_sum = sum((weights[key] * k for key, k in classes.items()), Fraction(0))
