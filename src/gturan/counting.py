@@ -5,22 +5,26 @@ Copies are always counted as subgraphs: a copy of H in G is a pair
 (vertex set, edge set) with the edge set contained in G and the pair
 isomorphic to H.  Induced counting is deliberately not offered.
 
-Two explicit-stack searches do all the work, both on the host's rows
-with a candidate vertex mask, so no sub-host is ever built.  The clique
-walk ``_cliques`` hands back, per (t-1)-clique in the mask, the mask of
-its completions: ``count_cliques`` sums the popcounts,
-``enumerate_cliques`` walks the bits, ``has_clique`` takes the first.
-The embedding search ``_frontier`` places all pattern vertices but the
-last and hands back the last one's candidate mask: ``count_embeddings``
-sums the popcounts, ``enumerate_copies`` walks the bits and
-``freeness.contains_subgraph`` takes the lowest bit of the first mask.
-|Aut| is ``graphs.automorphism_count``, re-exported here: one
-``canonical_search`` per graph, kept with the canonical code in the one
-labeling cache of ``graphs`` (at most 256 graphs), not self-embeddings.
-Every copy count is ``_count_copies`` inside a mask (the clique walk for
-complete patterns, a binomial for edgeless ones): the whole host, N(C)
+One plain loop and two explicit-stack searches do the work, on the
+host's rows with a candidate vertex mask, so no sub-host is ever built.
+``_clique_count`` counts t-cliques lowest vertex first (Chiba &
+Nishizeki 1985) and ``has_clique`` leaves its loop at the first; the
+walk ``_cliques`` hands ``enumerate_cliques``, per (t-1)-clique, the
+mask of its completions.  The embedding search ``_frontier`` places all
+pattern vertices but the last and hands back the last one's candidate
+mask: ``count_embeddings`` sums the popcounts, ``enumerate_copies``
+walks the bits and ``freeness.contains_subgraph`` takes the lowest bit
+of the first mask.  |Aut| is ``graphs.automorphism_count``, re-exported
+here: one ``canonical_search`` per graph, kept with the canonical code
+in the one labeling cache of ``graphs`` (at most 256 graphs).
+Every copy count is ``_count_copies`` inside a mask: the whole host, N(C)
 for copies rooted at a clique C, and the complement of s for copies
-avoiding s.  Copies in Turán hosts
+avoiding s.  A copy J of H with d = dom(H) >= 1 is a d-clique C joined
+to a copy of H - Dom H in N(C), which has no dominating vertex, so C =
+Dom(J) and N(H, G) = sum over d-cliques C of N(H - Dom H, G[N(C)]).
+Edgeless patterns are binomials, and only the other patterns with no
+dominating vertex reach ``_frontier``: for every pattern with one,
+``count_embeddings`` is an independent route.  Copies in Turán hosts
 have a closed form, ``turan_copy_count``, over the partitions of V(H)
 into independent blocks; ``_independent_partitions`` counts them by
 block sizes, placing one twin class of H at a time.  Slow
@@ -60,7 +64,7 @@ from .graphs import (
 
 
 def _cliques(adj: tuple[int, ...], cand: int, t: int) -> Iterator[tuple[int, int]]:
-    """The one clique walk: every ``(t-1)``-clique inside ``cand`` that
+    """The clique walk: every ``(t-1)``-clique inside ``cand`` that
     some vertex of ``cand`` completes to a ``t``-clique, ``t >= 1``.
 
     Yields ``(chosen, ext)``: ``chosen`` is the ``(t-1)``-clique's mask
@@ -104,17 +108,44 @@ def _cliques(adj: tuple[int, ...], cand: int, t: int) -> Iterator[tuple[int, int
             cands[i] = nxt
 
 
-def _clique_count(adj: tuple[int, ...], cand: int, t: int) -> int:
-    """Number of t-cliques inside ``cand``."""
-    if t == 0:
-        return 1
-    return sum(ext.bit_count() for _, ext in _cliques(adj, cand, t))
+def _clique_count(
+    adj: tuple[int, ...], cand: int, t: int, rest: PatternSpec | None = None, around: int = 0
+) -> int:
+    """Number of t-cliques C inside ``cand`` or, given ``rest``, the sum over
+    them of the copies of ``rest`` inside ``around`` and N(C): a plain loop,
+    lowest vertex first, cut once fewer candidates than vertices remain."""
+    if t <= 1 and rest is None:
+        return cand.bit_count() if t else 1
+    total = 0
+    while cand.bit_count() >= t:
+        low = cand & -cand
+        cand ^= low
+        row = adj[low.bit_length() - 1]
+        if t > 1:
+            total += _clique_count(adj, cand & row, t - 1, rest, around & row)
+        else:
+            total += _count_copies(rest, adj, around & row)
+    return total
+
+
+def _has_clique(adj: tuple[int, ...], cand: int, t: int) -> bool:
+    """Whether ``cand`` holds a t-clique, t >= 1: ``_clique_count``'s loop."""
+    if t == 1:
+        return cand != 0
+    while cand.bit_count() >= t:
+        low = cand & -cand
+        cand ^= low
+        if _has_clique(adj, cand & adj[low.bit_length() - 1], t - 1):
+            return True
+    return False
 
 
 def count_cliques(g: Graph, t: int) -> int:
     """Number of t-vertex cliques; k^0 = 1, k^1 = n, k^2 = edge count."""
     if t < 0:
         raise ValueError("clique size must be nonnegative")
+    if t >= 3 and clique_number(g) < t:  # instant on Turán hosts, which the walk is not
+        return 0
     return _clique_count(g.adj, g.vertex_mask, t)
 
 
@@ -130,7 +161,7 @@ def enumerate_cliques(g: Graph, t: int) -> Iterator[int]:
 
 def has_clique(g: Graph, k: int) -> bool:
     """Early-exit decision: does g contain a clique on k vertices?"""
-    return k <= 0 or next(_cliques(g.adj, g.vertex_mask, k), None) is not None
+    return k <= 0 or _has_clique(g.adj, g.vertex_mask, k)
 
 
 def _max_clique(adj: tuple[int, ...], size: int, cand: int) -> int:
@@ -304,6 +335,8 @@ class PatternSpec:
     dom_count: int
     aut_count: int
     derived: tuple[Graph, ...]  # derived[u-1] = pattern with u dominating vertices deleted
+    edgeless: bool
+    rest: PatternSpec | None  # pattern_spec(H - Dom H) unless that is empty
 
     def down(self, u: int) -> Graph:
         if u == 0:
@@ -317,7 +350,8 @@ class PatternSpec:
 def pattern_spec(h: Graph) -> PatternSpec:
     dcount = dominating_vertices(h).bit_count()
     derived = tuple(delete_dominating(h, u) for u in range(1, dcount + 1))
-    return PatternSpec(h, dcount, automorphism_count(h), derived)
+    rest = pattern_spec(derived[-1]) if derived and derived[-1].n else None
+    return PatternSpec(h, dcount, automorphism_count(h), derived, not any(h.adj), rest)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +361,12 @@ def pattern_spec(h: Graph) -> PatternSpec:
 
 def _count_copies(spec: PatternSpec, adj: tuple[int, ...], cand: int) -> int:
     """Copies of the pattern inside the vertex mask ``cand`` of the host
-    with rows ``adj``: embeddings over |Aut|, cliques for a complete
-    pattern, or vertex subsets for an edgeless one."""
+    with rows ``adj``, counted as the module docstring says."""
     p = spec.pattern
-    if spec.dom_count == p.n:  # complete: every vertex dominates
-        return _clique_count(adj, cand, p.n)
-    if not any(p.adj):  # I_r, r >= 2: any r vertices
+    if spec.edgeless:  # I_r, K1 and K0 included: any r vertices
         return comb(cand.bit_count(), p.n)
+    if spec.dom_count:
+        return _clique_count(adj, cand, spec.dom_count, spec.rest, cand)
     total = sum(ext.bit_count() for _, _, ext in _frontier(p, adj, cand))
     copies, rem = divmod(total, spec.aut_count)
     assert rem == 0, "embedding count not divisible by automorphism count"
@@ -341,11 +374,7 @@ def _count_copies(spec: PatternSpec, adj: tuple[int, ...], cand: int) -> int:
 
 
 def count_subgraph_copies(h: Graph, g: Graph) -> int:
-    """Number of subgraphs of g isomorphic to h (vertex+edge sets).
-
-    Equals the injective edge-preserving map count divided by |Aut(h)|;
-    complete patterns are counted as cliques.
-    """
+    """Number of subgraphs of g isomorphic to h (vertex+edge sets)."""
     return _count_copies(pattern_spec(h), g.adj, g.vertex_mask)
 
 

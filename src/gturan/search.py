@@ -335,8 +335,9 @@ def _optimum(
     """The one exhaustive argmax of N(H, G) over the candidate graphs.
 
     Every optimum is re-verified before it is reported: it passes the
-    constraints, and an independent recount (raw embedding count over
-    the automorphism count) agrees with the objective.
+    constraints, and a raw embedding count over |Aut| agrees with the
+    objective, which for patterns with a dominating vertex is the
+    independent sum over dominating cliques.
     """
     best = 0
     argmax: list[Graph] = []

@@ -125,6 +125,13 @@ class TestCliques:
     def test_clique_number_of_turan_at_the_vertex_cap(self):
         assert clique_number(turan(8, 256)) == 8
 
+    def test_no_clique_above_turan_clique_number(self):
+        # answered by the clique number, without walking the r-cliques
+        for r, n in [(1, 5), (2, 7), (3, 3), (4, 20), (6, 96), (8, 256)]:
+            assert count_cliques(turan(r, n), r + 1) == 0
+            assert count_cliques(turan(r, n), r + 2) == 0
+        assert count_cliques(turan(4, 20), 4) == turan_copy_count(complete_graph(4), 4, 20)
+
 
 def set_bits(mask):
     from gturan.graphs import set_of
@@ -311,6 +318,57 @@ class TestCopyCounts:
                 for mask in masks:
                     want = count_embeddings(h, induced_subgraph(g, mask)) // automorphism_count(h)
                     assert _count_copies(pattern_spec(h), g.adj, mask) == want
+
+    # (pattern, edges of H - Dom H): H - Dom H with edges is counted by the
+    # embedding search inside each N(C), an edgeless one by a binomial
+    DOMINATING_ROUTES = [
+        (join(complete_graph(1), cycle_graph(4)), True),  # wheel W4
+        (join(complete_graph(1), path_graph(4)), True),
+        (join(complete_graph(1), union_of(complete_graph(2), complete_graph(1))), True),  # paw
+        (complete_split(1, 3), False),  # star K_{1,3}
+        (complete_split(2, 3), False),
+        (join(complete_graph(2), path_graph(3)), False),  # dom = 3, rest I2
+        (complete_split(2, 2), False),
+        (complete_graph(3), False),
+        (complete_graph(1), False),
+        (complete_graph(0), False),
+    ]
+
+    def test_dominating_clique_route_against_subset_oracle(self):
+        # N(H, G) = sum over dom(H)-cliques C of N(H - Dom H, G[N(C)]) inside
+        # random masks, against brute force on the induced sub-host; the
+        # hosts are random graphs and randomly relabeled false-twin
+        # blow-ups (each vertex of a small base a class of up to three)
+        rng = random.Random(31)
+        hosts = [random_graph(rng, rng.randint(0, 8), rng.choice([0.4, 0.7, 0.9]))
+                 for _ in range(20)]
+        for _ in range(12):
+            base = random_graph(rng, rng.randint(1, 4), rng.choice([0.6, 1.0]))
+            owner = [v for v in range(base.n) for _ in range(rng.randint(1, 3))]
+            perm = list(range(len(owner)))
+            rng.shuffle(perm)
+            hosts.append(from_edge_list(len(owner), [
+                (perm[a], perm[b])
+                for a, b in combinations(range(len(owner)), 2)
+                if base.has_edge(owner[a], owner[b])
+            ]))
+        for h, rest_has_edges in self.DOMINATING_ROUTES:
+            spec = pattern_spec(h)
+            if spec.dom_count and spec.dom_count < h.n:
+                rest = spec.down(spec.dom_count)
+                assert dominating_vertices(rest) == 0
+                assert bool(rest.edge_count) == rest_has_edges
+            for g in hosts:
+                for mask in (g.vertex_mask, rng.getrandbits(g.n)):
+                    want = subset_copy_count(h, induced_subgraph(g, mask))
+                    assert _count_copies(spec, g.adj, mask) == want
+
+    def test_turan_hosts_at_the_vertex_cap(self):
+        # a sum of binomials over the edges (K2vI2) or vertices (K1vI3) of
+        # turan(8, 256), against the closed form
+        g = turan(8, 256)
+        for h, want in ((complete_split(2, 2), 525729792), (complete_split(1, 3), 473145344)):
+            assert count_subgraph_copies(h, g) == turan_copy_count(h, 8, 256) == want
 
     def test_enumerate_copies_properties(self):
         g = complete_graph(4)
