@@ -164,10 +164,12 @@ def has_clique(g: Graph, k: int) -> bool:
     return k <= 0 or _has_clique(g.adj, g.vertex_mask, k)
 
 
-def _max_clique(adj: tuple[int, ...], size: int, cand: int) -> int:
+def _max_clique(adj: tuple[int, ...], size: int, cand: int, known: int = 0) -> int:
     """Size of a largest clique made of a ``size``-clique and vertices of
-    ``cand``, all adjacent to it: exact branch and bound on the host rows."""
-    best = size
+    ``cand``, all adjacent to it: exact branch and bound on the host rows.
+    ``known`` is the size of a clique already known to go through the
+    ``size``-clique, so the search looks only for larger ones."""
+    best = known if known > size else size
 
     def expand(size: int, cand: int) -> None:
         nonlocal best
@@ -375,7 +377,11 @@ def _count_copies(spec: PatternSpec, adj: tuple[int, ...], cand: int) -> int:
 
 def count_subgraph_copies(h: Graph, g: Graph) -> int:
     """Number of subgraphs of g isomorphic to h (vertex+edge sets)."""
-    return _count_copies(pattern_spec(h), g.adj, g.vertex_mask)
+    spec = pattern_spec(h)
+    # every copy holds a dom(H)-clique; instant on Turán hosts, which the walk is not
+    if spec.dom_count >= 3 and clique_number(g) < spec.dom_count:
+        return 0
+    return _count_copies(spec, g.adj, g.vertex_mask)
 
 
 def enumerate_copies(h: Graph, g: Graph) -> list[tuple[int, frozenset[tuple[int, int]]]]:

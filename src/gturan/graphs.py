@@ -757,8 +757,17 @@ def graph6_encode(g: Graph) -> str:
     return out.decode("ascii")
 
 
+# the six bits of each graph6 body byte, last bit first
+_G6_BITS = tuple(format(b - 63, "06b")[::-1] if b >= 63 else "" for b in range(127))
+_G6_PRINTABLE = bytes(range(63, 127))
+
+
 def graph6_decode(s: str | bytes) -> Graph:
-    """Decode a graph6 string; round trip identity with graph6_encode."""
+    """Decode a graph6 string; round trip identity with graph6_encode.
+
+    The body is read into one int whose bit k is the k-th bit of the
+    upper triangle, so column j (the neighbours i < j of j) is the j-bit
+    slice starting at bit j(j-1)/2."""
     if isinstance(s, bytes):
         s = s.decode("ascii")
     s = s.strip()
@@ -767,9 +776,9 @@ def graph6_decode(s: str | bytes) -> Graph:
     if not s:
         raise ValueError("graph6: empty input")
     data = s.encode("ascii")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise ValueError(f"graph6: byte {b} outside printable range")
+    bad = data.translate(None, _G6_PRINTABLE)
+    if bad:
+        raise ValueError(f"graph6: byte {bad[0]} outside printable range")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise ValueError("graph6: >68-bit vertex counts not supported")
@@ -787,21 +796,21 @@ def graph6_decode(s: str | bytes) -> Graph:
     if len(body) != need:
         kind = "truncated" if len(body) < need else "trailing garbage in"
         raise ValueError(f"graph6: {kind} bit vector")
+    bits = int("".join(map(_G6_BITS.__getitem__, reversed(body))) or "0", 2)
+    if bits >> nbits:  # padding bits must be zero
+        raise ValueError("graph6: nonzero padding bits")
     rows = [0] * n
-    idx = 0
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            byte = body[idx // 6] - 63
-            if byte >> (5 - idx % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-    # padding bits must be zero
-    if nbits % 6:
-        last = body[-1] - 63
-        if last & ((1 << (6 - nbits % 6)) - 1):
-            raise ValueError("graph6: nonzero padding bits")
-    return Graph(n, tuple(rows))
+        col = bits >> start & ((1 << j) - 1)
+        start += j
+        rows[j] = col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
+    return _trusted(n, tuple(rows))
 
 
 def read_g6(path: str) -> list[Graph]:

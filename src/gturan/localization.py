@@ -15,14 +15,18 @@ H - Dom(H) in the common neighbourhood N(C), so no copy is listed:
 
     weighted_sum = sum over d-cliques C of w(C) * N(H - Dom H, G[N(C)]).
 
-The report is one clique walk (``counting._cliques``) that carries N(C):
-each step fixes a (d-1)-clique and its common neighbourhood, so N(C) of
-each completion v is one AND with v's row.  A clique's two statistics
-are maxima over its u-subsets, memoized per u-clique (``_maxima``, which
-``copy_weights`` shares); the weight is checked once per (clique size,
-codegree) class, the first time the class appears, and the totals are
-summed over the classes.  The walk keeps each clique's row as a plain
-tuple; the ``DominatingClique`` rows are built from them only when
+The report is one clique walk (``counting._cliques``) that carries N(C)
+and adds up totals per (clique size, codegree) class, keeping nothing
+per clique: each step fixes a (d-1)-clique and its common neighbourhood,
+so N(C) of each completion v is one AND with v's row.  A clique's two
+statistics are maxima over its u-subsets, memoized per u-clique; the
+prefix's own u-subsets are read once, at its first completion with a
+copy, and each completion adds only the u-subsets through v (one for
+u = 1).  The largest clique through a u-subset is searched knowing that
+C, a d-clique, goes through it.  The weight is checked once per class,
+the first time the class appears.  The ``DominatingClique`` rows, with
+the u-subsets that attain each statistic (``_maxima``, which
+``copy_weights`` shares), come from a second walk, run only when
 ``per_clique`` is first read.
 
 The localized inequality bounds the weighted sum by k^u(G) / C(dom(H), u),
@@ -95,10 +99,13 @@ def clique_weights(g: Graph, c: int, u: int) -> tuple[int, int]:
     return _stat(g.adj, u, common, _representatives(g.adj))
 
 
-def _stat(adj: tuple[int, ...], u: int, common: int, reps: int) -> tuple[int, int]:
+def _stat(
+    adj: tuple[int, ...], u: int, common: int, reps: int, known: int = 0
+) -> tuple[int, int]:
     """(largest clique size, codegree) of a u-clique with common
-    neighbourhood ``common``; ``reps`` is ``counting._representatives``."""
-    return _max_clique(adj, u, common & reps), common.bit_count()
+    neighbourhood ``common``; ``reps`` is ``counting._representatives``
+    and ``known`` the size of a clique known to go through the u-clique."""
+    return _max_clique(adj, u, common & reps, known), common.bit_count()
 
 
 def _weight(down: Graph, u: int, key: tuple[int, int], clique: int, threshold: int) -> Fraction:
@@ -132,8 +139,8 @@ class LocalReport:
     equality: bool
     hypothesis_ok: bool
     exempt_cliques: tuple[int, ...]  # u-cliques dominating no copy
-    # the fields of each row of ``per_clique``, in walk order
-    _rows: tuple[tuple[int, int, int, Fraction, int, int, int], ...] = field(repr=False)
+    # (host, pattern, u, threshold): ``per_clique`` walks them again
+    _inputs: tuple[Graph, Graph, int, int] = field(repr=False)
 
     def __post_init__(self) -> None:
         assert self.holds == (self.weighted_sum <= self.bound)
@@ -143,7 +150,7 @@ class LocalReport:
     def per_clique(self) -> tuple[DominatingClique, ...]:
         """The rows of the cliques dominating a copy, in walk order; built
         on first read."""
-        return tuple(DominatingClique(*row) for row in self._rows)
+        return tuple(_dominating_rows(*self._inputs))
 
 
 def _maxima(
@@ -163,7 +170,7 @@ def _maxima(
             common = -1
             for w in iter_bits(c):
                 common &= adj[w]
-            stat = stats[c] = _stat(adj, u, common, reps)
+            stat = stats[c] = _stat(adj, u, common, reps, len(bits))
         oc, dc = stat
         if oc > cs:
             cs, wit_cs = oc, c
@@ -189,21 +196,18 @@ def copy_weights(
     return DominatingClique(clique, cs, cd, weight, copies, wit_cs, wit_cd)
 
 
-def _dominating_rows(
-    g: Graph, spec: PatternSpec, u: int, threshold: int,
-    stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
-) -> Iterator[tuple[int, int, int, Fraction, int, int, int]]:
-    """Every dom(H)-clique C of g that dominates a copy, in walk order, as
-    the fields of its ``DominatingClique`` row.
-
-    ``stats`` gets (largest clique, codegree) of exactly the u-subsets of
-    these cliques, and ``weights`` the weight of each (clique size,
-    codegree) class, checked the first time the class appears."""
+def _dominating_rows(g: Graph, h: Graph, u: int, threshold: int) -> Iterator[DominatingClique]:
+    """The row of every dom(H)-clique C of g that dominates a copy, in
+    walk order: the walk of ``_class_totals`` again, with each clique's
+    statistics and their witnesses from ``_maxima``."""
+    spec = pattern_spec(h)
     d = spec.dom_count
     rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
     down = spec.down(u)
     adj = g.adj
     reps = _representatives(adj)
+    stats: dict[int, tuple[int, int]] = {}
+    weights: dict[tuple[int, int], Fraction] = {}
     for chosen, ext in _cliques(adj, g.vertex_mask, d):
         bits = [1 << w for w in iter_bits(chosen)]
         around = g.vertex_mask  # N(chosen), so N(chosen | v) = around & adj[v]
@@ -218,7 +222,107 @@ def _dominating_rows(
             weight = weights.get((cs, cd))
             if weight is None:
                 weight = weights[cs, cd] = _weight(down, u, (cs, cd), clique, threshold)
-            yield clique, cs, cd, weight, k, wit_cs, wit_cd
+            yield DominatingClique(clique, cs, cd, weight, k, wit_cs, wit_cd)
+
+
+def _subsets(
+    verts: list[tuple[int, int]], t: int, full: int
+) -> list[tuple[int, int]]:
+    """(mask, common neighbourhood) of each t-subset of ``verts``, a list
+    of (one-vertex mask, row) pairs, in lexicographic order."""
+    if t == 0:
+        return [(0, full)]
+    if t == 1:
+        return verts
+    out = []
+    for combo in combinations(verts, t):
+        mask, common = 0, full
+        for bit, row in combo:
+            mask |= bit
+            common &= row
+        out.append((mask, common))
+    return out
+
+
+def _prefix(
+    adj: tuple[int, ...], u: int, chosen: int, full: int, reps: int, d: int,
+    stats: dict[int, tuple[int, int]],
+) -> tuple[int, int, list[tuple[int, int]]]:
+    """The (d-1)-clique ``chosen``'s share of its completions' statistics:
+    (clique size, codegree) maximized over its own u-subsets, -1 where it
+    has none, and its (u-1)-subsets with their common neighbourhoods,
+    through which each completion adds its own u-subsets."""
+    verts = [(1 << w, adj[w]) for w in iter_bits(chosen)]
+    cs = cd = -1
+    for c, common in _subsets(verts, u, full):
+        stat = stats.get(c)
+        if stat is None:
+            stat = stats[c] = _stat(adj, u, common, reps, d)
+        oc, dc = stat
+        if oc > cs:
+            cs = oc
+        if dc > cd:
+            cd = dc
+    return cs, cd, _subsets(verts, u - 1, full)
+
+
+def _class_totals(
+    g: Graph, spec: PatternSpec, u: int, threshold: int,
+    stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
+) -> dict[tuple[int, int], int]:
+    """The copies per (clique size, codegree) class, summed over the
+    dom(H)-cliques C of g in one clique walk that keeps nothing per clique.
+
+    Each (d-1)-clique prefix of the walk reads its own u-subsets once
+    (``_prefix``), at its first completion with a copy; each completion v
+    then adds the u-subsets through v.  ``stats`` gets (largest clique,
+    codegree) of exactly the u-subsets of the cliques that dominate a
+    copy, each searched from the d-clique C known to go through it, and
+    ``weights`` the weight of each class, checked the first time the
+    class appears."""
+    d = spec.dom_count
+    rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
+    r = rest.pattern.n if rest.edgeless else -1
+    down = spec.down(u)
+    adj = g.adj
+    full = g.vertex_mask
+    reps = _representatives(adj)
+    classes: dict[tuple[int, int], int] = {}
+    for chosen, ext in _cliques(adj, full, d):
+        around = full  # N(chosen), so N(chosen | v) = around & adj[v]
+        for w in iter_bits(chosen):
+            around &= adj[w]
+        subs = None  # read at the first completion with a copy
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            row = adj[low.bit_length() - 1]
+            if r >= 0:
+                k = comb((around & row).bit_count(), r)
+            else:
+                k = _count_copies(rest, adj, around & row)
+            if not k:
+                continue
+            if subs is None:
+                pcs, pcd, subs = _prefix(adj, u, chosen, full, reps, d, stats)
+            cs, cd = pcs, pcd
+            for s, common in subs:
+                c = s | low
+                stat = stats.get(c)
+                if stat is None:
+                    stat = stats[c] = _stat(adj, u, common & row, reps, d)
+                oc, dc = stat
+                if oc > cs:
+                    cs = oc
+                if dc > cd:
+                    cd = dc
+            key = cs, cd
+            total = classes.get(key)
+            if total is None:
+                weights[key] = _weight(down, u, key, chosen | low, threshold)
+                total = 0
+            classes[key] = total + k
+    return classes
 
 
 def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
@@ -240,10 +344,7 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
         raise ValueError(f"threshold={threshold} is below 1, not a clique threshold")
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
-    rows = tuple(_dominating_rows(g, spec, u, threshold, stats, weights))
-    classes: dict[tuple[int, int], int] = {}  # (clique size, codegree) -> copies
-    for _, cs, cd, _, k, _, _ in rows:
-        classes[cs, cd] = classes.get((cs, cd), 0) + k
+    classes = _class_totals(g, spec, u, threshold, stats, weights)
     # stats holds exactly the u-subsets of the cliques that dominate a copy
     hypothesis_ok = all(oc >= threshold + u for oc, _ in stats.values())
     weighted_sum = sum((weights[key] * k for key, k in classes.items()), Fraction(0))
@@ -257,7 +358,7 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
         weighted_sum == bound,
         hypothesis_ok,
         tuple(c for c in u_cliques if c not in stats),
-        rows,
+        (g, h, u, threshold),
     )
 
 

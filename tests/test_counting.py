@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gturan import search
 from gturan.graphs import (
     canonical_code,
+    common_neighborhood,
     complete_graph,
     cycle_graph,
     delete_vertices,
@@ -26,6 +27,8 @@ from gturan.families import complete_split, turan
 from gturan.acceptance import _pattern_grid
 from gturan.counting import (
     _count_copies,
+    _max_clique,
+    _representatives,
     _independent_partitions,
     automorphism_count,
     clique_number,
@@ -108,19 +111,34 @@ class TestCliques:
         # without the one-vertex-per-class cut never prunes
         rng = random.Random(23)
         for _ in range(60):
-            base = random_graph(rng, rng.randint(1, 5), rng.choice([0.5, 0.8, 1.0]))
-            owner = [v for v in range(base.n) for _ in range(rng.randint(1, 5))]
-            perm = list(range(len(owner)))
-            rng.shuffle(perm)
-            g = from_edge_list(len(owner), [
-                (perm[a], perm[b])
-                for a, b in combinations(range(len(owner)), 2)
-                if base.has_edge(owner[a], owner[b])
-            ])
+            g = blow_up(rng, random_graph(rng, rng.randint(1, 5), rng.choice([0.5, 0.8, 1.0])), 5)
             assert clique_number(g) == subset_max_clique(g)
             for u in (1, 2):
                 for c in list(enumerate_cliques(g, u))[:6]:
                     assert clique_weights(g, c, u)[0] == subset_max_clique(g, set_bits(c))
+
+    def test_seeded_search_against_subset_oracle(self):
+        # the localized report searches from each u-subset c of a d-clique
+        # C with C's size d known, so it looks only for larger cliques
+        rng = random.Random(41)
+        hosts = [random_graph(rng, rng.randint(1, 9), rng.choice([0.4, 0.7, 0.9]))
+                 for _ in range(25)]
+        hosts += [blow_up(rng, random_graph(rng, rng.randint(1, 5), rng.choice([0.6, 1.0])), 3)
+                  for _ in range(15)]
+        largest = 0
+        for g in hosts:
+            reps = _representatives(g.adj)
+            want: dict[tuple[int, ...], int] = {}
+            for d in range(1, 5):
+                for clique in enumerate_cliques(g, d):
+                    for u in range(1, d + 1):
+                        for c in combinations(set_bits(clique), u):
+                            if c not in want:
+                                want[c] = subset_max_clique(g, c)
+                            common = common_neighborhood(g, c)
+                            assert _max_clique(g.adj, u, common & reps, d) == want[c]
+            largest = max(largest, *want.values(), 0)
+        assert largest >= 5
 
     def test_clique_number_of_turan_at_the_vertex_cap(self):
         assert clique_number(turan(8, 256)) == 8
@@ -131,6 +149,19 @@ class TestCliques:
             assert count_cliques(turan(r, n), r + 1) == 0
             assert count_cliques(turan(r, n), r + 2) == 0
         assert count_cliques(turan(4, 20), 4) == turan_copy_count(complete_graph(4), 4, 20)
+
+
+def blow_up(rng, base, most):
+    """Each vertex of ``base`` a class of 1 to ``most`` false twins,
+    randomly relabeled."""
+    owner = [v for v in range(base.n) for _ in range(rng.randint(1, most))]
+    perm = list(range(len(owner)))
+    rng.shuffle(perm)
+    return from_edge_list(len(owner), [
+        (perm[a], perm[b])
+        for a, b in combinations(range(len(owner)), 2)
+        if base.has_edge(owner[a], owner[b])
+    ])
 
 
 def set_bits(mask):
@@ -343,15 +374,7 @@ class TestCopyCounts:
         hosts = [random_graph(rng, rng.randint(0, 8), rng.choice([0.4, 0.7, 0.9]))
                  for _ in range(20)]
         for _ in range(12):
-            base = random_graph(rng, rng.randint(1, 4), rng.choice([0.6, 1.0]))
-            owner = [v for v in range(base.n) for _ in range(rng.randint(1, 3))]
-            perm = list(range(len(owner)))
-            rng.shuffle(perm)
-            hosts.append(from_edge_list(len(owner), [
-                (perm[a], perm[b])
-                for a, b in combinations(range(len(owner)), 2)
-                if base.has_edge(owner[a], owner[b])
-            ]))
+            hosts.append(blow_up(rng, random_graph(rng, rng.randint(1, 4), rng.choice([0.6, 1.0])), 3))
         for h, rest_has_edges in self.DOMINATING_ROUTES:
             spec = pattern_spec(h)
             if spec.dom_count and spec.dom_count < h.n:
@@ -362,6 +385,28 @@ class TestCopyCounts:
                 for mask in (g.vertex_mask, rng.getrandbits(g.n)):
                     want = subset_copy_count(h, induced_subgraph(g, mask))
                     assert _count_copies(spec, g.adj, mask) == want
+
+    def test_no_copy_above_the_clique_number(self):
+        # every copy holds a dom(H)-clique, so the count is 0 from the
+        # clique number, without walking the 6-cliques of the host
+        k7 = complete_graph(7)
+        assert count_subgraph_copies(k7, turan(6, 96)) == turan_copy_count(k7, 6, 96) == 0
+
+    def test_clique_number_cut_against_subset_oracle(self):
+        # the cut for dom(H) >= 3 never zeroes a nonzero count
+        rng = random.Random(43)
+        patterns = [complete_graph(3), complete_graph(4), complete_split(3, 2),
+                    join(complete_graph(2), path_graph(3))]
+        cut = counted = 0
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(0, 7), rng.choice([0.3, 0.5, 0.7, 0.9]))
+            for h in patterns:
+                d = pattern_spec(h).dom_count
+                want = subset_copy_count(h, g)
+                assert count_subgraph_copies(h, g) == want
+                cut += clique_number(g) < d
+                counted += want > 0
+        assert cut and counted
 
     def test_turan_hosts_at_the_vertex_cap(self):
         # a sum of binomials over the edges (K2vI2) or vertices (K1vI3) of

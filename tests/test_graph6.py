@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gturan.graphs import (
+    Graph,
     complete_graph,
     empty_graph,
     from_edge_list,
@@ -82,3 +85,26 @@ def test_round_trip_random(n, rnd):
     edges = [e for e in pairs if rnd.random() < 0.4]
     g = from_edge_list(n, edges)
     assert graph6_decode(graph6_encode(g)) == g
+
+
+def test_decode_builds_valid_graphs_from_random_strings():
+    # the decoder builds its rows unchecked: each decoded graph passes the
+    # checking constructor and encodes back to the string it came from,
+    # long headers (n >= 63) included
+    rng = random.Random(6)
+    for n in [0, 1, 2, 7, 62, 63, 64, 100, 255, 256] + [rng.randint(0, 256) for _ in range(20)]:
+        nbits = n * (n - 1) // 2
+        groups = [rng.getrandbits(6) for _ in range((nbits + 5) // 6)]
+        if nbits % 6:  # zero padding
+            groups[-1] &= ~((1 << (6 - nbits % 6)) - 1)
+        header = chr(n + 63) if n <= 62 else "~" + "".join(
+            chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+        s = header + "".join(chr(x + 63) for x in groups)
+        g = graph6_decode(s)
+        assert g.n == n and Graph(g.n, g.adj) == g
+        assert graph6_encode(g) == s
+
+
+def test_first_bad_byte_named():
+    with pytest.raises(ValueError, match="byte 32 outside printable range"):
+        graph6_decode("C~ \x05")

@@ -2,6 +2,7 @@ import hashlib
 import io
 import pickle
 import random
+import tracemalloc
 from contextlib import redirect_stdout
 from itertools import combinations
 from fractions import Fraction
@@ -394,6 +395,22 @@ def test_report_is_plain_data():
     assert pickle.loads(pickle.dumps(rep)) == rep
     assert rep.per_clique and rep.per_clique is rep.per_clique
     assert pickle.loads(pickle.dumps(rep)).per_clique == rep.per_clique
+
+
+def test_report_keeps_nothing_per_clique():
+    # the totals walk keeps no row per dominating clique (T_5(40) has
+    # 5,120 triangles); rows are walked again only when read
+    g = turan(5, 40)
+    localized_report(g, K3, 1, 1)  # warm the pattern caches
+    tracemalloc.start()
+    try:
+        rep = localized_report(g, K3, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.equality and rep.copies == 5120
+    assert peak < 256 * 1024
+    assert len(rep.per_clique) == 5120
 
 
 class TestPerCopyOracle:
