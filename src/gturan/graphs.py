@@ -11,7 +11,8 @@ Conventions used throughout the package:
   every public constructor validate symmetry (``j in adj[i]`` iff
   ``i in adj[j]``), irreflexivity (no loops) and that no bits at
   positions >= ``n`` are set.  Builders that derive their rows from a
-  valid graph (``add_vertex``, ``induced_subgraph``, ``relabel``) skip
+  valid graph (``add_vertex``, ``induced_subgraph``, ``relabel``), or
+  fill both ends of each edge by construction (``graph6_decode``), skip
   that check through ``_trusted``.
 
 All operations are pure: a "mutation" always builds a new Graph.  Graphs
