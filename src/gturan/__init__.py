@@ -4,6 +4,7 @@ density bounds, a localized weight inequality, and brute-force extremal
 oracles at desk scale."""
 
 __version__ = "0.1.0"
+DEFAULT_SEED = 20250814  # the acceptance suite's corpora (``gturan verify``)
 
 from .graphs import (
     Graph,

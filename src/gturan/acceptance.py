@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
+from . import DEFAULT_SEED
 from .graphs import (
     Graph,
     complete_graph,
@@ -43,8 +44,6 @@ from .search import (
     empirical_turan_goodness,
     nonisomorphic_graphs_upto,
 )
-
-DEFAULT_SEED = 20250814
 
 
 @dataclass

@@ -95,7 +95,7 @@ def ratio_diagnostic(h: Graph, r: int, n: int, u: int) -> tuple[Fraction, Fracti
     if denom == 0:
         raise ValueError("pattern count in T_r(n) is zero; ratio undefined")
     if n - u + 1 <= 0:
-        raise ValueError("n - u must be positive")
+        raise ValueError("n - u must be nonnegative")
     num = turan_copy_count(h, r, n - u)
     bound = Fraction(1)
     for i in range(u):

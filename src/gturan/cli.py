@@ -16,7 +16,7 @@ import re
 import sys
 from functools import cache
 
-from . import __version__
+from . import DEFAULT_SEED, __version__
 from .graphs import (
     Graph,
     complete_graph,
@@ -44,7 +44,6 @@ from .freeness import ConstraintSet, check_constraints
 from .bounds import bounds_report, star_problem_bounds
 from .localization import default_threshold, localized_report
 from .search import brute_extremal, brute_extremal_u
-from .acceptance import DEFAULT_SEED, reproduce_examples, run_acceptance
 from .reports import dump_json, envelope, make_manifest, text_lines
 
 _ATOM = re.compile(r"^([KIPC])(\d+)$")
@@ -277,12 +276,20 @@ def cmd_search(args) -> int:
     return 0
 
 
+# The acceptance suite is imported by the two commands that run it, so
+# no other command compiles it.
+
+
 def cmd_reproduce(args) -> int:
+    from .acceptance import reproduce_examples
+
     _emit(args, "reproduce-examples", reproduce_examples())
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .acceptance import run_acceptance
+
     results = run_acceptance(args.level, args.seed)
     data = [
         {

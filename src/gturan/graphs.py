@@ -540,10 +540,12 @@ def _quotient_search(adj: Sequence[int], classes: list[int]) -> CanonicalForm:
         for v in iter_bits(cls):
             owner[v] = i
     qadj: list[int] = []
+    true_twins: list[bool] = []
     colours: dict[tuple[int, bool], int] = {}  # (size, true twins) -> classes
     for i, cls in enumerate(classes):
         row = adj[(cls & -cls).bit_length() - 1]
         colour = (cls.bit_count(), bool(row & cls))
+        true_twins.append(colour[1])
         colours[colour] = colours.get(colour, 0) | 1 << i
         rest = row & ~cls
         qrow = 0
@@ -556,7 +558,32 @@ def _quotient_search(adj: Sequence[int], classes: list[int]) -> CanonicalForm:
     quot = _search(qadj, _refine(qadj, cells, list(cells)))
     members = [set_of(cls) for cls in classes]
     order = [v for x in quot.order for v in members[x]]
-    _, rows = _leaf(adj, [1 << v for v in order])
+    # each class fills one block of positions, and a member's row is the
+    # union of its quotient neighbours' blocks (plus its own block, less
+    # itself, for true twins)
+    blocks = [0] * len(classes)
+    start = 0
+    for x in quot.order:
+        size = len(members[x])
+        blocks[x] = ((1 << size) - 1) << start
+        start += size
+    rows: list[int] = []
+    for x in quot.order:
+        row = 0
+        rest = qadj[x]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row |= blocks[low.bit_length() - 1]
+        block = blocks[x]
+        if true_twins[x]:
+            rest = block
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                rows.append(row | (block ^ low))
+        else:
+            rows += [row] * len(members[x])
     gens = []
     for qperm in quot.gens:
         perm = [0] * n
@@ -571,7 +598,7 @@ def _quotient_search(adj: Sequence[int], classes: list[int]) -> CanonicalForm:
     for m in members:
         aut *= factorial(len(m))
     twins = [cls for cls in classes if cls & (cls - 1)]
-    return CanonicalForm(rows, aut, order, gens, twins, [])
+    return CanonicalForm(tuple(rows), aut, order, gens, twins, [])
 
 
 def _search(adj: Sequence[int], cells: list[int]) -> CanonicalForm:

@@ -5,16 +5,18 @@ for the shipped schema.
 Exact rationals serialize as ``{"num": "...", "den": "..."}`` with string
 payloads; the integers involved overflow the range JSON readers can be
 trusted with.  Vertex sets are 0-indexed arrays, in the text view too.
+
+``hashlib`` (which loads OpenSSL's libcrypto), ``datetime`` and
+``importlib.resources`` are imported at first use, in ``make_manifest``
+and ``load_schema``: every CLI process imports this module, and only
+``--out`` and schema checks need them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import datetime
-import hashlib
 import json
 from fractions import Fraction
-from importlib import resources
 from typing import Any
 
 SCHEMA_VERSION = "1"
@@ -86,6 +88,9 @@ def _cell(x: Any) -> str:
 def make_manifest(command: list[str], parameters: dict, inputs: dict[str, str]) -> dict:
     """Run manifest: replaying the same command reproduces byte-identical
     JSON apart from the timestamp field."""
+    import datetime
+    import hashlib
+
     from . import __version__
 
     hashes = {}
@@ -113,6 +118,8 @@ def dump_json(obj: dict) -> str:
 
 
 def load_schema() -> dict:
+    from importlib import resources
+
     with resources.files("gturan.schemas").joinpath("report.schema.json").open() as fh:
         return json.load(fh)
 

@@ -171,6 +171,12 @@ class TestRatioDiagnostic:
         with pytest.raises(ValueError):
             ratio_diagnostic(K3, 2, 6, 1)
 
+    def test_n_below_u_rejected_n_equal_u_allowed(self):
+        with pytest.raises(ValueError, match="n - u must be nonnegative"):
+            ratio_diagnostic(K2, 2, 2, 3)
+        ratio, _ = ratio_diagnostic(K2, 2, 2, 2)  # T_2(0) holds no copy
+        assert ratio == 0
+
     def test_bracketing_on_grid(self):
         for t in (3, 4):
             h = complete_graph(t)

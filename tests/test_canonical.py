@@ -201,6 +201,22 @@ def test_blow_ups_invariant_under_relabeling():
             assert automorphism_count(h) == aut
 
 
+def test_quotient_rows_are_the_relabeled_rows():
+    # the rows built from class blocks are the graph relabeled by the
+    # canonical order, as one step per edge end (``_leaf``) gives them
+    cases = [g for g in _blow_ups(53, 120, 6) if g.n and graphs.is_connected(g)]
+    cases += [turan(r, 256) for r in (2, 3, 8, 256)]
+    kinds = set()
+    for g in cases:
+        classes = graphs.twin_classes(g.adj)
+        form = graphs._quotient_search(g.adj, classes)
+        assert form.rows == graphs._leaf(g.adj, [1 << v for v in form.order])[1]
+        for cls in classes:
+            if cls & (cls - 1):
+                kinds.add(bool(g.adj[(cls & -cls).bit_length() - 1] & cls))
+    assert kinds == {False, True}
+
+
 def test_isomorphic_shortcut():
     assert isomorphic(cycle_graph(5), relabel(cycle_graph(5), [3, 1, 4, 0, 2]))
     assert not isomorphic(path_graph(4), cycle_graph(4))

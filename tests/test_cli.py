@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from gturan import cli
-from gturan.acceptance import CriterionResult
-from gturan.cli import main, parse_graph_spec, reproduce_examples
+from gturan import acceptance, cli
+from gturan.acceptance import CriterionResult, reproduce_examples
+from gturan.cli import main, parse_graph_spec
 from gturan.graphs import complete_graph, graph6_encode, isomorphic
 from gturan.families import turan
 from gturan.reports import text_lines, validate_schema
@@ -373,7 +373,7 @@ class TestTextView:
     def test_text_is_the_view_of_the_json_data(self, capsys, monkeypatch, argv, code):
         # a fixed suite result with one failure, so both runs report the
         # same elapsed times and verify exits 1
-        monkeypatch.setattr(cli, "run_acceptance", lambda level, seed: [
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda level, seed: [
             CriterionResult(1, "first", True, elapsed=0.25),
             CriterionResult(2, "second", False, elapsed=1.5),
         ])
@@ -416,6 +416,18 @@ class TestTextView:
             "  [10, 11]  -",
         ]
         assert text_lines([{"a": 1, "bb": "x"}]) == ["a  bb", "1  x"]
+
+
+def test_cold_start_loads_no_hashing_or_acceptance_suite():
+    # a fresh interpreter: this process has imported both already
+    code = ("import sys, gturan.cli; "
+            "print(sorted({'hashlib', '_hashlib', 'gturan.acceptance'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+    assert cli.build_parser().parse_args(["verify"]).seed == acceptance.DEFAULT_SEED
 
 
 def test_reproduce_examples_function():
