@@ -570,18 +570,10 @@ def _quotient_search(adj: Sequence[int], classes: list[int]) -> CanonicalForm:
     rows: list[int] = []
     for x in quot.order:
         row = 0
-        rest = qadj[x]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            row |= blocks[low.bit_length() - 1]
-        block = blocks[x]
+        for y in iter_bits(qadj[x]):
+            row |= blocks[y]
         if true_twins[x]:
-            rest = block
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                rows.append(row | (block ^ low))
+            rows += [row | (blocks[x] ^ 1 << p) for p in iter_bits(blocks[x])]
         else:
             rows += [row] * len(members[x])
     gens = []
