@@ -42,7 +42,7 @@ from .families import (
 from .counting import count_cliques, count_copies_rooted, count_subgraph_copies
 from .freeness import ConstraintSet, check_constraints
 from .bounds import bounds_report, star_problem_bounds
-from .localization import default_threshold, localized_report
+from .localization import HypothesisViolationError, default_threshold, localized_report
 from .search import brute_extremal, brute_extremal_u
 from .reports import dump_json, envelope, make_manifest, text_lines
 
@@ -398,7 +398,8 @@ def main(argv: list[str] | None = None) -> int:
         # exit does not raise again, and exit quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError) as exc:  # bad input or file: one line, like argparse's
+    # bad input or file, or a weight outside the hypothesis: one line, like argparse's
+    except (ValueError, OSError, HypothesisViolationError) as exc:
         print(f"gturan: error: {exc}", file=sys.stderr)
         return 2
 

@@ -228,13 +228,10 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Image of ``g`` under vertex permutation ``perm`` (old -> new)."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("not a permutation of the vertex set")
-    rows = [0] * g.n
+    cells = [0] * g.n  # the vertex at each new position, as ``_leaf`` takes it
     for old, new in enumerate(perm):
-        row = 0
-        for w in iter_bits(g.adj[old]):
-            row |= 1 << perm[w]
-        rows[new] = row
-    return _trusted(g.n, tuple(rows))
+        cells[new] = 1 << old
+    return _trusted(g.n, _leaf(g.adj, cells)[1])
 
 
 def connected_components(g: Graph) -> list[int]:

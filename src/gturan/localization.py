@@ -15,19 +15,21 @@ H - Dom(H) in the common neighbourhood N(C), so no copy is listed:
 
     weighted_sum = sum over d-cliques C of w(C) * N(H - Dom H, G[N(C)]).
 
-The report is one clique walk (``counting._cliques``) that carries N(C)
-and adds up totals per (clique size, codegree) class, keeping nothing
-per clique: each step fixes a (d-1)-clique and its common neighbourhood,
-so N(C) of each completion v is one AND with v's row.  A clique's two
-statistics are maxima over its u-subsets, memoized per u-clique; the
-prefix's own u-subsets are read once, at its first completion with a
-copy, and each completion adds only the u-subsets through v (one for
-u = 1).  The largest clique through a u-subset is searched knowing that
-C, a d-clique, goes through it.  The weight is checked once per class,
-the first time the class appears.  The ``DominatingClique`` rows, with
-the u-subsets that attain each statistic (``_maxima``, which
-``copy_weights`` shares), come from a second walk, run only when
-``per_clique`` is first read.
+The report is one clique walk (``_walk``, over ``counting._cliques``)
+that carries N(C) and yields each clique dominating a copy with its
+(clique size, codegree) class and copy count: each step fixes a
+(d-1)-clique and its common neighbourhood, so N(C) of each completion v
+is one AND with v's row.  A clique's two statistics are maxima over its
+u-subsets, memoized per u-clique; the prefix's own u-subsets are read
+once, at its first completion with a copy, and each completion adds
+only the u-subsets through v (one for u = 1).  The largest clique
+through a u-subset is searched knowing that C, a d-clique, goes through
+it.  The weight is checked once per class, the first time the class
+appears.  ``localized_report`` sums the copies per class and keeps
+nothing per clique.  The ``DominatingClique`` rows are the same walk,
+run again only when ``per_clique`` is first read; the u-subsets that
+attain each statistic are read back from the walk's memo (``_maxima``,
+which ``copy_weights`` shares over its own memo).
 
 The localized inequality bounds the weighted sum by k^u(G) / C(dom(H), u),
 with exact equality on disjoint unions of balanced Turán graphs (plus any
@@ -66,18 +68,24 @@ from .bounds import turan_threshold_bound
 
 
 class HypothesisViolationError(RuntimeError):
-    """A dominating clique's weight denominator vanished: the supplied
-    clique threshold is below the true one for the derived pattern."""
+    """A dominating clique's weight denominator vanished: the clique lies
+    outside the clique-threshold hypothesis, or the supplied threshold is
+    below the true one for the derived pattern."""
 
-    def __init__(self, clique: int, clique_size: int, codegree: int, threshold: int):
+    def __init__(self, clique: int, clique_size: int, codegree: int, u: int, threshold: int):
         self.clique = clique
         self.clique_size = clique_size
         self.codegree = codegree
+        if clique_size >= threshold + u:
+            cause = (f"threshold parameter {threshold} is below the pattern's "
+                     f"true clique threshold")
+        else:
+            cause = (f"its clique size {clique_size} is below threshold + u = "
+                     f"{threshold + u}, outside the hypothesis")
         super().__init__(
             f"weight undefined on dominating clique {sorted(iter_bits(clique))}: "
-            f"the host Turán graph with {clique_size} - u parts on {codegree} "
-            f"vertices holds no copy of the derived pattern; threshold parameter "
-            f"{threshold} is below the pattern's true clique threshold"
+            f"T_{clique_size - u}({codegree}) holds no copy of the derived "
+            f"pattern; {cause}"
         )
 
 
@@ -113,7 +121,7 @@ def _weight(down: Graph, u: int, key: tuple[int, int], clique: int, threshold: i
     on the dominating clique ``clique``."""
     denom = turan_copy_count(down, key[0] - u, key[1])
     if denom == 0:
-        raise HypothesisViolationError(clique, *key, threshold)
+        raise HypothesisViolationError(clique, *key, u, threshold)
     return Fraction(1, denom)
 
 
@@ -153,25 +161,15 @@ class LocalReport:
         return tuple(_dominating_rows(*self._inputs))
 
 
-def _maxima(
-    adj: tuple[int, ...], u: int, bits: list[int], reps: int,
-    stats: dict[int, tuple[int, int]],
-) -> tuple[int, int, int, int]:
-    """(clique size, codegree, witness of each) of the clique with the
-    ascending one-vertex masks ``bits``: both statistics maximized over
-    its u-subsets in lexicographic order, the first maximizer the
-    witness.  ``reps`` is ``counting._representatives`` of the host and
-    ``stats`` memoizes (largest clique, codegree) per u-clique."""
+def _maxima(u: int, clique: int, stats: dict[int, tuple[int, int]]) -> tuple[int, int, int, int]:
+    """(clique size, codegree, witness of each) of ``clique``: both
+    statistics maximized over its u-subsets in lexicographic order, the
+    first maximizer the witness, read from ``stats``, which holds
+    (largest clique, codegree) of every one of them."""
     cs = cd = -1
     wit_cs = wit_cd = 0
-    for c in map(sum, combinations(bits, u)):
-        stat = stats.get(c)
-        if stat is None:
-            common = -1
-            for w in iter_bits(c):
-                common &= adj[w]
-            stat = stats[c] = _stat(adj, u, common, reps, len(bits))
-        oc, dc = stat
+    for c in map(sum, combinations([1 << v for v in iter_bits(clique)], u)):
+        oc, dc = stats[c]
         if oc > cs:
             cs, wit_cs = oc, c
         if dc > cd:
@@ -183,46 +181,29 @@ def copy_weights(
     g: Graph, copy: tuple[int, frozenset[tuple[int, int]]], h: Graph, u: int
 ) -> DominatingClique:
     """The row of Dom(J) for one copy J, a (vertex mask, edge set) pair of
-    ``counting.enumerate_copies``; Dom(J) is read on J's own edges.  Not
-    on the path of ``localized_report``, which lists no copies."""
+    ``counting.enumerate_copies``; Dom(J) is read on J's own edges, and its
+    u-subsets' statistics come from ``clique_weights``.  The report's rows
+    come from its walk instead, which lists no copies."""
     spec = pattern_spec(h)
     verts, edges = copy
     degree = Counter(v for edge in edges for v in edge)
     clique = sum(1 << v for v in iter_bits(verts) if degree[v] == verts.bit_count() - 1)
     copies = count_copies_rooted(h, g, clique, spec.dom_count)
     bits = [1 << v for v in iter_bits(clique)]
-    cs, cd, wit_cs, wit_cd = _maxima(g.adj, u, bits, _representatives(g.adj), {})
+    stats = {c: clique_weights(g, c, u) for c in map(sum, combinations(bits, u))}
+    cs, cd, wit_cs, wit_cd = _maxima(u, clique, stats)
     weight = _weight(spec.down(u), u, (cs, cd), clique, 1)
     return DominatingClique(clique, cs, cd, weight, copies, wit_cs, wit_cd)
 
 
 def _dominating_rows(g: Graph, h: Graph, u: int, threshold: int) -> Iterator[DominatingClique]:
-    """The row of every dom(H)-clique C of g that dominates a copy, in
-    walk order: the walk of ``_class_totals`` again, with each clique's
-    statistics and their witnesses from ``_maxima``."""
-    spec = pattern_spec(h)
-    d = spec.dom_count
-    rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
-    down = spec.down(u)
-    adj = g.adj
-    reps = _representatives(adj)
+    """The row of every dom(H)-clique of g that dominates a copy, in walk
+    order, the witnesses of its statistics read from the walk's memo."""
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
-    for chosen, ext in _cliques(adj, g.vertex_mask, d):
-        bits = [1 << w for w in iter_bits(chosen)]
-        around = g.vertex_mask  # N(chosen), so N(chosen | v) = around & adj[v]
-        for w in iter_bits(chosen):
-            around &= adj[w]
-        for v in iter_bits(ext):
-            k = _count_copies(rest, adj, around & adj[v])
-            if not k:
-                continue
-            clique = chosen | 1 << v
-            cs, cd, wit_cs, wit_cd = _maxima(adj, u, bits + [1 << v], reps, stats)
-            weight = weights.get((cs, cd))
-            if weight is None:
-                weight = weights[cs, cd] = _weight(down, u, (cs, cd), clique, threshold)
-            yield DominatingClique(clique, cs, cd, weight, k, wit_cs, wit_cd)
+    for clique, key, k in _walk(g, pattern_spec(h), u, threshold, stats, weights):
+        cs, cd, wit_cs, wit_cd = _maxima(u, clique, stats)
+        yield DominatingClique(clique, cs, cd, weights[key], k, wit_cs, wit_cd)
 
 
 def _subsets(
@@ -266,20 +247,20 @@ def _prefix(
     return cs, cd, _subsets(verts, u - 1, full)
 
 
-def _class_totals(
+def _walk(
     g: Graph, spec: PatternSpec, u: int, threshold: int,
     stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
-) -> dict[tuple[int, int], int]:
-    """The copies per (clique size, codegree) class, summed over the
-    dom(H)-cliques C of g in one clique walk that keeps nothing per clique.
+) -> Iterator[tuple[int, tuple[int, int], int]]:
+    """(clique, (clique size, codegree), copies) of every dom(H)-clique C
+    of g that dominates a copy, in walk order.
 
     Each (d-1)-clique prefix of the walk reads its own u-subsets once
     (``_prefix``), at its first completion with a copy; each completion v
     then adds the u-subsets through v.  ``stats`` gets (largest clique,
-    codegree) of exactly the u-subsets of the cliques that dominate a
-    copy, each searched from the d-clique C known to go through it, and
-    ``weights`` the weight of each class, checked the first time the
-    class appears."""
+    codegree) of exactly the u-subsets of the cliques yielded, each
+    searched from the d-clique C known to go through it, and ``weights``
+    the weight of each class, checked the first time the class appears,
+    before its clique is yielded."""
     d = spec.dom_count
     rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
     r = rest.pattern.n if rest.edgeless else -1
@@ -287,7 +268,6 @@ def _class_totals(
     adj = g.adj
     full = g.vertex_mask
     reps = _representatives(adj)
-    classes: dict[tuple[int, int], int] = {}
     for chosen, ext in _cliques(adj, full, d):
         around = full  # N(chosen), so N(chosen | v) = around & adj[v]
         for w in iter_bits(chosen):
@@ -317,12 +297,9 @@ def _class_totals(
                 if dc > cd:
                     cd = dc
             key = cs, cd
-            total = classes.get(key)
-            if total is None:
+            if key not in weights:
                 weights[key] = _weight(down, u, key, chosen | low, threshold)
-                total = 0
-            classes[key] = total + k
-    return classes
+            yield chosen | low, key, k
 
 
 def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
@@ -344,7 +321,9 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
         raise ValueError(f"threshold={threshold} is below 1, not a clique threshold")
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
-    classes = _class_totals(g, spec, u, threshold, stats, weights)
+    classes: dict[tuple[int, int], int] = {}  # copies per class
+    for _, key, k in _walk(g, spec, u, threshold, stats, weights):
+        classes[key] = classes.get(key, 0) + k
     # stats holds exactly the u-subsets of the cliques that dominate a copy
     hypothesis_ok = all(oc >= threshold + u for oc, _ in stats.values())
     weighted_sum = sum((weights[key] * k for key, k in classes.items()), Fraction(0))

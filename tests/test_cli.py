@@ -251,6 +251,20 @@ class TestSubcommands:
         assert code == 2
         assert err == f"gturan: error: {message}\n"
 
+    @pytest.mark.parametrize("extra, cause", [
+        ([], "its clique size 3 is below threshold + u = 3023308801, outside the hypothesis"),
+        (["--omega0", "1"], "threshold parameter 1 is below the pattern's true clique threshold"),
+    ])
+    def test_undefined_weight_is_one_line_error(self, capsys, extra, cause):
+        # the wheel W5 in itself: its hub has clique size 3 and codegree 5,
+        # and T_2(5) holds no C5
+        code = main(["localize", "--graph", "K1vC5", "--pattern", "K1vC5", "--u", "1", *extra])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == ("gturan: error: weight undefined on dominating clique [0]: T_2(5) "
+                       f"holds no copy of the derived pattern; {cause}\n")
+
     def test_missing_files_are_one_line_errors(self, capsys, tmp_path):
         missing = tmp_path / "missing.g6"
         code = main(["count", "--graph", f"@{missing}", "--cliques", "3"])

@@ -123,15 +123,25 @@ class TestCopyWeights:
         assert (cw.clique_size, cw.codegree) == (4, 2)
 
     def test_weight_relations_per_copy(self):
+        # copy_weights reads its witnesses through the report's _maxima,
+        # from its own memo of clique_weights
         rng = random.Random(77)
-        for _ in range(30):
-            g = random_graph(rng, rng.randint(3, 9), 0.6)
-            for u in (1, 2):
-                rows = {r.clique: r for r in localized_report(g, K3, u, 1).per_clique}
-                for verts_edges in subset_copies(K3, g):
-                    cw = copy_weights(g, verts_edges, K3, u)
-                    assert cw == rows[verts_edges[0]]
-                    assert cw.codegree >= cw.clique_size - u
+        hosts = [random_graph(rng, rng.randint(3, 9), 0.6) for _ in range(30)]
+        hosts.append(union_of(turan(3, 6), turan(4, 8)))
+        patterns = [
+            (K3, (1, 2)),
+            (complete_split(2, 2), (1, 2)),  # K2vI2
+            (join(complete_graph(1), path_graph(4)), (1,)),  # the fan K1vP4
+        ]
+        for g in hosts:
+            for h, us in patterns:
+                for u in us:
+                    rows = {r.clique: r for r in localized_report(g, h, u, 1).per_clique}
+                    for verts_edges in subset_copies(h, g):
+                        cw = copy_weights(g, verts_edges, h, u)
+                        assert cw.clique & ~verts_edges[0] == 0
+                        assert cw == rows[cw.clique]
+                        assert cw.codegree >= cw.clique_size - u
 
 
 class TestLocalizedReport:
@@ -174,9 +184,20 @@ class TestLocalizedReport:
         assert rep.holds
 
     def test_zero_denominator_aborts(self):
+        # the wheel's hub has clique size 3 and codegree 5, and T_2(5)
+        # holds no C5; the threshold is blamed only when 3 reaches
+        # threshold + u
         wheel5 = join(complete_graph(1), cycle_graph(5))
-        with pytest.raises(HypothesisViolationError):
-            localized_report(wheel5, wheel5, 1, 1)
+        for threshold, cause in [
+            (1, "threshold parameter 1 is below the pattern's true clique threshold"),
+            (3, "its clique size 3 is below threshold + u = 4, outside the hypothesis"),
+        ]:
+            with pytest.raises(HypothesisViolationError) as err:
+                localized_report(wheel5, wheel5, 1, threshold)
+            assert (err.value.clique, err.value.clique_size, err.value.codegree) == (1, 3, 5)
+            assert str(err.value) == (
+                "weight undefined on dominating clique [0]: T_2(5) holds no copy "
+                f"of the derived pattern; {cause}")
 
     def test_inequality_on_all_small_graphs(self):
         from gturan.search import nonisomorphic_graphs_upto
