@@ -21,6 +21,7 @@ from .graphs import (
     isomorphic,
     join,
     path_graph,
+    twin_quotient,
 )
 from .families import (
     ParamTriple,
@@ -33,6 +34,7 @@ from .families import (
 )
 from .counting import (
     automorphism_count,
+    blowup_copy_count,
     clique_number,
     copies_through,
     count_cliques,

@@ -17,9 +17,9 @@ walks the bits and ``freeness.contains_subgraph`` takes the lowest bit
 of the first mask.  |Aut| is ``graphs.automorphism_count``, re-exported
 here: one ``canonical_search`` per graph, kept with the canonical code
 in the one labeling cache of ``graphs`` (at most 256 graphs).
-Every copy count is ``_count_copies`` inside a mask: the whole host, N(C)
-for copies rooted at a clique C, and the complement of s for copies
-avoiding s.  A copy J of H with d = dom(H) >= 1 is a d-clique C joined
+Every copy count is one count inside a mask (``_host_copies``): the
+whole host, N(C) for copies rooted at a clique C, and the complement of
+s for copies avoiding s; on a twin-free host it is ``_count_copies``.  A copy J of H with d = dom(H) >= 1 is a d-clique C joined
 to a copy of H - Dom H in N(C), which has no dominating vertex, so C =
 Dom(J) and N(H, G) = sum over d-cliques C of N(H - Dom H, G[N(C)]).
 Edgeless patterns are binomials, and only the other patterns with no
@@ -29,6 +29,24 @@ have a closed form, ``turan_copy_count``, over the partitions of V(H)
 into independent blocks; ``_independent_partitions`` counts them by
 block sizes, placing one twin class of H at a time.  Slow
 subset-enumeration and set-partition oracles live in the test tree only.
+
+A host with twins is the blow-up of its twin quotient Q
+(``graphs.twin_quotient``), class t of size m_t, so an embedding of H is
+a map f: V(H) -> V(Q) with an injective choice inside each class, and
+emb(H, G) = sum over f of prod_t (m_t)_{|f^-1(t)|} (Lovász, *Large
+Networks and Graph Limits*, ch. 5): an edge of H goes to an edge of Q or
+into one class of true twins.  ``_blowup_count`` runs the two routes
+above on Q with the sizes as weights: ``_blowup_cliques`` takes one
+vertex of a false-twin class, or any j of a true-twin class in C(m, j)
+ways, and ``_blowup_embeddings`` lets a class hold several pattern
+vertices.  A complete Q of false twins with balanced sizes is a Turán
+graph, counted by ``turan_copy_count``.  Every public count
+(``count_cliques``, ``count_subgraph_copies``, ``count_copies_rooted``,
+``copies_through``) takes the quotient whenever it is smaller than the
+host, and ``blowup_copy_count`` takes it as given.  The kernels
+``_clique_count``, ``_count_copies`` and ``has_clique`` never look for
+twins: the enumeration walk of ``search`` and
+``freeness.passes_constraints`` call them on small graphs many times.
 
 Patterns are plain ``Graph``s.  A function that takes one looks up
 ``pattern_spec(h)`` itself: the ``PatternSpec`` record, cached per
@@ -45,16 +63,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb, perm
 from typing import Iterator
 
 from .graphs import (
     Graph,
+    TwinQuotient,
     automorphism_count,
     common_neighborhood,
+    complete_graph,
     delete_vertices,
     iter_bits,
+    set_of,
     twin_classes,
+    twin_quotient,
 )
 
 
@@ -144,9 +167,7 @@ def count_cliques(g: Graph, t: int) -> int:
     """Number of t-vertex cliques; k^0 = 1, k^1 = n, k^2 = edge count."""
     if t < 0:
         raise ValueError("clique size must be nonnegative")
-    if t >= 3 and clique_number(g) < t:  # instant on Turán hosts, which the walk is not
-        return 0
-    return _clique_count(g.adj, g.vertex_mask, t)
+    return count_subgraph_copies(complete_graph(t), g) if t <= g.n else 0
 
 
 def enumerate_cliques(g: Graph, t: int) -> Iterator[int]:
@@ -187,20 +208,22 @@ def _max_clique(adj: tuple[int, ...], size: int, cand: int, known: int = 0) -> i
     return best
 
 
-def _representatives(adj: tuple[int, ...]) -> int:
-    """Mask of one vertex per class of equal rows (false twins, never
-    adjacent, each free to stand in for another in a clique): a largest
-    clique inside any mask also lies inside the mask cut down to these.
-    Without the cut ``_max_clique`` never prunes on a Turán host."""
-    first: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        first.setdefault(row, v)
-    return sum(1 << v for v in first.values())
+def _representatives(quotient: TwinQuotient) -> int:
+    """Mask of the least vertex of each class of false twins (never
+    adjacent, each free to stand in for another in a clique) and of every
+    other vertex: a largest clique inside any mask also lies inside the
+    mask cut down to these.  Without the cut ``_max_clique`` never prunes
+    on a Turán host."""
+    reps = quotient.leads
+    for cls in quotient.twins:
+        if quotient.true_twins & cls:
+            reps |= cls
+    return reps
 
 
 def clique_number(g: Graph) -> int:
     """Size of a largest clique."""
-    return _max_clique(g.adj, 0, _representatives(g.adj))
+    return _max_clique(g.adj, 0, _representatives(twin_quotient(g.adj)))
 
 
 def is_clique(g: Graph, mask: int) -> bool:
@@ -378,20 +401,27 @@ def _count_copies(spec: PatternSpec, adj: tuple[int, ...], cand: int) -> int:
 def count_subgraph_copies(h: Graph, g: Graph) -> int:
     """Number of subgraphs of g isomorphic to h (vertex+edge sets)."""
     spec = pattern_spec(h)
+    quotient = twin_quotient(g.adj)
     # every copy holds a dom(H)-clique; instant on Turán hosts, which the walk is not
-    if spec.dom_count >= 3 and clique_number(g) < spec.dom_count:
+    if spec.dom_count >= 3 and _max_clique(g.adj, 0, _representatives(quotient)) < spec.dom_count:
         return 0
-    return _count_copies(spec, g.adj, g.vertex_mask)
+    return _host_copies(spec, g.adj, quotient, g.vertex_mask)
 
 
 def enumerate_copies(h: Graph, g: Graph) -> list[tuple[int, frozenset[tuple[int, int]]]]:
     """All copies of h in g as (vertex mask, edge set) pairs.
 
-    Deterministic order: sorted by vertex mask, then edge set.  Each copy
-    is found |Aut(h)| times by the embedding search; duplicates collapse.
+    Deterministic order: sorted by vertex mask, then edge set.  A complete
+    pattern's copies are its host's cliques; any other copy is found
+    |Aut(h)| times by the embedding search, and duplicates collapse.
     """
     if h.n == 0:
         return [(0, frozenset())]
+    if pattern_spec(h).dom_count == h.n:
+        return sorted(
+            ((c, frozenset(combinations(set_of(c), 2))) for c in enumerate_cliques(g, h.n)),
+            key=lambda c: c[0],
+        )
     last = h.n - 1
     found: set[tuple[int, frozenset[tuple[int, int]]]] = set()
     pairs = None
@@ -430,7 +460,7 @@ def count_copies_rooted(h: Graph, g: Graph, c: int, u: int) -> int:
     common = common_neighborhood(g, c)  # rejects a root set outside the host
     if not is_clique(g, c):
         raise ValueError("root set is not a clique")
-    return _count_copies(pattern_spec(spec.down(u)), g.adj, common)
+    return _host_copies(pattern_spec(spec.down(u)), g.adj, twin_quotient(g.adj), common)
 
 
 def copies_through(h: Graph, g: Graph, s: int) -> int:
@@ -440,9 +470,168 @@ def copies_through(h: Graph, g: Graph, s: int) -> int:
     if s == 0:
         return 0
     spec = pattern_spec(h)
-    return _count_copies(spec, g.adj, g.vertex_mask) - _count_copies(
-        spec, g.adj, g.vertex_mask & ~s
+    quotient = twin_quotient(g.adj)
+    return _host_copies(spec, g.adj, quotient, g.vertex_mask) - _host_copies(
+        spec, g.adj, quotient, g.vertex_mask & ~s
     )
+
+
+# ---------------------------------------------------------------------------
+# copies in blow-ups: counting through the twin quotient
+# ---------------------------------------------------------------------------
+
+
+def _blowup_cliques(
+    rows: tuple[int, ...], sizes: list[int], true_twins: int, cand: int, t: int,
+    rest: PatternSpec | None, around: int,
+) -> int:
+    """``_clique_count`` on a template: the t-cliques of the blow-up inside
+    the template mask ``cand`` or, given ``rest``, the sum over them of the
+    copies of ``rest`` inside ``around`` and their common neighbourhood.
+    A clique takes one of the ``sizes[x]`` vertices of a false-twin class
+    x, or any j of a true-twin class, in C(sizes[x], j) ways; the common
+    neighbourhood keeps what the clique left of its true-twin classes, so
+    ``sizes`` is lowered while the clique holds them."""
+    total = 0
+    while cand:
+        if cand.bit_count() < t and not cand & true_twins:
+            break
+        low = cand & -cand
+        cand ^= low
+        x = low.bit_length() - 1
+        row = rows[x]
+        m = sizes[x]
+        if not true_twins & low:  # one of the m vertices
+            if t > 1:
+                total += m * _blowup_cliques(rows, sizes, true_twins, cand & row, t - 1, rest,
+                                             around & row)
+            else:
+                total += m if rest is None else m * _blowup_count(
+                    rest, rows, sizes, true_twins, around & row)
+            continue
+        for j in range(1, min(t, m) + 1):
+            ways = comb(m, j)
+            inner = around & row | (low if j < m else 0)
+            sizes[x] = m - j
+            if j < t:
+                ways *= _blowup_cliques(rows, sizes, true_twins, cand & row, t - j, rest, inner)
+            elif rest is not None:
+                ways *= _blowup_count(rest, rows, sizes, true_twins, inner)
+            sizes[x] = m
+            total += ways
+    return total
+
+
+def _blowup_embeddings(
+    h: Graph, rows: tuple[int, ...], sizes: list[int], true_twins: int, cand: int
+) -> int:
+    """Embeddings of h into the blow-up inside the template mask ``cand``:
+    the maps f from V(h) to the template, in ``_search_order``, that send
+    each edge of h to a template edge or into one true-twin class, each
+    counted by the injective choices inside the classes, the product of
+    the falling factorials (sizes[x])_{|f^-1(x)|}.  Needs ``h.n >= 2``."""
+    order, back = _search_order(h)
+    last = h.n - 1
+    images = [0] * h.n
+    used = [0] * len(sizes)
+    big = sum(1 << x for x in iter_bits(cand) if sizes[x] > 1)  # classes of two or more
+    twins = rows  # twins[x]: where a neighbour of a vertex in class x may go
+    if true_twins:
+        twins = [row | (true_twins & 1 << x) for x, row in enumerate(rows)]
+
+    def place(i: int, full: int, placed: int) -> int:
+        # full: the classes with no vertex left; placed: those holding one
+        nxt = cand & ~full
+        for j in back[i]:
+            nxt &= twins[images[j]]
+        total = 0
+        if i == last:  # one way per class, plus the rest of the larger ones
+            total = nxt.bit_count()
+            more = nxt & (big | placed)
+            while more:
+                low = more & -more
+                more ^= low
+                x = low.bit_length() - 1
+                total += sizes[x] - used[x] - 1
+            return total
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            x = low.bit_length() - 1
+            free = sizes[x] - used[x]
+            images[i] = x
+            used[x] += 1
+            total += free * place(i + 1, full | low if free == 1 else full, placed | low)
+            used[x] -= 1
+        return total
+
+    return place(0, 0, 0)
+
+
+def _blowup_count(
+    spec: PatternSpec, rows: tuple[int, ...], sizes: list[int], true_twins: int, cand: int
+) -> int:
+    """Copies of the pattern in the blow-up of the template with rows
+    ``rows`` inside the template mask ``cand``, by the routes of
+    ``_count_copies`` with the class sizes as weights.  A complete
+    template of false-twin classes of balanced sizes is a Turán graph,
+    counted by ``turan_copy_count``."""
+    p = spec.pattern
+    if spec.edgeless:
+        return comb(sum(sizes[x] for x in iter_bits(cand)), p.n)
+    if cand and not cand & true_twins and all(
+        rows[x] & cand == cand ^ 1 << x for x in iter_bits(cand)
+    ):
+        parts = [sizes[x] for x in iter_bits(cand)]
+        if max(parts) - min(parts) <= 1:
+            return turan_copy_count(p, len(parts), sum(parts))
+    return _blowup_routes(spec, rows, sizes, true_twins, cand)
+
+
+def _blowup_routes(
+    spec: PatternSpec, rows: tuple[int, ...], sizes: list[int], true_twins: int, cand: int
+) -> int:
+    """``_blowup_count`` for a pattern with an edge, without the Turán
+    shortcut at its top: the dominating cliques, or the embeddings over
+    |Aut|."""
+    if spec.dom_count:
+        return _blowup_cliques(rows, sizes, true_twins, cand, spec.dom_count, spec.rest, cand)
+    total = _blowup_embeddings(spec.pattern, rows, sizes, true_twins, cand)
+    copies, rem = divmod(total, spec.aut_count)
+    assert rem == 0, "embedding count not divisible by automorphism count"
+    return copies
+
+
+def _host_copies(spec: PatternSpec, adj: tuple[int, ...], quotient: TwinQuotient, mask: int) -> int:
+    """Copies of the pattern inside the vertex mask ``mask`` of the host
+    with rows ``adj`` and twin quotient ``quotient``: ``_count_copies``
+    on a twin-free host, else ``_blowup_count``, since the host restricted
+    to ``mask`` is the blow-up of the quotient with |mask & class|
+    vertices per class."""
+    if not quotient.twins:
+        return _count_copies(spec, adj, mask)
+    sizes = list(quotient.sizes)
+    cand = mask & quotient.leads
+    for cls in quotient.twins:
+        low = cls & -cls
+        m = (mask & cls).bit_count()
+        sizes[low.bit_length() - 1] = m
+        cand = cand | low if m else cand & ~low
+    return _blowup_count(spec, quotient.rows, sizes, quotient.true_twins, cand)
+
+
+def blowup_copy_count(h: Graph, template: Graph, sizes: list[int], true_twins: int = 0) -> int:
+    """N(H, G) for the blow-up G of ``template`` that puts ``sizes[x]``
+    vertices in place of each template vertex x, pairwise adjacent if x is
+    in the vertex mask ``true_twins`` and pairwise non-adjacent otherwise,
+    without building G: ``count_subgraph_copies`` on the host gives the
+    same count."""
+    if len(sizes) != template.n or any(m < 0 for m in sizes):
+        raise ValueError("need one nonnegative class size per template vertex")
+    if true_twins & ~template.vertex_mask:
+        raise ValueError("true-twin mask outside the template")
+    cand = sum(1 << x for x, m in enumerate(sizes) if m)
+    return _blowup_count(pattern_spec(h), template.adj, list(sizes), true_twins, cand)
 
 
 @lru_cache(maxsize=1024)
@@ -485,6 +674,7 @@ def _independent_partitions(h: Graph) -> tuple[tuple[tuple[int, ...], int], ...]
     return tuple(profile.items())
 
 
+@lru_cache(maxsize=1024)
 def turan_copy_count(h: Graph, r: int, n: int) -> int:
     """N(H, T_r(n)) in closed form, without building the host.
 
@@ -498,7 +688,7 @@ def turan_copy_count(h: Graph, r: int, n: int) -> int:
     (stars, fans, complete splits) stay polynomial.  T_r(n) has rem parts
     of q + 1 and r - rem of q, so the assignment sum runs over j, the
     number of blocks in large parts.  The null pattern counts 1 for every
-    r >= 0.
+    r >= 0.  Memoized per process: every weight and bound reads it.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")

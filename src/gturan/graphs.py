@@ -26,9 +26,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 256
+_BITS = tuple(1 << v for v in range(MAX_VERTICES))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -295,7 +297,8 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # colour at each position is fixed and only the rows are compared.  A
 # connected graph whose refined root partition has a cell that is not
 # one twin class is first quotiented by its twin classes
-# (``twin_classes``): one vertex per class, coloured by the class's size
+# (``twin_quotient``, the one quotient that ``counting`` also reads): one
+# vertex per class, coloured by the class's size
 # and kind, the colours sorted into the initial cells.  The search runs
 # on the quotient, and the canonical order lists each class's members,
 # ascending, at its quotient vertex's position.  Isomorphic graphs have
@@ -332,34 +335,67 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # lists of n ints each.
 
 
-def twin_classes(adj: Sequence[int]) -> list[int]:
-    """Twin classes of the graph with rows ``adj``, as vertex masks in
-    order of least vertex.
+class TwinQuotient(NamedTuple):
+    """A graph's twin quotient Q, on its own vertex labels: each twin
+    class stands on its least vertex, its lead.  The graph is the blow-up
+    of Q that puts ``sizes[v]`` vertices in place of each lead v, pairwise
+    adjacent when v is in ``true_twins`` and pairwise non-adjacent
+    otherwise."""
+
+    twins: list[int]  # the classes of two or more vertices, in order of least vertex
+    leads: int  # Q's vertices: the least vertex of every class
+    rows: tuple[int, ...]  # the graph's rows: rows[v] & leads is v's row in Q
+    sizes: tuple[int, ...]  # sizes[v]: |class| for a lead v
+    true_twins: int  # the leads of the classes of pairwise adjacent twins
+
+
+def _repeats(rows: tuple[int, ...]) -> list[int]:
+    """Masks of the positions of each value that occurs in ``rows`` twice
+    or more, in order of first position."""
+    if len(set(rows)) == len(rows):
+        return []
+    groups: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        groups[row] = groups.get(row, 0) | _BITS[v]
+    return [cls for cls in groups.values() if cls & (cls - 1)]
+
+
+def twin_quotient(adj: Sequence[int]) -> TwinQuotient:
+    """The twin quotient of the graph with rows ``adj``.
 
     A class of two or more vertices is a maximal set with equal open
     neighbourhoods (false twins, pairwise non-adjacent) or equal closed
     neighbourhoods (true twins, pairwise adjacent); every other vertex is
     a class of its own.  No vertex has twins of both kinds, so the
-    classes partition the vertex set.
+    classes partition the vertex set.  A twin-free graph is its own
+    quotient, with its rows unchanged.
     """
-    by_open: dict[int, int] = {}
-    by_closed: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        bit = 1 << v
-        by_open[row] = by_open.get(row, 0) | bit
-        by_closed[row | bit] = by_closed.get(row | bit, 0) | bit
-    classes = []
-    seen = 0
-    for v, row in enumerate(adj):
-        bit = 1 << v
-        if seen & bit:
-            continue
-        cls = by_open[row]
-        if cls == bit:
-            cls = by_closed[row | bit]
-        seen |= cls
-        classes.append(cls)
-    return classes
+    n = len(adj)
+    adj = tuple(adj)
+    closed = tuple(map(or_, adj, _BITS))
+    false = _repeats(adj)
+    true = _repeats(closed)
+    if not false and not true:
+        return TwinQuotient([], (1 << n) - 1, adj, (1,) * n, 0)
+    sizes = [1] * n
+    leads = (1 << n) - 1
+    true_twins = 0
+    for cls in false + true:
+        low = cls & -cls
+        leads ^= cls ^ low
+        sizes[low.bit_length() - 1] = cls.bit_count()
+    for cls in true:
+        true_twins |= cls & -cls
+    twins = sorted(false + true, key=lambda cls: cls & -cls) if false and true else false or true
+    return TwinQuotient(twins, leads, adj, tuple(sizes), true_twins)
+
+
+def twin_classes(adj: Sequence[int]) -> list[int]:
+    """Twin classes of the graph with rows ``adj`` (``twin_quotient``), as
+    vertex masks in order of least vertex."""
+    quotient = twin_quotient(adj)
+    twins = {cls & -cls: cls for cls in quotient.twins}
+    return [twins.get(1 << v, 1 << v) for v in iter_bits(quotient.leads)]
 
 
 def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
@@ -522,35 +558,38 @@ def canonical_search(g: Graph) -> CanonicalForm:
     full = (1 << n) - 1
     cells = _refine(adj, [full], [full])
     if any(c & (c - 1) and not _is_twin_cell(adj, c) for c in cells):
-        classes = twin_classes(adj)
-        if len(classes) < n:
-            return _quotient_search(adj, classes)
+        quotient = twin_quotient(adj)
+        if quotient.twins:
+            return _quotient_search(adj, quotient)
     return _search(adj, cells)
 
 
-def _quotient_search(adj: Sequence[int], classes: list[int]) -> CanonicalForm:
+def _quotient_search(adj: Sequence[int], quotient: TwinQuotient) -> CanonicalForm:
     """Canonical form of a connected graph from its twin quotient,
     coloured by class size and kind (see the comment above)."""
     n = len(adj)
-    owner = [0] * n
-    for i, cls in enumerate(classes):
-        for v in iter_bits(cls):
-            owner[v] = i
+    _, leads, qrows, sizes, true_twins = quotient
+    # number the leads 0, 1, ...: class i stands on the i-th lead
+    index = [0] * n
+    lead_list = list(iter_bits(leads))
+    for i, v in enumerate(lead_list):
+        index[v] = i
+    by_lead = {cls & -cls: cls for cls in quotient.twins}
+    classes = [by_lead.get(1 << v, 1 << v) for v in lead_list]
     qadj: list[int] = []
-    true_twins: list[bool] = []
     colours: dict[tuple[int, bool], int] = {}  # (size, true twins) -> classes
-    for i, cls in enumerate(classes):
-        row = adj[(cls & -cls).bit_length() - 1]
-        colour = (cls.bit_count(), bool(row & cls))
-        true_twins.append(colour[1])
-        colours[colour] = colours.get(colour, 0) | 1 << i
-        rest = row & ~cls
+    true_class = []
+    for i, v in enumerate(lead_list):
+        rest = qrows[v] & leads
         qrow = 0
         while rest:
-            j = owner[(rest & -rest).bit_length() - 1]
-            qrow |= 1 << j
-            rest &= ~classes[j]
+            low = rest & -rest
+            qrow |= 1 << index[low.bit_length() - 1]
+            rest ^= low
         qadj.append(qrow)
+        colour = (sizes[v], bool(true_twins >> v & 1))
+        true_class.append(colour[1])
+        colours[colour] = colours.get(colour, 0) | 1 << i
     cells = [colours[c] for c in sorted(colours)]
     quot = _search(qadj, _refine(qadj, cells, list(cells)))
     members = [set_of(cls) for cls in classes]
@@ -569,7 +608,7 @@ def _quotient_search(adj: Sequence[int], classes: list[int]) -> CanonicalForm:
         row = 0
         for y in iter_bits(qadj[x]):
             row |= blocks[y]
-        if true_twins[x]:
+        if true_class[x]:
             rows += [row | (blocks[x] ^ 1 << p) for p in iter_bits(blocks[x])]
         else:
             rows += [row] * len(members[x])
@@ -586,8 +625,7 @@ def _quotient_search(adj: Sequence[int], classes: list[int]) -> CanonicalForm:
     aut = quot.aut
     for m in members:
         aut *= factorial(len(m))
-    twins = [cls for cls in classes if cls & (cls - 1)]
-    return CanonicalForm(tuple(rows), aut, order, gens, twins, [])
+    return CanonicalForm(tuple(rows), aut, order, gens, list(quotient.twins), [])
 
 
 def _search(adj: Sequence[int], cells: list[int]) -> CanonicalForm:

@@ -31,6 +31,20 @@ run again only when ``per_clique`` is first read; the u-subsets that
 attain each statistic are read back from the walk's memo (``_maxima``,
 which ``copy_weights`` shares over its own memo).
 
+The totals walk goes through the host's twin quotient
+(``graphs.twin_quotient``): swapping a vertex for its false twin is an
+automorphism, so it walks only the cliques inside
+``counting._representatives``, which take the least vertex of each
+false-twin class they meet, and weights each by the host cliques it
+stands for.  So each class's (clique size, codegree) is searched once,
+and the K4 report on T_8(256) walks 70 cliques for its 73,400,320.  The
+lexicographically first offending host clique is such a clique, so a
+vanishing weight names the same clique as a walk over every host clique
+would.  A u-clique is exempt when the one with the least vertex of each
+of its false-twin classes is.  A remainder H - Dom H with edges is
+counted through the quotient (``counting._host_copies``) on a host with
+twins.  The rows walk every host clique, since each is a row.
+
 The localized inequality bounds the weighted sum by k^u(G) / C(dom(H), u),
 with exact equality on disjoint unions of balanced Turán graphs (plus any
 K_u-free tail).  A zero weight denominator aborts the report: it can only
@@ -48,12 +62,19 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .graphs import Graph, common_neighborhood, disjoint_union, iter_bits
+from .graphs import (
+    Graph,
+    TwinQuotient,
+    common_neighborhood,
+    disjoint_union,
+    iter_bits,
+    twin_quotient,
+)
 from .families import turan
 from .counting import (
     PatternSpec,
     _cliques,
-    _count_copies,
+    _host_copies,
     _max_clique,
     _representatives,
     count_cliques,
@@ -104,7 +125,7 @@ def clique_weights(g: Graph, c: int, u: int) -> tuple[int, int]:
     common = common_neighborhood(g, c)
     if not is_clique(g, c):
         raise ValueError("given vertex set is not a clique")
-    return _stat(g.adj, u, common, _representatives(g.adj))
+    return _stat(g.adj, u, common, _representatives(twin_quotient(g.adj)))
 
 
 def _stat(
@@ -201,7 +222,8 @@ def _dominating_rows(g: Graph, h: Graph, u: int, threshold: int) -> Iterator[Dom
     order, the witnesses of its statistics read from the walk's memo."""
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
-    for clique, key, k in _walk(g, pattern_spec(h), u, threshold, stats, weights):
+    quotient = twin_quotient(g.adj)
+    for clique, key, k in _walk(g, pattern_spec(h), u, threshold, stats, weights, quotient, False):
         cs, cd, wit_cs, wit_cd = _maxima(u, clique, stats)
         yield DominatingClique(clique, cs, cd, weights[key], k, wit_cs, wit_cd)
 
@@ -250,6 +272,7 @@ def _prefix(
 def _walk(
     g: Graph, spec: PatternSpec, u: int, threshold: int,
     stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
+    quotient: TwinQuotient, weighted: bool,
 ) -> Iterator[tuple[int, tuple[int, int], int]]:
     """(clique, (clique size, codegree), copies) of every dom(H)-clique C
     of g that dominates a copy, in walk order.
@@ -260,27 +283,45 @@ def _walk(
     codegree) of exactly the u-subsets of the cliques yielded, each
     searched from the d-clique C known to go through it, and ``weights``
     the weight of each class, checked the first time the class appears,
-    before its clique is yielded."""
+    before its clique is yielded.
+
+    ``quotient`` is g's twin quotient.  A ``weighted`` walk keeps to the
+    cliques inside ``counting._representatives``, which take the least
+    vertex of each false-twin class they meet, and yields each with the
+    copies of all the host cliques it stands for: swapping a vertex for
+    its false twin is an automorphism of g, so those cliques have its
+    copies and statistics.  Copies of a remainder with edges are counted
+    through the quotient when g has twins."""
     d = spec.dom_count
     rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
     r = rest.pattern.n if rest.edgeless else -1
     down = spec.down(u)
     adj = g.adj
     full = g.vertex_mask
-    reps = _representatives(adj)
-    for chosen, ext in _cliques(adj, full, d):
+    reps = _representatives(quotient)
+    mult = None  # mult[v]: the host vertices v stands for
+    if weighted and quotient.twins:
+        mult = [1] * g.n
+        for cls in quotient.twins:
+            if not quotient.true_twins & cls:
+                mult[(cls & -cls).bit_length() - 1] = cls.bit_count()
+    for chosen, ext in _cliques(adj, full if mult is None else reps, d):
         around = full  # N(chosen), so N(chosen | v) = around & adj[v]
+        stands = 1  # the host cliques chosen stands for
         for w in iter_bits(chosen):
             around &= adj[w]
+            if mult is not None:
+                stands *= mult[w]
         subs = None  # read at the first completion with a copy
         while ext:
             low = ext & -ext
             ext ^= low
-            row = adj[low.bit_length() - 1]
+            v = low.bit_length() - 1
+            row = adj[v]
             if r >= 0:
                 k = comb((around & row).bit_count(), r)
             else:
-                k = _count_copies(rest, adj, around & row)
+                k = _host_copies(rest, adj, quotient, around & row)
             if not k:
                 continue
             if subs is None:
@@ -299,7 +340,7 @@ def _walk(
             key = cs, cd
             if key not in weights:
                 weights[key] = _weight(down, u, key, chosen | low, threshold)
-            yield chosen | low, key, k
+            yield chosen | low, key, k if mult is None else k * stands * mult[v]
 
 
 def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
@@ -322,13 +363,21 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
     classes: dict[tuple[int, int], int] = {}  # copies per class
-    for _, key, k in _walk(g, spec, u, threshold, stats, weights):
+    quotient = twin_quotient(g.adj)
+    for _, key, k in _walk(g, spec, u, threshold, stats, weights, quotient, True):
         classes[key] = classes.get(key, 0) + k
-    # stats holds exactly the u-subsets of the cliques that dominate a copy
+    # stats holds exactly the u-subsets of the walked cliques that dominate
+    # a copy: a u-clique is exempt when the one with the least vertex of
+    # each of its false-twin classes is not among them
     hypothesis_ok = all(oc >= threshold + u for oc, _ in stats.values())
     weighted_sum = sum((weights[key] * k for key, k in classes.items()), Fraction(0))
     u_cliques = list(enumerate_cliques(g, u))
     bound = Fraction(len(u_cliques), comb(d, u))
+    moved = g.vertex_mask & ~_representatives(quotient)  # false twins the walk left out
+    lead = [0] * g.n  # lead[v]: for v in moved, its class's least vertex
+    for cls in quotient.twins:
+        for v in iter_bits(cls & moved):
+            lead[v] = cls & -cls
     return LocalReport(
         sum(classes.values()),
         weighted_sum,
@@ -336,7 +385,9 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
         weighted_sum <= bound,
         weighted_sum == bound,
         hypothesis_ok,
-        tuple(c for c in u_cliques if c not in stats),
+        tuple(c for c in u_cliques if (
+            c if not c & moved else c & ~moved | sum(lead[v] for v in iter_bits(c & moved))
+        ) not in stats),
         (g, h, u, threshold),
     )
 

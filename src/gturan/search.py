@@ -82,8 +82,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .graphs import Graph, add_vertex, automorphism_generators, graph6_encode, iter_bits
 from .counting import (
     PatternSpec,
+    _clique_count,
     _count_copies,
-    count_cliques,
     count_embeddings,
     enumerate_cliques,
     pattern_spec,
@@ -301,7 +301,7 @@ def levels(
     room = None if delta is None else (lambda g: delta)
     if cliques is not None:
         u, p = cliques
-        keep = lambda g: count_cliques(g, u) <= p and (
+        keep = lambda g: _clique_count(g.adj, g.vertex_mask, u) <= p and (
             prune is None or passes_constraints(g, prune)
         )
         if u == 2:
@@ -441,7 +441,7 @@ def brute_extremal_u(
         for n, reps in levels(n_cap, cs, (u, p))
         if n
         for g in reps
-        if count_cliques(g, u) == p
+        if _clique_count(g.adj, g.vertex_mask, u) == p
     )
     covered = 0
     for clique in enumerate_cliques(h, u):

@@ -165,9 +165,9 @@ def test_blow_ups_against_brute_force(monkeypatch, cold_labels):
     quotiented = []
     real = graphs._quotient_search
 
-    def spy(adj, classes):
+    def spy(adj, quotient):
         quotiented.append(tuple(adj))
-        return real(adj, classes)
+        return real(adj, quotient)
 
     monkeypatch.setattr(graphs, "_quotient_search", spy)
     small = [g for g in _blow_ups(31, 400, 4) if g.n <= 8][:50]
@@ -208,12 +208,11 @@ def test_quotient_rows_are_the_relabeled_rows():
     cases += [turan(r, 256) for r in (2, 3, 8, 256)]
     kinds = set()
     for g in cases:
-        classes = graphs.twin_classes(g.adj)
-        form = graphs._quotient_search(g.adj, classes)
+        quotient = graphs.twin_quotient(g.adj)
+        form = graphs._quotient_search(g.adj, quotient)
         assert form.rows == graphs._leaf(g.adj, [1 << v for v in form.order])[1]
-        for cls in classes:
-            if cls & (cls - 1):
-                kinds.add(bool(g.adj[(cls & -cls).bit_length() - 1] & cls))
+        for cls in quotient.twins:
+            kinds.add(bool(g.adj[(cls & -cls).bit_length() - 1] & cls))
     assert kinds == {False, True}
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gturan import search
+from gturan import counting, search
 from gturan.graphs import (
     canonical_code,
     common_neighborhood,
@@ -21,16 +21,20 @@ from gturan.graphs import (
     path_graph,
     random_graph,
     relabel,
+    twin_quotient,
     union_of,
 )
 from gturan.families import complete_split, turan
 from gturan.acceptance import _pattern_grid
 from gturan.counting import (
+    _blowup_routes,
+    _clique_count,
     _count_copies,
     _max_clique,
     _representatives,
     _independent_partitions,
     automorphism_count,
+    blowup_copy_count,
     clique_number,
     copies_through,
     count_cliques,
@@ -127,7 +131,7 @@ class TestCliques:
                   for _ in range(15)]
         largest = 0
         for g in hosts:
-            reps = _representatives(g.adj)
+            reps = _representatives(twin_quotient(g.adj))
             want: dict[tuple[int, ...], int] = {}
             for d in range(1, 5):
                 for clique in enumerate_cliques(g, d):
@@ -423,6 +427,96 @@ class TestCopyCounts:
         for verts, edges in copies:
             assert verts.bit_count() == 3
             assert len(edges) == 2
+
+
+def patterns_upto_five():
+    """One graph per isomorphism class on 1 to 5 vertices (52 of them)."""
+    return [g for n in range(1, 6) for g in search.enumerate_graphs(n)]
+
+
+class TestTwinQuotientCounts:
+    def test_blow_up_grid(self, twin_grid):
+        # counted through the quotient, against the embedding search on
+        # the built host; the template count builds no host
+        patterns = patterns_upto_five()
+        assert len(patterns) == 52
+        for template, sizes, true_twins, g in twin_grid:
+            assert twin_quotient(g.adj).twins
+            for h in patterns:
+                want = count_embeddings(h, g) // automorphism_count(h)
+                assert count_subgraph_copies(h, g) == want, (template, sizes, true_twins, h)
+                assert blowup_copy_count(h, template, list(sizes), true_twins) == want
+            for t in range(7):
+                assert count_cliques(g, t) == _clique_count(g.adj, g.vertex_mask, t)
+
+    def test_blow_up_grid_against_subset_oracle(self, twin_grid):
+        # the subset oracle takes seconds per dense 10-vertex host, so the
+        # hosts here are the sparser ones
+        patterns = patterns_upto_five()
+        small = [g for *_, g in twin_grid if g.n <= 10 and g.edge_count <= 17]
+        assert len(small) >= 8
+        for g in small:
+            for h in patterns:
+                assert count_subgraph_copies(h, g) == subset_copy_count(h, g), (g, h)
+
+    def test_turan_hosts_through_the_routes(self):
+        # the two routes alone, without the Turán shortcut at their top,
+        # against the closed form; turan(3, 4) has a class of true twins
+        # (its two parts of one vertex) beside a class of false ones
+        patterns = [h for h in patterns_upto_five() if h.edge_count]
+        for r, n in [(2, 5), (3, 4), (3, 7), (4, 6), (4, 9), (5, 12)]:
+            g = turan(r, n)
+            q = twin_quotient(g.adj)
+            for h in patterns:
+                want = turan_copy_count(h, r, n)
+                assert count_subgraph_copies(h, g) == want
+                routes = _blowup_routes(pattern_spec(h), q.rows, list(q.sizes), q.true_twins, q.leads)
+                assert routes == want, (r, n, h)
+
+    def test_quotient_route_taken(self, monkeypatch, twin_grid):
+        # hosts with twins count through the quotient, a twin-free host
+        # keeps the plain kernels
+        taken = []
+        real = counting._blowup_count
+        monkeypatch.setattr(counting, "_blowup_count",
+                            lambda *args: taken.append(args[0].pattern.n) or real(*args))
+        twin_free = random_graph(random.Random(3), 30, 0.5)
+        assert not twin_quotient(twin_free.adj).twins
+        w4 = join(complete_graph(1), cycle_graph(4))
+        count_subgraph_copies(w4, twin_free)
+        count_cliques(twin_free, 2)
+        assert taken == []
+        hosts = [turan(6, 96), turan(3, 4), twin_grid[0][3], twin_grid[-1][3]]
+        for g in hosts:
+            taken.clear()
+            count_subgraph_copies(w4, g)
+            count_cliques(g, 2)
+            assert taken[0] == 5 and taken[-1] == 2
+
+    def test_turan_hosts_that_hung(self):
+        # each count walked every host clique or embedding before the
+        # quotient; each value is the closed form's
+        k1 = complete_graph(1)
+        assert count_cliques(turan(8, 256), 8) == 32 ** 8 == 1099511627776
+        cases = [
+            (turan(3, 6), turan(8, 128), 15297515520),
+            (join(k1, cycle_graph(4)), turan(6, 96), 196669440),
+            (join(k1, path_graph(4)), turan(6, 96), 963624960),
+            (join(k1, cycle_graph(5)), turan(6, 96), 9524477952),
+        ]
+        for h, g, want in cases:
+            assert count_subgraph_copies(h, g) == want
+
+    def test_blowup_copy_count_rejects_bad_templates(self):
+        with pytest.raises(ValueError):
+            blowup_copy_count(complete_graph(2), path_graph(3), [1, 2])
+        with pytest.raises(ValueError):
+            blowup_copy_count(complete_graph(2), path_graph(3), [1, -1, 2])
+        with pytest.raises(ValueError):
+            blowup_copy_count(complete_graph(2), path_graph(3), [1, 1, 2], 1 << 3)
+        # a class of size 0 drops its template vertex
+        assert blowup_copy_count(complete_graph(3), complete_graph(3), [2, 0, 3]) == 0
+        assert blowup_copy_count(complete_graph(2), complete_graph(3), [2, 0, 3], 1) == 7
 
 
 class TestRootedCopies:

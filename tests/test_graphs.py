@@ -24,6 +24,8 @@ from gturan.graphs import (
     random_graph,
     relabel,
     set_of,
+    twin_classes,
+    twin_quotient,
     union_of,
 )
 from gturan.families import turan
@@ -179,3 +181,29 @@ def test_set_helpers():
 
 def test_str_is_one_indexed():
     assert "1-2" in str(complete_graph(2))
+
+
+def test_twin_quotient_blows_up_to_the_graph(twin_grid, small_corpus):
+    # the host is the blow-up of its quotient: two vertices of one class
+    # are adjacent exactly for true twins, of two classes exactly when
+    # the classes' leads are, and are no twins; a twin-free graph keeps
+    # its rows
+    hosts = [g for *_, g in twin_grid] + small_corpus[:200] + [turan(3, 4), turan(8, 256)]
+    for g in hosts:
+        q = twin_quotient(g.adj)
+        classes = twin_classes(g.adj)
+        assert sum(classes) == g.vertex_mask and q.leads == sum(c & -c for c in classes)
+        assert q.twins == [c for c in classes if c & (c - 1)]
+        if not q.twins:
+            assert q.rows == g.adj
+        lead = {v: c & -c for c in classes for v in iter_bits(c)}
+        for v in iter_bits(q.leads):
+            assert q.sizes[v] == next(c for c in classes if c >> v & 1).bit_count()
+        for a in range(g.n):
+            for b in range(a + 1, g.n):
+                x, y = lead[a], lead[b]
+                want = bool(q.true_twins & x) if x == y else bool(q.rows[x.bit_length() - 1] & y)
+                assert g.has_edge(a, b) == want
+                if x != y:  # the classes are maximal
+                    ra, rb = g.adj[a], g.adj[b]
+                    assert ra != rb and ra | 1 << a != rb | 1 << b

@@ -18,6 +18,7 @@ from gturan.graphs import (
     empty_graph,
     graph6_decode,
     graph6_encode,
+    induced_subgraph,
     join,
     mask_of,
     path_graph,
@@ -44,7 +45,7 @@ from gturan.localization import (
     localized_report,
 )
 
-from oracles import subset_copies
+from oracles import subset_cliques, subset_copies, subset_copy_count, subset_max_clique
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -364,6 +365,93 @@ def test_violation_names_first_zero_clique(g, h, first):
     # the report raises before any row is read: the walk checks each
     # (clique size, codegree) class's weight the first time it appears
     assert_rows_rebuilt(g, h, 1)
+
+
+def clique_by_clique(g, h, u, threshold):
+    """The localized report recomputed from the subset oracles, one
+    dom(H)-clique C at a time in lexicographic order: the copies of
+    H - Dom H in G[N(C)], each statistic maximized over C's u-subsets in
+    lexicographic order with ``subset_max_clique`` and codegrees counted
+    vertex by vertex, the first maximizer the witness.  Returns (rows,
+    hypothesis flag, exempt u-cliques), or (rows so far, the first clique
+    whose weight denominator vanishes, None)."""
+    d = pattern_spec(h).dom_count
+    rest, down = delete_dominating(h, d), delete_dominating(h, u)
+    stats = {}
+    rows = []
+    for clique in subset_cliques(g, d):
+        common = [v for v in range(g.n) if all(g.has_edge(v, w) for w in clique)]
+        copies = subset_copy_count(rest, induced_subgraph(g, mask_of(common)))
+        if not copies:
+            continue
+        cs = cd = -1
+        for c in combinations(clique, u):
+            if c not in stats:
+                codegree = sum(all(g.has_edge(v, w) for w in c) for v in range(g.n))
+                stats[c] = subset_max_clique(g, c), codegree
+            oc, dc = stats[c]
+            if oc > cs:
+                cs, wit_cs = oc, mask_of(c)
+            if dc > cd:
+                cd, wit_cd = dc, mask_of(c)
+        denom = turan_copy_count(down, cs - u, cd)
+        if denom == 0:
+            return rows, mask_of(clique), None
+        rows.append(DominatingClique(
+            mask_of(clique), cs, cd, Fraction(1, denom), copies, wit_cs, wit_cd))
+    hypothesis_ok = all(oc >= threshold + u for oc, _ in stats.values())
+    exempt = [mask_of(c) for c in subset_cliques(g, u) if c not in stats]
+    return rows, hypothesis_ok, exempt
+
+
+BLOW_UP_PATTERNS = [
+    (K3, (1, 2)),
+    (K4, (1, 2)),
+    (complete_split(2, 2), (1, 2)),  # K2vI2
+    (complete_split(1, 3), (1,)),  # K1vI3
+    (complete_split(2, 3), (1,)),  # K2vI3: T_2(4) holds no star K1,3
+    (join(complete_graph(1), path_graph(4)), (1,)),  # the fan K1vP4
+    (join(complete_graph(1), cycle_graph(4)), (1,)),  # the wheel W4
+]
+
+
+def test_report_on_blow_ups_clique_by_clique(twin_grid):
+    # the report walks one vertex per false-twin class and weights it by
+    # its class; the rows walk every host clique.  Both against the
+    # subset oracles, and a vanishing weight names the lexicographically
+    # first offending host clique
+    outcomes = set()
+    for *_, g in twin_grid:
+        if g.n > 10:
+            continue
+        for h, us in BLOW_UP_PATTERNS:
+            for u in us:
+                for threshold in (1, 2):
+                    rows, flag, exempt = clique_by_clique(g, h, u, threshold)
+                    if exempt is None:
+                        with pytest.raises(HypothesisViolationError) as err:
+                            localized_report(g, h, u, threshold)
+                        assert err.value.clique == flag
+                        outcomes.add("violation")
+                        continue
+                    rep = localized_report(g, h, u, threshold)
+                    assert rep.copies == sum(row.copies for row in rows)
+                    assert rep.weighted_sum == sum(
+                        (row.weight * row.copies for row in rows), Fraction(0))
+                    assert rep.hypothesis_ok == flag
+                    assert list(rep.exempt_cliques) == exempt
+                    assert list(rep.per_clique) == rows
+                    outcomes.add(("hypothesis", flag))
+                    outcomes.add(("exempt", bool(exempt)))
+    assert outcomes == {"violation", ("hypothesis", True), ("hypothesis", False),
+                        ("exempt", True), ("exempt", False)}
+
+
+def test_k4_report_at_the_vertex_cap():
+    # 70 cliques of one vertex per part stand for the 73,400,320 4-cliques
+    rep = localized_report(turan(8, 256), K4, 1, 1)
+    assert rep.copies == 73400320 and rep.equality and rep.hypothesis_ok
+    assert rep.exempt_cliques == ()
 
 
 # The grid of the pinned-output test: seeded random hosts, a
