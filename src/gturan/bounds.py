@@ -115,7 +115,7 @@ class StarProblemBounds:
 def star_problem_bounds(h: Graph, u: int, delta: int, omega: int) -> StarProblemBounds:
     spec = pattern_spec(h)
     if spec.dom_count < u:
-        raise ValueError("pattern has too few dominating vertices")
+        raise ValueError(f"pattern has {spec.dom_count} dominating vertices, need {u}")
     if not delta >= omega >= u + 1:
         raise ValueError("need delta >= omega >= u + 1")
     lower = _turan_density(h, u, omega, delta + delta // (omega - 1))

@@ -208,22 +208,9 @@ def _max_clique(adj: tuple[int, ...], size: int, cand: int, known: int = 0) -> i
     return best
 
 
-def _representatives(quotient: TwinQuotient) -> int:
-    """Mask of the least vertex of each class of false twins (never
-    adjacent, each free to stand in for another in a clique) and of every
-    other vertex: a largest clique inside any mask also lies inside the
-    mask cut down to these.  Without the cut ``_max_clique`` never prunes
-    on a Turán host."""
-    reps = quotient.leads
-    for cls in quotient.twins:
-        if quotient.true_twins & cls:
-            reps |= cls
-    return reps
-
-
 def clique_number(g: Graph) -> int:
     """Size of a largest clique."""
-    return _max_clique(g.adj, 0, _representatives(twin_quotient(g.adj)))
+    return _max_clique(g.adj, 0, twin_quotient(g.adj).reps)
 
 
 def is_clique(g: Graph, mask: int) -> bool:
@@ -403,7 +390,7 @@ def count_subgraph_copies(h: Graph, g: Graph) -> int:
     spec = pattern_spec(h)
     quotient = twin_quotient(g.adj)
     # every copy holds a dom(H)-clique; instant on Turán hosts, which the walk is not
-    if spec.dom_count >= 3 and _max_clique(g.adj, 0, _representatives(quotient)) < spec.dom_count:
+    if spec.dom_count >= 3 and _max_clique(g.adj, 0, quotient.reps) < spec.dom_count:
         return 0
     return _host_copies(spec, g.adj, quotient, g.vertex_mask)
 
@@ -585,18 +572,9 @@ def _blowup_count(
         parts = [sizes[x] for x in iter_bits(cand)]
         if max(parts) - min(parts) <= 1:
             return turan_copy_count(p, len(parts), sum(parts))
-    return _blowup_routes(spec, rows, sizes, true_twins, cand)
-
-
-def _blowup_routes(
-    spec: PatternSpec, rows: tuple[int, ...], sizes: list[int], true_twins: int, cand: int
-) -> int:
-    """``_blowup_count`` for a pattern with an edge, without the Turán
-    shortcut at its top: the dominating cliques, or the embeddings over
-    |Aut|."""
     if spec.dom_count:
         return _blowup_cliques(rows, sizes, true_twins, cand, spec.dom_count, spec.rest, cand)
-    total = _blowup_embeddings(spec.pattern, rows, sizes, true_twins, cand)
+    total = _blowup_embeddings(p, rows, sizes, true_twins, cand)
     copies, rem = divmod(total, spec.aut_count)
     assert rem == 0, "embedding count not divisible by automorphism count"
     return copies
@@ -610,14 +588,14 @@ def _host_copies(spec: PatternSpec, adj: tuple[int, ...], quotient: TwinQuotient
     vertices per class."""
     if not quotient.twins:
         return _count_copies(spec, adj, mask)
-    sizes = list(quotient.sizes)
+    sizes = [1] * len(adj)
     cand = mask & quotient.leads
     for cls in quotient.twins:
         low = cls & -cls
         m = (mask & cls).bit_count()
         sizes[low.bit_length() - 1] = m
         cand = cand | low if m else cand & ~low
-    return _blowup_count(spec, quotient.rows, sizes, quotient.true_twins, cand)
+    return _blowup_count(spec, adj, sizes, quotient.true_twins, cand)
 
 
 def blowup_copy_count(h: Graph, template: Graph, sizes: list[int], true_twins: int = 0) -> int:

@@ -297,9 +297,9 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # colour at each position is fixed and only the rows are compared.  A
 # connected graph whose refined root partition has a cell that is not
 # one twin class is first quotiented by its twin classes
-# (``twin_quotient``, the one quotient that ``counting`` also reads): one
-# vertex per class, coloured by the class's size
-# and kind, the colours sorted into the initial cells.  The search runs
+# (``twin_quotient``, the one quotient that ``counting`` and
+# ``localization`` also read): one vertex per class, coloured by the
+# class's size and kind, the colours sorted into the initial cells.  The search runs
 # on the quotient, and the canonical order lists each class's members,
 # ascending, at its quotient vertex's position.  Isomorphic graphs have
 # colour-isomorphic quotients, whose equal leaves expand to equal rows,
@@ -337,16 +337,20 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 class TwinQuotient(NamedTuple):
     """A graph's twin quotient Q, on its own vertex labels: each twin
-    class stands on its least vertex, its lead.  The graph is the blow-up
-    of Q that puts ``sizes[v]`` vertices in place of each lead v, pairwise
+    class stands on its least vertex, its lead, and Q's rows are the
+    graph's rows cut down to the leads.  The graph is the blow-up of Q
+    that puts the class ``classes[v]`` in place of each lead v, pairwise
     adjacent when v is in ``true_twins`` and pairwise non-adjacent
     otherwise."""
 
     twins: list[int]  # the classes of two or more vertices, in order of least vertex
     leads: int  # Q's vertices: the least vertex of every class
-    rows: tuple[int, ...]  # the graph's rows: rows[v] & leads is v's row in Q
-    sizes: tuple[int, ...]  # sizes[v]: |class| for a lead v
+    classes: tuple[int, ...]  # classes[v]: the class of v, as a vertex mask
     true_twins: int  # the leads of the classes of pairwise adjacent twins
+    # the lead of each class of false twins (never adjacent, each free to
+    # stand in for another in a clique) and every other vertex: a largest
+    # clique inside any mask also lies inside the mask cut down to these
+    reps: int
 
 
 def _repeats(rows: tuple[int, ...]) -> list[int]:
@@ -368,34 +372,29 @@ def twin_quotient(adj: Sequence[int]) -> TwinQuotient:
     neighbourhoods (true twins, pairwise adjacent); every other vertex is
     a class of its own.  No vertex has twins of both kinds, so the
     classes partition the vertex set.  A twin-free graph is its own
-    quotient, with its rows unchanged.
+    quotient.
     """
     n = len(adj)
     adj = tuple(adj)
     closed = tuple(map(or_, adj, _BITS))
     false = _repeats(adj)
     true = _repeats(closed)
-    if not false and not true:
-        return TwinQuotient([], (1 << n) - 1, adj, (1,) * n, 0)
-    sizes = [1] * n
-    leads = (1 << n) - 1
-    true_twins = 0
-    for cls in false + true:
-        low = cls & -cls
-        leads ^= cls ^ low
-        sizes[low.bit_length() - 1] = cls.bit_count()
-    for cls in true:
-        true_twins |= cls & -cls
     twins = sorted(false + true, key=lambda cls: cls & -cls) if false and true else false or true
-    return TwinQuotient(twins, leads, adj, tuple(sizes), true_twins)
+    classes = list(_BITS[:n])
+    leads = (1 << n) - 1
+    for cls in twins:
+        leads ^= cls ^ cls & -cls
+        for v in iter_bits(cls):
+            classes[v] = cls
+    true_twins = sum(cls & -cls for cls in true)
+    return TwinQuotient(twins, leads, tuple(classes), true_twins, leads | sum(true))
 
 
 def twin_classes(adj: Sequence[int]) -> list[int]:
     """Twin classes of the graph with rows ``adj`` (``twin_quotient``), as
     vertex masks in order of least vertex."""
     quotient = twin_quotient(adj)
-    twins = {cls & -cls: cls for cls in quotient.twins}
-    return [twins.get(1 << v, 1 << v) for v in iter_bits(quotient.leads)]
+    return [quotient.classes[v] for v in iter_bits(quotient.leads)]
 
 
 def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
@@ -568,36 +567,32 @@ def _quotient_search(adj: Sequence[int], quotient: TwinQuotient) -> CanonicalFor
     """Canonical form of a connected graph from its twin quotient,
     coloured by class size and kind (see the comment above)."""
     n = len(adj)
-    _, leads, qrows, sizes, true_twins = quotient
+    leads, true_twins = quotient.leads, quotient.true_twins
     # number the leads 0, 1, ...: class i stands on the i-th lead
     index = [0] * n
     lead_list = list(iter_bits(leads))
     for i, v in enumerate(lead_list):
         index[v] = i
-    by_lead = {cls & -cls: cls for cls in quotient.twins}
-    classes = [by_lead.get(1 << v, 1 << v) for v in lead_list]
+    members = [set_of(quotient.classes[v]) for v in lead_list]
     qadj: list[int] = []
     colours: dict[tuple[int, bool], int] = {}  # (size, true twins) -> classes
-    true_class = []
     for i, v in enumerate(lead_list):
-        rest = qrows[v] & leads
+        rest = adj[v] & leads
         qrow = 0
         while rest:
             low = rest & -rest
             qrow |= 1 << index[low.bit_length() - 1]
             rest ^= low
         qadj.append(qrow)
-        colour = (sizes[v], bool(true_twins >> v & 1))
-        true_class.append(colour[1])
+        colour = (len(members[i]), bool(true_twins >> v & 1))
         colours[colour] = colours.get(colour, 0) | 1 << i
     cells = [colours[c] for c in sorted(colours)]
     quot = _search(qadj, _refine(qadj, cells, list(cells)))
-    members = [set_of(cls) for cls in classes]
     order = [v for x in quot.order for v in members[x]]
     # each class fills one block of positions, and a member's row is the
     # union of its quotient neighbours' blocks (plus its own block, less
     # itself, for true twins)
-    blocks = [0] * len(classes)
+    blocks = [0] * len(members)
     start = 0
     for x in quot.order:
         size = len(members[x])
@@ -608,7 +603,7 @@ def _quotient_search(adj: Sequence[int], quotient: TwinQuotient) -> CanonicalFor
         row = 0
         for y in iter_bits(qadj[x]):
             row |= blocks[y]
-        if true_class[x]:
+        if true_twins >> lead_list[x] & 1:
             rows += [row | (blocks[x] ^ 1 << p) for p in iter_bits(blocks[x])]
         else:
             rows += [row] * len(members[x])

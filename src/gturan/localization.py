@@ -25,25 +25,23 @@ once, at its first completion with a copy, and each completion adds
 only the u-subsets through v (one for u = 1).  The largest clique
 through a u-subset is searched knowing that C, a d-clique, goes through
 it.  The weight is checked once per class, the first time the class
-appears.  ``localized_report`` sums the copies per class and keeps
-nothing per clique.  The ``DominatingClique`` rows are the same walk,
-run again only when ``per_clique`` is first read; the u-subsets that
-attain each statistic are read back from the walk's memo (``_maxima``,
-which ``copy_weights`` shares over its own memo).
+appears.
 
-The totals walk goes through the host's twin quotient
-(``graphs.twin_quotient``): swapping a vertex for its false twin is an
-automorphism, so it walks only the cliques inside
-``counting._representatives``, which take the least vertex of each
-false-twin class they meet, and weights each by the host cliques it
-stands for.  So each class's (clique size, codegree) is searched once,
-and the K4 report on T_8(256) walks 70 cliques for its 73,400,320.  The
-lexicographically first offending host clique is such a clique, so a
-vanishing weight names the same clique as a walk over every host clique
-would.  A u-clique is exempt when the one with the least vertex of each
-of its false-twin classes is.  A remainder H - Dom H with edges is
-counted through the quotient (``counting._host_copies``) on a host with
-twins.  The rows walk every host clique, since each is a row.
+The walk goes through the host's twin quotient (``graphs.twin_quotient``).
+Swapping a vertex for its false twin is an automorphism, so the walk
+keeps to the cliques inside ``TwinQuotient.reps``, one vertex per
+false-twin class, and each walked clique stands for the host cliques
+that swap its leads for any vertices of their classes.  So each class's
+statistics are searched once: the K4 report on T_8(256) walks 70 cliques
+for its 73,400,320.  The lexicographically first offending host clique
+is a walked one, so a vanishing weight names it.  ``localized_report``
+sums the copies per class and keeps nothing per clique; k^u(G) and the
+exempt u-cliques come from the walked u-cliques, expanded the same way.
+The ``DominatingClique`` rows are the same walk, run again when
+``per_clique`` is first read; each walked clique expands to its host
+cliques, whose witnesses are read from the walk's memo through the
+stand-in of each u-subset (``_maxima``).  Rows and exempt cliques are
+sorted back into lexicographic order only when the host has false twins.
 
 The localized inequality bounds the weighted sum by k^u(G) / C(dom(H), u),
 with exact equality on disjoint unions of balanced Turán graphs (plus any
@@ -59,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 from .graphs import (
@@ -68,6 +66,7 @@ from .graphs import (
     common_neighborhood,
     disjoint_union,
     iter_bits,
+    set_of,
     twin_quotient,
 )
 from .families import turan
@@ -76,11 +75,9 @@ from .counting import (
     _cliques,
     _host_copies,
     _max_clique,
-    _representatives,
     count_cliques,
     count_copies_rooted,
     count_subgraph_copies,
-    enumerate_cliques,
     is_clique,
     pattern_spec,
     turan_copy_count,
@@ -125,14 +122,14 @@ def clique_weights(g: Graph, c: int, u: int) -> tuple[int, int]:
     common = common_neighborhood(g, c)
     if not is_clique(g, c):
         raise ValueError("given vertex set is not a clique")
-    return _stat(g.adj, u, common, _representatives(twin_quotient(g.adj)))
+    return _stat(g.adj, u, common, twin_quotient(g.adj).reps)
 
 
 def _stat(
     adj: tuple[int, ...], u: int, common: int, reps: int, known: int = 0
 ) -> tuple[int, int]:
     """(largest clique size, codegree) of a u-clique with common
-    neighbourhood ``common``; ``reps`` is ``counting._representatives``
+    neighbourhood ``common``; ``reps`` is ``TwinQuotient.reps``
     and ``known`` the size of a clique known to go through the u-clique."""
     return _max_clique(adj, u, common & reps, known), common.bit_count()
 
@@ -177,20 +174,23 @@ class LocalReport:
 
     @cached_property
     def per_clique(self) -> tuple[DominatingClique, ...]:
-        """The rows of the cliques dominating a copy, in walk order; built
-        on first read."""
+        """The rows of the cliques dominating a copy, in lexicographic
+        order; built on first read."""
         return tuple(_dominating_rows(*self._inputs))
 
 
-def _maxima(u: int, clique: int, stats: dict[int, tuple[int, int]]) -> tuple[int, int, int, int]:
+def _maxima(
+    u: int, clique: int, stats: dict[int, tuple[int, int]], quotient: TwinQuotient | None = None
+) -> tuple[int, int, int, int]:
     """(clique size, codegree, witness of each) of ``clique``: both
     statistics maximized over its u-subsets in lexicographic order, the
     first maximizer the witness, read from ``stats``, which holds
-    (largest clique, codegree) of every one of them."""
+    (largest clique, codegree) of every one of them or, given the host's
+    ``quotient``, of the walked u-subset standing for each."""
     cs = cd = -1
     wit_cs = wit_cd = 0
     for c in map(sum, combinations([1 << v for v in iter_bits(clique)], u)):
-        oc, dc = stats[c]
+        oc, dc = stats[_stand_in(quotient, c) if quotient else c]
         if oc > cs:
             cs, wit_cs = oc, c
         if dc > cd:
@@ -217,15 +217,46 @@ def copy_weights(
     return DominatingClique(clique, cs, cd, weight, copies, wit_cs, wit_cd)
 
 
-def _dominating_rows(g: Graph, h: Graph, u: int, threshold: int) -> Iterator[DominatingClique]:
-    """The row of every dom(H)-clique of g that dominates a copy, in walk
-    order, the witnesses of its statistics read from the walk's memo."""
+def _dominating_rows(g: Graph, h: Graph, u: int, threshold: int) -> list[DominatingClique]:
+    """The row of every dom(H)-clique of g that dominates a copy, in
+    lexicographic order, expanded from the walked clique standing for it."""
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
     quotient = twin_quotient(g.adj)
-    for clique, key, k in _walk(g, pattern_spec(h), u, threshold, stats, weights, quotient, False):
-        cs, cd, wit_cs, wit_cd = _maxima(u, clique, stats)
-        yield DominatingClique(clique, cs, cd, weights[key], k, wit_cs, wit_cd)
+    moved = g.vertex_mask & ~quotient.reps
+    rows = []
+    for clique, key, k in _walk(g, pattern_spec(h), u, threshold, stats, weights, quotient):
+        for c in _stood_for(quotient, clique) if moved else (clique,):
+            cs, cd, wit_cs, wit_cd = _maxima(u, c, stats, quotient if moved else None)
+            rows.append(DominatingClique(c, cs, cd, weights[key], k, wit_cs, wit_cd))
+    if moved:
+        rows.sort(key=lambda row: set_of(row.clique))
+    return rows
+
+
+def _stands(quotient: TwinQuotient, clique: int) -> int:
+    """How many host cliques the walked clique ``clique`` stands for: the
+    product of the classes of the false-twin leads in it."""
+    return prod((quotient.classes[v] & ~quotient.reps).bit_count() + 1 for v in iter_bits(clique))
+
+
+def _stood_for(quotient: TwinQuotient, clique: int) -> list[int]:
+    """The host cliques the walked clique ``clique`` stands for: each
+    false-twin lead in it swapped for any vertex of its class."""
+    out = [clique]
+    for v in iter_bits(clique):
+        spread = quotient.classes[v] & ~quotient.reps | 1 << v  # the vertices v stands for
+        out = [c ^ 1 << v | 1 << w for c in out for w in iter_bits(spread)]
+    return out
+
+
+def _stand_in(quotient: TwinQuotient, c: int) -> int:
+    """The walked clique that stands for the host clique ``c``: each false
+    twin in it swapped for its class's lead."""
+    for v in iter_bits(c & ~quotient.reps):
+        cls = quotient.classes[v]
+        c ^= 1 << v | cls & -cls
+    return c
 
 
 def _subsets(
@@ -272,10 +303,12 @@ def _prefix(
 def _walk(
     g: Graph, spec: PatternSpec, u: int, threshold: int,
     stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
-    quotient: TwinQuotient, weighted: bool,
+    quotient: TwinQuotient,
 ) -> Iterator[tuple[int, tuple[int, int], int]]:
     """(clique, (clique size, codegree), copies) of every dom(H)-clique C
-    of g that dominates a copy, in walk order.
+    inside ``quotient.reps`` (g's twin quotient) that dominates a copy, in
+    walk order: C stands for ``_stands`` host cliques, each with its
+    copies and statistics.
 
     Each (d-1)-clique prefix of the walk reads its own u-subsets once
     (``_prefix``), at its first completion with a copy; each completion v
@@ -283,35 +316,18 @@ def _walk(
     codegree) of exactly the u-subsets of the cliques yielded, each
     searched from the d-clique C known to go through it, and ``weights``
     the weight of each class, checked the first time the class appears,
-    before its clique is yielded.
-
-    ``quotient`` is g's twin quotient.  A ``weighted`` walk keeps to the
-    cliques inside ``counting._representatives``, which take the least
-    vertex of each false-twin class they meet, and yields each with the
-    copies of all the host cliques it stands for: swapping a vertex for
-    its false twin is an automorphism of g, so those cliques have its
-    copies and statistics.  Copies of a remainder with edges are counted
-    through the quotient when g has twins."""
+    before its clique is yielded."""
     d = spec.dom_count
     rest = pattern_spec(spec.down(d))  # H - Dom(H), counted inside N(C)
     r = rest.pattern.n if rest.edgeless else -1
     down = spec.down(u)
     adj = g.adj
     full = g.vertex_mask
-    reps = _representatives(quotient)
-    mult = None  # mult[v]: the host vertices v stands for
-    if weighted and quotient.twins:
-        mult = [1] * g.n
-        for cls in quotient.twins:
-            if not quotient.true_twins & cls:
-                mult[(cls & -cls).bit_length() - 1] = cls.bit_count()
-    for chosen, ext in _cliques(adj, full if mult is None else reps, d):
+    reps = quotient.reps
+    for chosen, ext in _cliques(adj, reps, d):
         around = full  # N(chosen), so N(chosen | v) = around & adj[v]
-        stands = 1  # the host cliques chosen stands for
         for w in iter_bits(chosen):
             around &= adj[w]
-            if mult is not None:
-                stands *= mult[w]
         subs = None  # read at the first completion with a copy
         while ext:
             low = ext & -ext
@@ -340,7 +356,7 @@ def _walk(
             key = cs, cd
             if key not in weights:
                 weights[key] = _weight(down, u, key, chosen | low, threshold)
-            yield chosen | low, key, k if mult is None else k * stands * mult[v]
+            yield chosen | low, key, k
 
 
 def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
@@ -352,32 +368,43 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
     of some copy reaches threshold + u; the inequality is evaluated either way,
     but only a hypothesis-clean report is inside the theorem.  u-cliques
     of G that dominate no copy are exempt from the hypothesis and listed
-    separately.
+    separately, in lexicographic order.
     """
     spec = pattern_spec(h)
     d = spec.dom_count
-    if not 1 <= u <= d:
+    if u < 1:
         raise ValueError(f"u={u} outside 1..{d}, the pattern's dominating count")
+    if u > d:
+        raise ValueError(f"pattern has {d} dominating vertices, need {u}")
     if threshold < 1:
         raise ValueError(f"threshold={threshold} is below 1, not a clique threshold")
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
     classes: dict[tuple[int, int], int] = {}  # copies per class
     quotient = twin_quotient(g.adj)
-    for _, key, k in _walk(g, spec, u, threshold, stats, weights, quotient, True):
-        classes[key] = classes.get(key, 0) + k
+    moved = g.vertex_mask & ~quotient.reps  # false twins the walks leave out
+    for clique, key, k in _walk(g, spec, u, threshold, stats, weights, quotient):
+        classes[key] = classes.get(key, 0) + (k * _stands(quotient, clique) if moved else k)
     # stats holds exactly the u-subsets of the walked cliques that dominate
-    # a copy: a u-clique is exempt when the one with the least vertex of
-    # each of its false-twin classes is not among them
+    # a copy: a u-clique is exempt when the one standing for it is not
+    # among them
     hypothesis_ok = all(oc >= threshold + u for oc, _ in stats.values())
     weighted_sum = sum((weights[key] * k for key, k in classes.items()), Fraction(0))
-    u_cliques = list(enumerate_cliques(g, u))
-    bound = Fraction(len(u_cliques), comb(d, u))
-    moved = g.vertex_mask & ~_representatives(quotient)  # false twins the walk left out
-    lead = [0] * g.n  # lead[v]: for v in moved, its class's least vertex
-    for cls in quotient.twins:
-        for v in iter_bits(cls & moved):
-            lead[v] = cls & -cls
+    u_cliques = 0  # k^u(G)
+    exempt: list[int] = []
+    for chosen, ext in _cliques(g.adj, quotient.reps, u):
+        if not moved:
+            u_cliques += ext.bit_count()
+            exempt += [chosen | 1 << v for v in iter_bits(ext) if chosen | 1 << v not in stats]
+            continue
+        for v in iter_bits(ext):
+            c = chosen | 1 << v
+            u_cliques += _stands(quotient, c)
+            if c not in stats:
+                exempt += _stood_for(quotient, c)
+    if moved:
+        exempt.sort(key=set_of)
+    bound = Fraction(u_cliques, comb(d, u))
     return LocalReport(
         sum(classes.values()),
         weighted_sum,
@@ -385,9 +412,7 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
         weighted_sum <= bound,
         weighted_sum == bound,
         hypothesis_ok,
-        tuple(c for c in u_cliques if (
-            c if not c & moved else c & ~moved | sum(lead[v] for v in iter_bits(c & moved))
-        ) not in stats),
+        tuple(exempt),
         (g, h, u, threshold),
     )
 

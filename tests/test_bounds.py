@@ -187,6 +187,13 @@ class TestRatioDiagnostic:
                         assert floor <= ratio <= 1
 
 
+def test_too_few_dominating_vertices_is_one_message():
+    for call in (lambda: star_problem_bounds(BOOK, 3, 6, 4),
+                 lambda: bounds_report(BOOK, ParamTriple(3, 6, 4))):
+        with pytest.raises(ValueError, match=r"^pattern has 2 dominating vertices, need 3$"):
+            call()
+
+
 def test_star_problem_bounds_are_reported_not_asserted():
     out = star_problem_bounds(BOOK, 2, 6, 4)
     assert out.lower >= 0 and out.upper >= 0

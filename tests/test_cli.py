@@ -301,6 +301,14 @@ class TestSubcommands:
         assert code == 2
         assert err == f"gturan: error: u={u} outside 1..3, the pattern's dominating count\n"
 
+    @pytest.mark.parametrize("pattern, u, have", [("I3", "1", 0), ("K3", "4", 3)])
+    def test_localize_too_few_dominating_is_one_line_error(self, capsys, pattern, u, have):
+        code = main(["localize", "--graph", "K3", "--pattern", pattern, "--u", u])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"gturan: error: pattern has {have} dominating vertices, need {u}\n"
+
     @pytest.mark.parametrize("threshold", ["0", "-5"])
     def test_localize_bad_threshold_is_one_line_error(self, capsys, threshold):
         code = main(["localize", "--graph", "K4", "--pattern", "K4", "--u", "2",

@@ -27,11 +27,9 @@ from gturan.graphs import (
 from gturan.families import complete_split, turan
 from gturan.acceptance import _pattern_grid
 from gturan.counting import (
-    _blowup_routes,
     _clique_count,
     _count_copies,
     _max_clique,
-    _representatives,
     _independent_partitions,
     automorphism_count,
     blowup_copy_count,
@@ -131,7 +129,7 @@ class TestCliques:
                   for _ in range(15)]
         largest = 0
         for g in hosts:
-            reps = _representatives(twin_quotient(g.adj))
+            reps = twin_quotient(g.adj).reps
             want: dict[tuple[int, ...], int] = {}
             for d in range(1, 5):
                 for clique in enumerate_cliques(g, d):
@@ -459,19 +457,28 @@ class TestTwinQuotientCounts:
             for h in patterns:
                 assert count_subgraph_copies(h, g) == subset_copy_count(h, g), (g, h)
 
-    def test_turan_hosts_through_the_routes(self):
-        # the two routes alone, without the Turán shortcut at their top,
-        # against the closed form; turan(3, 4) has a class of true twins
-        # (its two parts of one vertex) beside a class of false ones
+    def test_turan_hosts_through_the_routes(self, monkeypatch):
+        # complete multipartite hosts with unbalanced parts skip the Turán
+        # shortcut, and so does turan(3, 4), whose two parts of one vertex
+        # are a class of true twins beside a class of false ones: each
+        # count takes the dominating cliques or the embeddings over |Aut|
+        shortcut = []
+        real = counting.turan_copy_count
+        monkeypatch.setattr(counting, "turan_copy_count",
+                            lambda *args: shortcut.append(args[0]) or real(*args))
+        hosts = [turan(3, 4)]
+        for sizes in [(1, 3), (1, 3, 3), (2, 2, 4), (1, 1, 3, 4)]:
+            g = empty_graph(0)
+            for m in sizes:
+                g = join(g, empty_graph(m))
+            hosts.append(g)
         patterns = [h for h in patterns_upto_five() if h.edge_count]
-        for r, n in [(2, 5), (3, 4), (3, 7), (4, 6), (4, 9), (5, 12)]:
-            g = turan(r, n)
-            q = twin_quotient(g.adj)
+        for g in hosts:
             for h in patterns:
-                want = turan_copy_count(h, r, n)
-                assert count_subgraph_copies(h, g) == want
-                routes = _blowup_routes(pattern_spec(h), q.rows, list(q.sizes), q.true_twins, q.leads)
-                assert routes == want, (r, n, h)
+                want = count_embeddings(h, g) // automorphism_count(h)
+                assert count_subgraph_copies(h, g) == want, (g, h)
+                assert h not in shortcut
+                shortcut.clear()
 
     def test_quotient_route_taken(self, monkeypatch, twin_grid):
         # hosts with twins count through the quotient, a twin-free host

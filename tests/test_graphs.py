@@ -186,8 +186,8 @@ def test_str_is_one_indexed():
 def test_twin_quotient_blows_up_to_the_graph(twin_grid, small_corpus):
     # the host is the blow-up of its quotient: two vertices of one class
     # are adjacent exactly for true twins, of two classes exactly when
-    # the classes' leads are, and are no twins; a twin-free graph keeps
-    # its rows
+    # the classes' leads are, and are no twins; a twin-free graph is its
+    # own quotient, and the representatives keep one vertex per false-twin class
     hosts = [g for *_, g in twin_grid] + small_corpus[:200] + [turan(3, 4), turan(8, 256)]
     for g in hosts:
         q = twin_quotient(g.adj)
@@ -195,14 +195,15 @@ def test_twin_quotient_blows_up_to_the_graph(twin_grid, small_corpus):
         assert sum(classes) == g.vertex_mask and q.leads == sum(c & -c for c in classes)
         assert q.twins == [c for c in classes if c & (c - 1)]
         if not q.twins:
-            assert q.rows == g.adj
+            assert q.classes == tuple(1 << v for v in range(g.n))
+        assert q.reps == sum(c if q.true_twins & c else c & -c for c in classes)
         lead = {v: c & -c for c in classes for v in iter_bits(c)}
-        for v in iter_bits(q.leads):
-            assert q.sizes[v] == next(c for c in classes if c >> v & 1).bit_count()
+        for v in range(g.n):
+            assert q.classes[v] == next(c for c in classes if c >> v & 1)
         for a in range(g.n):
             for b in range(a + 1, g.n):
                 x, y = lead[a], lead[b]
-                want = bool(q.true_twins & x) if x == y else bool(q.rows[x.bit_length() - 1] & y)
+                want = bool(q.true_twins & x) if x == y else bool(g.adj[x.bit_length() - 1] & y)
                 assert g.has_edge(a, b) == want
                 if x != y:  # the classes are maximal
                     ra, rb = g.adj[a], g.adj[b]

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from contextlib import redirect_stdout
 from itertools import combinations
+from math import comb
 from fractions import Fraction
 
 import pytest
@@ -417,9 +418,10 @@ BLOW_UP_PATTERNS = [
 
 def test_report_on_blow_ups_clique_by_clique(twin_grid):
     # the report walks one vertex per false-twin class and weights it by
-    # its class; the rows walk every host clique.  Both against the
-    # subset oracles, and a vanishing weight names the lexicographically
-    # first offending host clique
+    # its class; the rows and exempt cliques expand each walked clique to
+    # the host cliques it stands for.  Both against the subset oracles,
+    # and a vanishing weight names the lexicographically first offending
+    # host clique
     outcomes = set()
     for *_, g in twin_grid:
         if g.n > 10:
@@ -447,11 +449,23 @@ def test_report_on_blow_ups_clique_by_clique(twin_grid):
                         ("exempt", True), ("exempt", False)}
 
 
-def test_k4_report_at_the_vertex_cap():
-    # 70 cliques of one vertex per part stand for the 73,400,320 4-cliques
-    rep = localized_report(turan(8, 256), K4, 1, 1)
+@pytest.mark.parametrize("u", [1, 2, 3])
+def test_k4_report_at_the_vertex_cap(u):
+    # 70 cliques of one vertex per part stand for the 73,400,320 4-cliques,
+    # and C(8, u) u-cliques for the host's u-cliques (1,835,008 triangles
+    # at u = 3), none of which is listed
+    g = turan(8, 256)
+    localized_report(g, K4, u, 1)  # warm the pattern caches
+    tracemalloc.start()
+    try:
+        rep = localized_report(g, K4, u, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert rep.copies == 73400320 and rep.equality and rep.hypothesis_ok
     assert rep.exempt_cliques == ()
+    assert rep.bound == Fraction(count_cliques(g, u), comb(4, u))
+    assert peak < 256 * 1024
 
 
 # The grid of the pinned-output test: seeded random hosts, a
@@ -565,9 +579,11 @@ class TestPerCopyOracle:
 
 
 def test_bad_u_rejected():
-    for u in (0, -1, 4):
+    for u in (0, -1):
         with pytest.raises(ValueError, match=rf"^u={u} outside 1\.\.3, "):
             localized_report(K5, K3, u, 1)
+    with pytest.raises(ValueError, match=r"^pattern has 3 dominating vertices, need 4$"):
+        localized_report(K5, K3, 4, 1)
 
 
 def test_threshold_below_one_rejected():
