@@ -33,8 +33,24 @@ MAX_VERTICES = 256
 _BITS = tuple(1 << v for v in range(MAX_VERTICES))
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of ``mask`` in ascending order."""
+# _BYTE_BITS[m]: the set bit positions of m < 256, ascending; the masks
+# with top bit b are those below 1 << b with b appended
+_BYTE_BITS: list[tuple[int, ...]] = [()]
+for _b in range(8):
+    _BYTE_BITS += [bits + (_b,) for bits in _BYTE_BITS]
+del _b
+
+
+def iter_bits(mask: int) -> Iterable[int]:
+    """Set bit positions of the nonnegative ``mask`` in ascending order, as
+    an iterable: a precomputed tuple for masks below 256, a generator
+    above."""
+    if 0 <= mask < 256:
+        return _BYTE_BITS[mask]
+    return _bit_loop(mask)
+
+
+def _bit_loop(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -323,16 +339,22 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # permutations; ``canonical_code``, ``isomorphic`` and
 # ``automorphism_count`` never do.
 #
-# Those three read one bounded cache of labelings, ``_labeling``: per
-# graph, its canonical code and |Aut| from one ``canonical_search``, so a
-# graph that is compared and counted again is searched once.  It keeps
-# the 256 graphs used last.  An entry holds the graph (the key: its rows,
-# about 17 KB for G(256, 1/2)) and the code bytes (about 4 KB at n = 256),
-# so the cache stays under about 6 MiB.  ``canonical_search`` and
-# ``automorphism_generators`` stay uncached: their one production caller,
-# the enumeration walk, labels each child once and keeps the generators
-# it needs in ``search._expansions``, and a full form holds generator
-# lists of n ints each.
+# Those three, and the component step of ``canonical_search``, read one
+# bounded cache of labelings, ``_labeling``: per graph, its canonical code
+# and its form from one ``canonical_search``.  So a graph that is compared
+# and counted again is searched once, and so is a component that recurs
+# among the disconnected children of the enumeration walk.  A cached form
+# is read-only: its order and generators are bytes (every vertex fits a
+# byte) and its other lists tuples.  The cache keeps the 256 graphs used
+# last.  An entry holds the graph (the key: its rows, about 17 KB for
+# G(256, 1/2)), the code bytes (about 4 KB at n = 256) and the form: its
+# rows, as large as the key's, and n bytes per generator.  Beside the key,
+# an entry takes about 22 KiB for G(256, 1/2) and 52 KiB for a relabeled
+# T_100(256), whose form holds 98 generators, so the cache stays under
+# about 20 MiB.  ``canonical_search`` and ``automorphism_generators`` stay
+# uncached: their one production caller, the enumeration walk, labels
+# each child once and keeps the generators it needs in
+# ``search._expansions``.
 
 
 class TwinQuotient(NamedTuple):
@@ -516,15 +538,17 @@ def _absorb(orbits: list[int], gens: list[list[int]], start: int, fixed: list[in
 
 
 class CanonicalForm(NamedTuple):
-    """What ``canonical_search`` finds (see the comment above)."""
+    """What ``canonical_search`` finds (see the comment above).  A form
+    read from the labeling cache holds bytes and tuples, so no caller can
+    change it."""
 
     rows: tuple[int, ...]  # canonical adjacency rows
     aut: int  # |Aut(g)|
-    order: list[int]  # connected g: order[i] is the vertex at position i
-    gens: list[list[int]]  # leaf automorphisms, perm[old] = new
-    twins: list[int]  # twin cells split on the first path
+    order: Sequence[int]  # connected g: order[i] is the vertex at position i
+    gens: Sequence[Sequence[int]]  # leaf automorphisms, perm[old] = new
+    twins: Sequence[int]  # twin cells split on the first path
     # disconnected g: (vertices, form) per component, in canonical order
-    parts: list[tuple[tuple[int, ...], "CanonicalForm"]]
+    parts: Sequence[tuple[tuple[int, ...], "CanonicalForm"]]
 
 
 def canonical_search(g: Graph) -> CanonicalForm:
@@ -539,9 +563,7 @@ def canonical_search(g: Graph) -> CanonicalForm:
         # canonicalize per component and assemble block-diagonally in a
         # canonical component order; avoids branching over the
         # component-permutation symmetry of disjoint unions
-        parts = [
-            (set_of(comp), canonical_search(induced_subgraph(g, comp))) for comp in comps
-        ]
+        parts = [(set_of(comp), _labeling(induced_subgraph(g, comp))[1]) for comp in comps]
         parts.sort(key=lambda part: (len(part[0]), part[1].rows))
         out: list[int] = []
         offset = 0
@@ -740,10 +762,19 @@ def automorphism_generators(g: Graph) -> tuple[list[int], list[list[int]]]:
 
 
 @lru_cache(maxsize=256)
-def _labeling(g: Graph) -> tuple[bytes, int]:
-    """Canonical code and |Aut| of ``g`` from one ``canonical_search``;
-    the one cache of labelings (see the comment above)."""
+def _labeling(g: Graph) -> tuple[bytes, CanonicalForm]:
+    """Canonical code and form of ``g`` from one ``canonical_search``,
+    the form read-only; the one cache of labelings (see the comment
+    above)."""
     form = canonical_search(g)
+    # vertices fit a byte (n <= 256): bytes keep the form read-only and
+    # a generator in n bytes, not n pointers
+    form = form._replace(
+        order=bytes(form.order),
+        gens=tuple(map(bytes, form.gens)),
+        twins=tuple(form.twins),
+        parts=tuple(form.parts),
+    )
     rows = form.rows
     n = g.n
     # the upper triangle column by column, as in graph6; column j holds
@@ -752,7 +783,7 @@ def _labeling(g: Graph) -> tuple[bytes, int]:
     nbits = len(text)
     nbytes = (nbits + 7) // 8
     bits = int(text or "0", 2) << (nbytes * 8 - nbits)
-    return bytes([n >> 8, n & 0xFF]) + bits.to_bytes(nbytes, "big"), form.aut
+    return bytes([n >> 8, n & 0xFF]) + bits.to_bytes(nbytes, "big"), form
 
 
 def canonical_code(g: Graph) -> bytes:
@@ -764,7 +795,7 @@ def canonical_code(g: Graph) -> bytes:
 def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group, exact, read from the same
     labeling cache as ``canonical_code``."""
-    return _labeling(g)[1]
+    return _labeling(g)[1].aut
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:

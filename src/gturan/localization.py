@@ -203,15 +203,20 @@ def copy_weights(
 ) -> DominatingClique:
     """The row of Dom(J) for one copy J, a (vertex mask, edge set) pair of
     ``counting.enumerate_copies``; Dom(J) is read on J's own edges, and its
-    u-subsets' statistics come from ``clique_weights``.  The report's rows
-    come from its walk instead, which lists no copies."""
+    u-subsets' statistics come from ``_stat``, as in ``clique_weights``,
+    on one twin quotient of the host.  The report's rows come from its
+    walk instead, which lists no copies."""
     spec = pattern_spec(h)
     verts, edges = copy
     degree = Counter(v for edge in edges for v in edge)
     clique = sum(1 << v for v in iter_bits(verts) if degree[v] == verts.bit_count() - 1)
     copies = count_copies_rooted(h, g, clique, spec.dom_count)
     bits = [1 << v for v in iter_bits(clique)]
-    stats = {c: clique_weights(g, c, u) for c in map(sum, combinations(bits, u))}
+    reps = twin_quotient(g.adj).reps
+    stats = {
+        c: _stat(g.adj, u, common_neighborhood(g, c), reps)
+        for c in map(sum, combinations(bits, u))
+    }
     cs, cd, wit_cs, wit_cd = _maxima(u, clique, stats)
     weight = _weight(spec.down(u), u, (cs, cd), clique, 1)
     return DominatingClique(clique, cs, cd, weight, copies, wit_cs, wit_cd)

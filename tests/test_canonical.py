@@ -20,6 +20,7 @@ from gturan.graphs import (
     empty_graph,
     from_edge_list,
     graph6_encode,
+    induced_subgraph,
     isomorphic,
     iter_bits,
     path_graph,
@@ -337,6 +338,80 @@ def test_cached_labeling_matches_a_fresh_search(small_corpus, cold_labels):
             perm = list(range(g.n))
             rng.shuffle(perm)
             g = relabel(g, perm)
+
+
+def _disconnected_cases():
+    """Seeded disconnected graphs: unions with repeated components, with
+    isolated vertices, and unions of blow-ups and their relabelings,
+    each also relabeled as a whole."""
+    rng = random.Random(1861)
+    c5, k3, p3 = cycle_graph(5), complete_graph(3), path_graph(3)
+    cases = [
+        union_of(c5, c5, p3, c5),
+        union_of(turan(3, 6), complete_graph(4), turan(3, 6), turan(3, 6)),
+        union_of(k3, empty_graph(3)),
+        union_of(empty_graph(2), p3, empty_graph(1), p3),
+        empty_graph(5),
+    ]
+    for base in _blow_ups(1867, 12, 4):
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        cases.append(union_of(base, relabel(base, perm), base, empty_graph(rng.randint(0, 2))))
+    for _ in range(8):
+        cases.append(union_of(*(random_graph(rng, rng.randint(1, 5), 0.6)
+                                for _ in range(rng.randint(2, 4)))))
+    for g in cases[:]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cases.append(relabel(g, perm))
+    return cases
+
+
+def _labelings(g):
+    order, gens = automorphism_generators(g)
+    return canonical_search(g), order, gens, canonical_code(g), automorphism_count(g)
+
+
+def test_component_memo_matches_fresh_searches(monkeypatch, cold_labels):
+    cases = _disconnected_cases()
+    assert all(len(graphs.connected_components(g)) > 1 for g in cases)
+    cold = [_labelings(g) for g in cases]
+    warm = [_labelings(g) for g in cases]
+    info = graphs._labeling.cache_info()
+    assert info.hits > 0
+    for g, (form, *_) in zip(cases, warm):
+        for verts, part in form.parts:
+            # a connected graph's search reads no memo
+            fresh = canonical_search(induced_subgraph(g, verts))
+            assert (part.rows, part.aut, list(part.order), list(part.twins)) == (
+                fresh.rows, fresh.aut, fresh.order, fresh.twins)
+            assert list(map(list, part.gens)) == fresh.gens
+    # the labeling function without its cache
+    monkeypatch.setattr(graphs, "_labeling", graphs._labeling.__wrapped__)
+    assert cold == warm == [_labelings(g) for g in cases]
+
+
+def test_cached_forms_are_read_only(cold_labels):
+    g = union_of(cycle_graph(5), cycle_graph(5), path_graph(3))
+    form = canonical_search(g)
+    for _, part in form.parts:
+        assert isinstance(part.order, bytes) and isinstance(part.twins, tuple)
+        assert isinstance(part.gens, tuple) and all(isinstance(p, bytes) for p in part.gens)
+    order, gens = automorphism_generators(g)
+    expected = (list(order), [list(perm) for perm in gens])
+    order.reverse()
+    gens[0][0] = -1
+    gens.clear()
+    form.parts.clear()
+    assert automorphism_generators(g) == expected
+    assert canonical_search(g) == form._replace(parts=canonical_search(g).parts)
+
+
+def test_enumeration_reads_component_forms_from_the_memo(cold_labels, cold_search):
+    nonisomorphic_graphs_upto(7)
+    info = graphs._labeling.cache_info()
+    assert info.hits > 0
+    assert info.currsize <= info.maxsize
 
 
 def _refine_cases(rng, g):

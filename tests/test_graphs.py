@@ -179,6 +179,32 @@ def test_set_helpers():
     assert list(iter_bits(0)) == []
 
 
+def _reference_bits(mask):
+    out = []
+    i = 0
+    while mask >> i:
+        if mask >> i & 1:
+            out.append(i)
+        i += 1
+    return out
+
+
+def test_bit_iteration_matches_a_reference_loop():
+    # the table below 256 and the loop above it, on each side of the seam
+    rng = random.Random(29)
+    masks = list(range(1024))
+    masks += [rng.getrandbits(rng.randint(1, 256)) for _ in range(2000)]
+    masks += [(1 << 256) - 1, 1 << 255, (1 << 256) - 256, 255 | 1 << 200]
+    for mask in masks:
+        expected = _reference_bits(mask)
+        assert list(iter_bits(mask)) == expected
+        assert set_of(mask) == tuple(expected)
+    assert set_of(0) == () and list(iter_bits(0)) == []
+    assert set_of(255) == tuple(range(8))
+    assert set_of(256) == (8,)
+    assert set_of(257) == (0, 8)
+
+
 def test_str_is_one_indexed():
     assert "1-2" in str(complete_graph(2))
 

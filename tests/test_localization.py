@@ -145,6 +145,25 @@ class TestCopyWeights:
                         assert cw == rows[cw.clique]
                         assert cw.codegree >= cw.clique_size - u
 
+    def test_one_twin_quotient_per_call(self, monkeypatch):
+        # the host's quotient is built once per copy, not once per u-subset
+        from gturan import localization
+
+        built = []
+        real = localization.twin_quotient
+
+        def spy(adj):
+            built.append(adj)
+            return real(adj)
+
+        monkeypatch.setattr(localization, "twin_quotient", spy)
+        g = union_of(turan(3, 6), K4)
+        for h, u in [(K3, 1), (K3, 2), (K4, 2), (complete_split(2, 2), 1)]:
+            for verts_edges in subset_copies(h, g):
+                built.clear()
+                copy_weights(g, verts_edges, h, u)
+                assert built == [g.adj]
+
 
 class TestLocalizedReport:
     def test_k5_equality(self):
