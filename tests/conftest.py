@@ -44,8 +44,9 @@ def cold_search() -> None:
 
 @pytest.fixture
 def cold_labels() -> None:
-    """Empty the labeling cache of ``gturan.graphs``, so every graph the
-    test labels is searched afresh."""
+    """Empty the labeling cache of ``gturan.graphs``, which also holds the
+    component forms, so every graph the test labels, and every component
+    of one, is searched afresh."""
     graphs._labeling.cache_clear()
 
 
