@@ -138,23 +138,21 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Clique-bounded oracle (Zykov: K_t is Turán-good): max k^t over
     K_{omega+1}-free graphs on n vertices equals the Turán count, n <= 7,
     omega in 2..4, t in 3..4."""
-    ok = True
     details: dict = {}
     for omega in (2, 3, 4):
         mismatches = []
         for t in (3, 4):
             out = empirical_turan_goodness(complete_graph(t), omega, 7)
             mismatches += [(n, t, best, want) for n, best, want in out.rows if best != want]
-        ok &= not mismatches
         details[f"omega={omega}"] = mismatches or "ok"
-    return CriterionResult(2, "exhaustive oracle matches Turán counts", ok, details)
+    passed = all(v == "ok" for v in details.values())
+    return CriterionResult(2, "exhaustive oracle matches Turán counts", passed, details)
 
 
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Star-bounded oracle: max k^t over K_{1,delta+1}-free graphs on n
     vertices equals the disjoint-cliques count k^t(aK_{delta+1} u K_b),
     n <= 7, delta in 2..4, t in 3..4."""
-    ok = True
     details: dict = {}
     for delta in (2, 3, 4):
         cs = ConstraintSet(delta=delta)
@@ -167,9 +165,9 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
                 want = count_cliques(host, t)
                 if best != want:
                     mismatches.append((n, t, best, want))
-        ok &= not mismatches
         details[f"delta={delta}"] = mismatches or "ok"
-    return CriterionResult(3, "exhaustive oracle matches disjoint-clique counts", ok, details)
+    passed = all(v == "ok" for v in details.values())
+    return CriterionResult(3, "exhaustive oracle matches disjoint-clique counts", passed, details)
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -195,7 +193,6 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     exact equality whenever omega-u divides delta."""
     points = 0
     equal_points = 0
-    ok = True
     failures = []
     for name, h in _pattern_grid():
         for u in range(1, pattern_spec(h).dom_count + 1):
@@ -207,12 +204,11 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
                     if rep.equal:
                         equal_points += 1
                     if not good:
-                        ok = False
                         failures.append((name, u, delta, omega))
     return CriterionResult(
         5,
         "divisibility equality and sandwich ordering over the grid",
-        ok,
+        not failures,
         {"points": points, "equal_points": equal_points, "failures": failures},
     )
 
@@ -225,18 +221,16 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     for name, h in _pattern_grid():
         spec = pattern_spec(h)
         patterns += [(f"{name}-{u}", spec.down(u)) for u in range(spec.dom_count + 1)]
-    ok = True
     bad = []
     for r in range(1, 7):
         for n in range(0, 15):
             g = turan(r, n)
             for name, h in patterns:
                 if turan_copy_count(h, r, n) != count_subgraph_copies(h, g):
-                    ok = False
                     bad.append((r, n, name))
     return CriterionResult(
         6, "closed form vs enumeration, r<=6 n<=14, K_s for s<=5 and grid patterns",
-        ok, {"patterns": len(patterns), "failures": bad},
+        not bad, {"patterns": len(patterns), "failures": bad},
     )
 
 
@@ -245,7 +239,6 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     u-cliques c of the derived-pattern count inside N(c), on 200 seeded
     random graphs."""
     rng = random.Random(seed)
-    ok = True
     bad = []
     tested = 0
     patterns = [(name, h, pattern_spec(h).dom_count) for name, h in _pattern_grid()]
@@ -260,10 +253,9 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
                 )
                 tested += 1
                 if lhs != rhs:
-                    ok = False
                     bad.append((name, u, graph6_encode(g)))
     return CriterionResult(
-        7, "rooted-copy double counting on random corpus", ok,
+        7, "rooted-copy double counting on random corpus", not bad,
         {"identities": tested, "failures": bad},
     )
 
@@ -300,7 +292,6 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     (K3, K4 and K2vI2 with u = 1, 2, the fan K1vP4 with u = 1; every
     weight defined) and on 500 seeded random graphs up to 16 vertices (K3,
     K4, u = 1, 2); exact equality on 50 balanced-Turán-union cases."""
-    ok = True
     bad = []
     patterns = [(3, complete_graph(3)), (4, complete_graph(4))]
     small = [(name, h, u) for name, h in _pattern_grid() for u in (1, 2)
@@ -315,7 +306,6 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
                     holds = False
                 checked += 1
                 if not holds:
-                    ok = False
                     bad.append(("small", name, u, graph6_encode(g)))
     rng = random.Random(seed)
     for _ in range(500):
@@ -326,7 +316,6 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
                 rep = localized_report(g, h, u, 1)
                 checked += 1
                 if not rep.holds:
-                    ok = False
                     bad.append(("random", t, u, graph6_encode(g)))
     eq_checked = 0
     for t, u, blocks, tail in _equality_family_cases(rng, 50):
@@ -334,10 +323,9 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         rep = localized_report(g, complete_graph(t), u, 1)
         eq_checked += 1
         if not rep.equality:
-            ok = False
             bad.append(("equality", t, u, graph6_encode(g)))
     return CriterionResult(
-        8, "localized inequality and equality families", ok,
+        8, "localized inequality and equality families", not bad,
         {"inequality checks": checked, "equality checks": eq_checked, "failures": bad},
     )
 
@@ -345,7 +333,6 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Finite count-ratio inequalities in Turán graphs plus the
     copies-through-a-vertex monotonicity."""
-    ok = True
     bad = []
     checked = 0
     for t in (3, 4):
@@ -359,7 +346,6 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
                     ratio, floor = ratio_diagnostic(h, r, n, u)
                     checked += 1
                     if not (floor <= ratio <= 1):
-                        ok = False
                         bad.append(("ratio", t, r, n, u))
                 # copies through the two extreme vertices of the built graph
                 g = turan(r, n)
@@ -367,13 +353,11 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
                 large = copies_through(h, g, 1)  # largest part
                 checked += 1
                 if small < large:
-                    ok = False
                     bad.append(("monotone", t, r, n))
                 if large != total - turan_copy_count(h, r, n - 1):
-                    ok = False
                     bad.append(("largest-part count", t, r, n))
     return CriterionResult(
-        9, "finite Turán count inequalities", ok,
+        9, "finite Turán count inequalities", not bad,
         {"checks": checked, "failures": bad},
     )
 
@@ -382,7 +366,6 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Finite stand-in for the asymptotic statements: the lower/upper
     ratio trend over delta <= 30 stays above both proof-side floors (the
     shifted Turán-count ratio and the telescoped product)."""
-    ok = True
     bad = []
     rows = 0
     grid: list[tuple[str, Graph, int, int, int]] = []
@@ -402,10 +385,9 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
             shifted, product = ratio_diagnostic(spec.down(u), omega - u, delta, u)
             rows += 1
             if not (ratio <= 1 and ratio >= shifted and shifted >= product):
-                ok = False
                 bad.append((name, u, omega, delta, str(ratio)))
     return CriterionResult(
-        10, "ratio trend dominates the finite floors, delta <= 30", ok,
+        10, "ratio trend dominates the finite floors, delta <= 30", not bad,
         {"rows": rows, "failures": bad},
     )
 

@@ -17,6 +17,7 @@ from typing import Iterator
 from .graphs import (
     MAX_VERTICES,
     Graph,
+    check_vertex_count,
     complete_graph,
     disjoint_union,
     empty_graph,
@@ -36,8 +37,7 @@ class TuranSpec:
     def __post_init__(self) -> None:
         if self.r < 1:
             raise ValueError("part count must be at least 1")
-        if not 0 <= self.n <= MAX_VERTICES:  # before turan() builds any rows
-            raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
+        check_vertex_count(self.n)  # before turan() builds any rows
         q, rem = divmod(self.n, self.r)
         sizes = (q + 1,) * rem + (q,) * (self.r - rem)
         object.__setattr__(self, "part_sizes", sizes)
@@ -52,8 +52,9 @@ class TuranSpec:
 
 
 def turan(r: int, n: int) -> Graph:
-    """Complete r-partite graph on n vertices with near-equal parts."""
-    spec = TuranSpec(r, n)
+    """Complete r-partite graph on n vertices with near-equal parts; for
+    r > n that is K_n, built from its n non-empty parts."""
+    spec = TuranSpec(min(r, max(n, 1)), n)
     full = (1 << n) - 1
     rows = []
     for mask in spec.part_masks():
@@ -97,6 +98,11 @@ def colex_turan(r: int, m: int, degree_minimal: bool = False) -> Graph:
         raise ValueError("edge count must be nonnegative")
     if m == 0:
         return empty_graph(0)
+    r = min(r, MAX_VERTICES)  # more parts than vertices change nothing
+    # T_r(256) holds the most edges of any r-partite host within the cap
+    sizes = TuranSpec(r, MAX_VERTICES).part_sizes
+    if 2 * m > MAX_VERTICES**2 - sum(s * s for s in sizes):
+        raise ValueError(f"{m} edges need more than {MAX_VERTICES} vertices")
     edges = []
     stream = _colex_edge_stream(r, degree_minimal)
     for _ in range(m):

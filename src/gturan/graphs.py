@@ -76,8 +76,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
+        check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -118,6 +117,13 @@ class Graph:
         return f"Graph(n={self.n}; {es or 'no edges'})"
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise unless a graph may have ``n`` vertices; builders call it
+    before they allocate anything."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
 def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
     """Graph from rows known to be valid, skipping ``__post_init__``."""
     g = object.__new__(Graph)
@@ -127,26 +133,30 @@ def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
+    check_vertex_count(n)
     return Graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
+    check_vertex_count(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << i) for i in range(n)))
 
 
 def path_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Graph on ``n`` vertices with the given edges (duplicates collapse)."""
+    """Graph on ``n`` vertices with the given edges (duplicates collapse),
+    read only once ``n`` is checked."""
+    check_vertex_count(n)
     rows = [0] * n
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
@@ -277,8 +287,8 @@ def is_connected(g: Graph) -> bool:
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return from_edge_list(n, edges)
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    return from_edge_list(n, (e for e in pairs if rng.random() < p))
 
 
 # ---------------------------------------------------------------------------

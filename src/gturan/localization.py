@@ -27,21 +27,22 @@ through a u-subset is searched knowing that C, a d-clique, goes through
 it.  The weight is checked once per class, the first time the class
 appears.
 
-The walk goes through the host's twin quotient (``graphs.twin_quotient``).
-Swapping a vertex for its false twin is an automorphism, so the walk
-keeps to the cliques inside ``TwinQuotient.reps``, one vertex per
-false-twin class, and each walked clique stands for the host cliques
-that swap its leads for any vertices of their classes.  So each class's
-statistics are searched once: the K4 report on T_8(256) walks 70 cliques
-for its 73,400,320.  The lexicographically first offending host clique
-is a walked one, so a vanishing weight names it.  ``localized_report``
-sums the copies per class and keeps nothing per clique; k^u(G) and the
-exempt u-cliques come from the walked u-cliques, expanded the same way.
-The ``DominatingClique`` rows are the same walk, run again when
-``per_clique`` is first read; each walked clique expands to its host
-cliques, whose witnesses are read from the walk's memo through the
-stand-in of each u-subset (``_maxima``).  Rows and exempt cliques are
-sorted back into lexicographic order only when the host has false twins.
+The walk reads the host's twin quotient (``graphs.twin_quotient``).
+Swapping a vertex for its false twin is an automorphism, so every
+largest-clique search keeps to ``TwinQuotient.reps``, one vertex per
+false-twin class.  ``localized_report`` walks only the cliques inside
+``reps``, and each walked clique stands for the host cliques that swap
+its leads for any vertices of their classes: each class's statistics
+are searched once, and the K4 report on T_8(256) walks 70 cliques for
+its 73,400,320.  The lexicographically first offending host clique is
+a walked one, so a vanishing weight names it.  The report sums the
+copies per class and keeps nothing per clique; k^u(G) and the exempt
+u-cliques come from the walked u-cliques, expanded the same way, and
+the exempt cliques are sorted back into lexicographic order when the
+host has false twins.  The ``DominatingClique`` rows, one per host
+clique, are built when ``per_clique`` is first read, by the same walk
+over the host's own cliques; each row's statistics and witnesses are
+read from that walk's memo (``_maxima``).
 
 The localized inequality bounds the weighted sum by k^u(G) / C(dom(H), u),
 with exact equality on disjoint unions of balanced Turán graphs (plus any
@@ -179,18 +180,15 @@ class LocalReport:
         return tuple(_dominating_rows(*self._inputs))
 
 
-def _maxima(
-    u: int, clique: int, stats: dict[int, tuple[int, int]], quotient: TwinQuotient | None = None
-) -> tuple[int, int, int, int]:
+def _maxima(u: int, clique: int, stats: dict[int, tuple[int, int]]) -> tuple[int, int, int, int]:
     """(clique size, codegree, witness of each) of ``clique``: both
     statistics maximized over its u-subsets in lexicographic order, the
     first maximizer the witness, read from ``stats``, which holds
-    (largest clique, codegree) of every one of them or, given the host's
-    ``quotient``, of the walked u-subset standing for each."""
+    (largest clique, codegree) of every one of them."""
     cs = cd = -1
     wit_cs = wit_cd = 0
     for c in map(sum, combinations([1 << v for v in iter_bits(clique)], u)):
-        oc, dc = stats[_stand_in(quotient, c) if quotient else c]
+        oc, dc = stats[c]
         if oc > cs:
             cs, wit_cs = oc, c
         if dc > cd:
@@ -224,18 +222,16 @@ def copy_weights(
 
 def _dominating_rows(g: Graph, h: Graph, u: int, threshold: int) -> list[DominatingClique]:
     """The row of every dom(H)-clique of g that dominates a copy, in
-    lexicographic order, expanded from the walked clique standing for it."""
+    lexicographic order: the walk over g's own cliques, whose memo holds
+    the statistics of every u-subset of each."""
     stats: dict[int, tuple[int, int]] = {}
     weights: dict[tuple[int, int], Fraction] = {}
-    quotient = twin_quotient(g.adj)
-    moved = g.vertex_mask & ~quotient.reps
     rows = []
-    for clique, key, k in _walk(g, pattern_spec(h), u, threshold, stats, weights, quotient):
-        for c in _stood_for(quotient, clique) if moved else (clique,):
-            cs, cd, wit_cs, wit_cd = _maxima(u, c, stats, quotient if moved else None)
-            rows.append(DominatingClique(c, cs, cd, weights[key], k, wit_cs, wit_cd))
-    if moved:
-        rows.sort(key=lambda row: set_of(row.clique))
+    walk = _walk(g, pattern_spec(h), u, threshold, stats, weights,
+                 twin_quotient(g.adj), g.vertex_mask)
+    for clique, key, k in walk:
+        cs, cd, wit_cs, wit_cd = _maxima(u, clique, stats)
+        rows.append(DominatingClique(clique, cs, cd, weights[key], k, wit_cs, wit_cd))
     return rows
 
 
@@ -253,15 +249,6 @@ def _stood_for(quotient: TwinQuotient, clique: int) -> list[int]:
         spread = quotient.classes[v] & ~quotient.reps | 1 << v  # the vertices v stands for
         out = [c ^ 1 << v | 1 << w for c in out for w in iter_bits(spread)]
     return out
-
-
-def _stand_in(quotient: TwinQuotient, c: int) -> int:
-    """The walked clique that stands for the host clique ``c``: each false
-    twin in it swapped for its class's lead."""
-    for v in iter_bits(c & ~quotient.reps):
-        cls = quotient.classes[v]
-        c ^= 1 << v | cls & -cls
-    return c
 
 
 def _subsets(
@@ -308,12 +295,13 @@ def _prefix(
 def _walk(
     g: Graph, spec: PatternSpec, u: int, threshold: int,
     stats: dict[int, tuple[int, int]], weights: dict[tuple[int, int], Fraction],
-    quotient: TwinQuotient,
+    quotient: TwinQuotient, walk: int,
 ) -> Iterator[tuple[int, tuple[int, int], int]]:
     """(clique, (clique size, codegree), copies) of every dom(H)-clique C
-    inside ``quotient.reps`` (g's twin quotient) that dominates a copy, in
-    walk order: C stands for ``_stands`` host cliques, each with its
-    copies and statistics.
+    inside the vertex mask ``walk`` that dominates a copy, in lexicographic
+    order; ``quotient`` is g's twin quotient, to whose ``reps`` every
+    largest-clique search is cut.  Walking ``quotient.reps``, C stands for
+    ``_stands`` host cliques, each with its copies and statistics.
 
     Each (d-1)-clique prefix of the walk reads its own u-subsets once
     (``_prefix``), at its first completion with a copy; each completion v
@@ -329,7 +317,7 @@ def _walk(
     adj = g.adj
     full = g.vertex_mask
     reps = quotient.reps
-    for chosen, ext in _cliques(adj, reps, d):
+    for chosen, ext in _cliques(adj, walk, d):
         around = full  # N(chosen), so N(chosen | v) = around & adj[v]
         for w in iter_bits(chosen):
             around &= adj[w]
@@ -388,7 +376,7 @@ def localized_report(g: Graph, h: Graph, u: int, threshold: int) -> LocalReport:
     classes: dict[tuple[int, int], int] = {}  # copies per class
     quotient = twin_quotient(g.adj)
     moved = g.vertex_mask & ~quotient.reps  # false twins the walks leave out
-    for clique, key, k in _walk(g, spec, u, threshold, stats, weights, quotient):
+    for clique, key, k in _walk(g, spec, u, threshold, stats, weights, quotient, quotient.reps):
         classes[key] = classes.get(key, 0) + (k * _stands(quotient, clique) if moved else k)
     # stats holds exactly the u-subsets of the walked cliques that dominate
     # a copy: a u-clique is exempt when the one standing for it is not

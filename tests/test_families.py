@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,45 @@ class TestColexTuran:
             colex_turan(1, 3)
         with pytest.raises(ValueError):
             colex_turan(3, -1)
+
+
+def small_peak(build):
+    """``build()``, which returns or raises ValueError, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        try:
+            out = build()
+        except ValueError as exc:
+            out = exc
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestCapsBeforeWork:
+    # each of these built a list as long as r or m before the cap or the
+    # result was known: 8-84 MiB
+    def test_more_parts_than_vertices(self):
+        g, peak = small_peak(lambda: turan(10**6, 5))
+        assert g == complete_graph(5) and peak < 1 << 20
+        with pytest.raises(ValueError, match="^part count must be at least 1$"):
+            turan(0, 5)
+
+    def test_colex_edges_beyond_the_cap(self):
+        err, peak = small_peak(lambda: colex_turan(4, 10**6))
+        assert str(err) == "1000000 edges need more than 256 vertices" and peak < 1 << 20
+        # e(T_4(256)) = 24,576 edges fit, one more does not
+        assert colex_turan(4, 24_576).n == 256
+        with pytest.raises(ValueError, match="^24577 edges need more than 256 vertices$"):
+            colex_turan(4, 24_577)
+
+    def test_colex_with_more_parts_than_vertices(self):
+        g, peak = small_peak(lambda: colex_turan(10**6, 5))
+        assert g == colex_turan(256, 5) and g.n == 4 and peak < 1 << 20
+        assert colex_turan(10**6, 32_640) == complete_graph(256)
+        with pytest.raises(ValueError, match="^32641 edges need more than 256 vertices$"):
+            colex_turan(10**6, 32_641)
 
 
 class TestCompleteSplit:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,26 @@ def test_trusted_builders_give_valid_graphs():
         add_vertex(path_graph(3), 1 << 3)
     with pytest.raises(ValueError):
         add_vertex(empty_graph(256), 0)
+
+
+@pytest.mark.parametrize("build, n", [
+    (empty_graph, 200_000),
+    (complete_graph, 20_000),
+    (path_graph, 20_000),
+    (cycle_graph, 20_000),
+    (lambda n: from_edge_list(n, ((i, i + 1) for i in range(n - 1))), 20_000),
+    (lambda n: random_graph(random.Random(0), n, 0.5), 1_000),
+], ids=["empty", "complete", "path", "cycle", "edge_list", "random"])
+def test_vertex_cap_checked_before_building(build, n):
+    # each of these took 1.5-52 MiB to build rows or edges it then rejected
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^vertex count {n} outside \[0, 256\]$"):
+            build(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_connected_components():

@@ -367,6 +367,17 @@ def assert_rows_rebuilt(g, h, u):
     assert err.value.clique == violation
 
 
+@pytest.mark.parametrize("g", [turan(5, 20), turan(6, 24)], ids=["T5(20)", "T6(24)"])
+@pytest.mark.parametrize("h, us", [
+    (K3, (1, 2, 3)), (K4, (1, 2, 3)), (complete_split(2, 2), (1, 2)),
+], ids=["K3", "K4", "K2vI2"])
+def test_rows_rebuilt_on_turan_hosts(g, h, us):
+    # the rows walk the host's own cliques, each part whole, while every
+    # largest-clique search keeps to one vertex per part
+    for u in us:
+        assert_rows_rebuilt(g, h, u)
+
+
 @pytest.mark.parametrize("g, h, first", [
     # K2vI3, u = 1: the K5 block's edges weigh 1/4 each, and the edges
     # {5, 6} and {10, 11} of both K2vI3 blocks have clique size 3 and
@@ -437,10 +448,10 @@ BLOW_UP_PATTERNS = [
 
 def test_report_on_blow_ups_clique_by_clique(twin_grid):
     # the report walks one vertex per false-twin class and weights it by
-    # its class; the rows and exempt cliques expand each walked clique to
-    # the host cliques it stands for.  Both against the subset oracles,
-    # and a vanishing weight names the lexicographically first offending
-    # host clique
+    # its class, and the exempt cliques expand each walked u-clique to the
+    # host u-cliques it stands for; the rows walk the host's own cliques.
+    # All against the subset oracles, and a vanishing weight names the
+    # lexicographically first offending host clique
     outcomes = set()
     for *_, g in twin_grid:
         if g.n > 10:
