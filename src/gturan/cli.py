@@ -44,7 +44,7 @@ from .freeness import ConstraintSet, check_constraints
 from .bounds import bounds_report, star_problem_bounds
 from .localization import HypothesisViolationError, default_threshold, localized_report
 from .search import brute_extremal, brute_extremal_u
-from .reports import dump_json, envelope, make_manifest, text_lines
+from .reports import envelope, make_manifest, text_lines, write_json
 
 _ATOM = re.compile(r"^([KIPC])(\d+)$")
 _CALL = re.compile(r"^(\w+)\(([-\d,\s]*)\)$")
@@ -124,9 +124,9 @@ def _emit(args, kind: str, data) -> None:
         params = {k: v for k, v in vars(args).items() if not k.startswith("_") and k != "func"}
         manifest = make_manifest(["gturan"] + args._argv, params, files)
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(envelope(kind, data, manifest)) + "\n")
+            write_json({**doc, "manifest": manifest}, fh)
     if args.json:
-        print(dump_json(doc))
+        write_json(doc, sys.stdout)
     else:
         for line in text_lines(doc["data"]):
             print(line)

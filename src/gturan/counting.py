@@ -478,16 +478,20 @@ def _blowup_cliques(
     A clique takes one of the ``sizes[x]`` vertices of a false-twin class
     x, or any j of a true-twin class, in C(sizes[x], j) ways; the common
     neighbourhood keeps what the clique left of its true-twin classes, so
-    ``sizes`` is lowered while the clique holds them."""
+    ``sizes`` is lowered while the clique holds them.  The walk stops
+    once ``cand`` cannot hold t clique vertices: ``room`` counts one per
+    false-twin class and the size of each true-twin class."""
     total = 0
-    while cand:
-        if cand.bit_count() < t and not cand & true_twins:
-            break
+    room = cand.bit_count()
+    if cand & true_twins:
+        room += sum(sizes[x] - 1 for x in iter_bits(cand & true_twins))
+    while room >= t:
         low = cand & -cand
         cand ^= low
         x = low.bit_length() - 1
         row = rows[x]
         m = sizes[x]
+        room -= m if true_twins & low else 1
         if not true_twins & low:  # one of the m vertices
             if t > 1:
                 total += m * _blowup_cliques(rows, sizes, true_twins, cand & row, t - 1, rest,

@@ -463,3 +463,31 @@ def test_schema_rejects_bad_documents():
     assert validate_schema(
         {"schema_version": "2", "kind": "count", "data": {}}
     )  # wrong version
+
+
+# --json output of a bounds --grid sweep and of a search set, hashed in
+# order; the digests were taken when json.dumps wrote every report
+BOUNDS_GRID = [
+    ["bounds", "--pattern", h, "--u", str(u), "--omega", str(w), "--delta", "14", "--grid"]
+    for h in ("K3", "K4", "K2vI2") for u in (1, 2) for w in (3, 4)
+]
+BOUNDS_GRID_SHA256 = "963de364a17276cdb3de6b9aadb309effb510d9b9b0e27b7a9eb391b5e75a72c"
+SEARCH_SET = (
+    [["search", "--pattern", "K3", "--n", str(n), "--omega", "3"] for n in range(1, 8)]
+    + [["search", "--pattern", "K2vI2", "--n", str(n), "--delta", "3", "--omega", "4"]
+       for n in range(1, 8)]
+    + [["search", "--pattern", "K3", "--p", str(p), "--u", "2", "--omega", "3", "--ncap", "7"]
+       for p in range(4, 8)]
+)
+SEARCH_SET_SHA256 = "50f414729a6bfd26e36de60b239e9d3d3351c2ead2f7cd4b9a4eadaa3419ec62"
+
+
+@pytest.mark.parametrize("argvs, want", [(BOUNDS_GRID, BOUNDS_GRID_SHA256),
+                                         (SEARCH_SET, SEARCH_SET_SHA256)],
+                         ids=["bounds-grid", "search"])
+def test_json_output_pinned(capsys, argvs, want):
+    digest = hashlib.sha256()
+    for argv in argvs:
+        assert main(argv + ["--json"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == want

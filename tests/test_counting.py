@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -524,6 +526,37 @@ class TestTwinQuotientCounts:
         # a class of size 0 drops its template vertex
         assert blowup_copy_count(complete_graph(3), complete_graph(3), [2, 0, 3]) == 0
         assert blowup_copy_count(complete_graph(2), complete_graph(3), [2, 0, 3], 1) == 7
+
+    def test_true_twin_triples_cut_by_size(self, monkeypatch):
+        # every vertex of a 40-vertex random template a class of three true
+        # twins (ω 7 -> 21): the clique walk stops once the classes left
+        # cannot hold the clique, each weighed by its size, where it used
+        # to walk the whole quotient (585,679 calls for K22).  Counts at,
+        # below and above ω against the built host and against a sum over
+        # the template's cliques S of the ways to take k vertices meeting
+        # every class of S
+        t = random_graph(random.Random(80), 40, 0.5)
+        host = from_edge_list(120, [
+            (a, b) for a, b in combinations(range(120), 2)
+            if a // 3 == b // 3 or t.has_edge(a // 3, b // 3)
+        ])
+        omega = clique_number(host)
+        assert omega == 3 * clique_number(t) == 21
+        by_size = Counter(c.bit_count() for s in range(1, 8) for c in enumerate_cliques(t, s))
+        calls = []
+        real = counting._blowup_cliques
+        monkeypatch.setattr(counting, "_blowup_cliques",
+                            lambda *args: calls.append(1) or real(*args))
+        for k in (omega - 1, omega, omega + 1):
+            want = sum(
+                n * sum((-1) ** (s - i) * comb(s, i) * comb(3 * i, k) for i in range(s + 1))
+                for s, n in by_size.items()
+            )
+            calls.clear()
+            assert blowup_copy_count(complete_graph(k), t, [3] * 40, t.vertex_mask) == want
+            assert len(calls) < 50000
+            assert count_subgraph_copies(complete_graph(k), host) == want
+        assert want == 0
 
 
 class TestRootedCopies:
