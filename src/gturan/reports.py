@@ -193,7 +193,8 @@ def _write(obj: Any, indent: str, out: list[str], fh) -> None:
             out.append("{}")
             return
         keys = sorted(obj)  # raises, as json.dumps does, on keys that do not compare
-        if isinstance(keys[0], str):  # then so is every key: no other key type compares with str
+        # no other key type that json accepts compares with str, so all keys are str
+        if isinstance(keys[0], str):
             inner = indent + "  "
             head = "{" + inner
             for key in keys:

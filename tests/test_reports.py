@@ -94,7 +94,7 @@ EDGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("x", EDGE_CASES, ids=repr)
+@pytest.mark.parametrize("x", EDGE_CASES)
 def test_edge_cases_match_the_stdlib(x):
     assert written(x) == dumps(x)
 
