@@ -7,15 +7,11 @@ payloads; the integers involved overflow the range JSON readers can be
 trusted with.  Vertex sets are 0-indexed arrays, in the text view too.
 
 ``write_json`` writes the bytes of ``json.dumps(obj, indent=2,
-sort_keys=True)`` and a newline, streamed to the file in chunks.  The C
-encoder does not indent, so ``json.dumps`` ran every report through the
-pure-Python encoder and built the whole text first.  ``write_json``
-spells exact str, int, bool, None, lists and str-keyed dicts itself and
-hands every other value to the stdlib encoder.  On a 2-vCPU Xeon host
-it halved the JSON time of a ``bounds`` report (30 -> 12 us).  The
-28,672 per-clique rows of ``localize --graph 'turan(8,64)' --pattern K3
---u 1 --omega0 1 --per-clique --json`` now peak at 48 MiB of RSS
-instead of 101 MiB.
+sort_keys=True)`` and a newline.  It spells exact str, int, bool, None,
+lists and str-keyed dicts itself and hands every other value to the
+stdlib encoder.  It writes to the file between the items of a list
+whose items are containers, so such a list (the per-clique rows) is
+streamed; any other value's text is built whole before it is written.
 
 ``hashlib`` (which loads OpenSSL's libcrypto), ``datetime`` and
 ``importlib.resources`` are imported at first use, in ``make_manifest``
@@ -43,24 +39,16 @@ _SCALARS = frozenset({str, int, bool, float, type(None)})
 def to_jsonable(obj: Any) -> Any:
     """The JSON data of a package value: rationals as ``fraction_json``,
     dataclasses as objects of their public fields, tuples as lists and
-    dict keys as strings.  Exact scalars, dicts, lists and tuples are
-    told apart by their type first, and items of exact scalar types are
-    taken without a call; subclasses take the ``isinstance`` route."""
-    kind = type(obj)
-    if kind in _SCALARS:
+    dict keys as strings.  Items of exact scalar types are taken without
+    a call."""
+    if obj is None or isinstance(obj, (int, str, float)):
         return obj
-    if kind is dict:
+    if isinstance(obj, dict):
         return {str(k): v if type(v) in _SCALARS else to_jsonable(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
         return [x if type(x) in _SCALARS else to_jsonable(x) for x in obj]
     if isinstance(obj, Fraction):
         return fraction_json(obj)
-    if isinstance(obj, (int, str, float)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
     if dataclasses.is_dataclass(obj):
         return {
             f.name: to_jsonable(getattr(obj, f.name))
@@ -152,8 +140,8 @@ _FLUSH = 4096  # pieces held before a write
 
 def write_json(obj: Any, fh) -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` to the
-    text file ``fh``, in chunks of about ``_FLUSH`` pieces, so that no
-    report's JSON text is built whole."""
+    text file ``fh``.  Pieces are written once more than ``_FLUSH`` are
+    held, checked only between the container items of a list."""
     out: list[str] = []
     _write(obj, "\n", out, fh)
     out.append("\n")
