@@ -59,31 +59,58 @@ walk, and before any work rejects an ``n_max`` outside 0..cap, where the
 cap is ``DEGREE_CAPS[delta]`` under u = 1 with delta <= 3 (18 for
 delta <= 2, 12 for delta = 3) and ``ENUM_CAP`` = 8 otherwise.
 
+The profile table holds the unpruned levels 0..ENUM_CAP - 1, the memo's
+parents (1253 classes), built by one walk ``levels(n)`` up to the
+largest n asked, so its rows are the very objects every pruned walk
+yields.  Its columns are computed once per level, on first need: the
+clique number, the largest u-codegree for each u asked (at u = 1 the
+maximum degree), k^u, and N(H, G) for each pattern asked, through
+``_count_copies``.  A graph is {K_u v I_{delta+1}, K_{omega+1}}-free
+exactly when its clique number is at most omega and every u-clique has
+at most delta common neighbours, and a pruned level is the unpruned one
+filtered by its predicate, in the same order; so below ENUM_CAP a
+pruned level, and its candidates with k^u = p, are filters of the table
+by its columns.  No value there exceeds 7! = 5040, so each column is an
+array of two-byte values, and the copy columns of at most
+``_PATTERN_CAP`` = 32 patterns are kept, the oldest dropped first: the
+table holds at most 0.22 MiB beside the graphs it shares with the memo.
+
 There is one extremal search, fixing the number p of u-cliques as the
 paper does: ``_optimum`` takes the argmax of N(H, G) over a stream of
-candidate graphs and re-verifies every optimum.  Fixing u = 1 fixes the
-vertex count, so ``brute_extremal(n, ...)`` is the u = 1 stream;
-``brute_extremal_u`` with u >= 2 streams the levels 1..n_cap pruned by
-the constraint set and k^u <= p (clique counts only grow with the
-graph, so the pruning is hereditary), filtered to k^u(G) = p;
-``empirical_turan_goodness`` hands it each level of one K_{omega+1}-free
-walk.  The exhaustive acceptance criteria call these three, so no other
-code takes an exhaustive maximum, and every optimum they compare is
-re-verified.
+candidate graphs, each with its value, and re-verifies every optimum.
+``_free_levels`` gives the streams, and chooses by n alone: filters of
+the table for n < ENUM_CAP, the pruned walk from there up (n = 8, and
+the ``DEGREE_CAPS`` walks).  Fixing u = 1 fixes the vertex count, so
+``brute_extremal(n, ...)`` is the u = 1 stream; ``brute_extremal_u``
+with u >= 2 streams the levels 1..n_cap pruned by the constraint set
+and k^u <= p (clique counts only grow with the graph, so the pruning is
+hereditary), filtered to k^u(G) = p; ``empirical_turan_goodness`` hands
+it each K_{omega+1}-free level.  The exhaustive acceptance criteria
+call these three, so no other code takes an exhaustive maximum, and
+every optimum they compare is re-verified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from heapq import merge
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .graphs import Graph, add_vertex, automorphism_generators, graph6_encode, iter_bits
+from .graphs import (
+    Graph,
+    add_vertex,
+    automorphism_generators,
+    common_neighborhood,
+    graph6_encode,
+    iter_bits,
+)
 from .counting import (
     PatternSpec,
     _clique_count,
     _count_copies,
+    _max_clique,
     count_embeddings,
     enumerate_cliques,
     pattern_spec,
@@ -322,17 +349,136 @@ def enumerate_graphs(n: int, prune: Optional[ConstraintSet] = None) -> Iterator[
 
 def nonisomorphic_graphs_upto(n_max: int) -> tuple[tuple[Graph, ...], ...]:
     """Unpruned representatives for every n <= n_max."""
+    if 0 <= n_max < ENUM_CAP:
+        _level(n_max)
+        return tuple(tuple(reps) for reps in _table[: n_max + 1])
     return tuple(tuple(reps) for _, reps in levels(n_max))
+
+
+# the profile table: _table[n] is the unpruned level n < ENUM_CAP, from
+# one walk up to the largest n asked; _columns[n, kind, arg] holds one
+# two-byte value per class of level n, in level order
+_table: list[list[Graph]] = []
+_columns: dict[tuple, array] = {}
+# the patterns whose copy columns are held, oldest first
+_PATTERN_CAP = 32
+_patterns: dict[PatternSpec, None] = {}
+
+
+def _level(n: int) -> list[Graph]:
+    """Row n < ENUM_CAP of the table: the unpruned level n, built with
+    every level below it by one walk when first asked."""
+    if n >= len(_table):
+        for k, reps in levels(n):
+            if k == len(_table):
+                _table.append(reps)
+    return _table[n]
+
+
+def _codegree(g: Graph, u: int) -> int:
+    """The largest number of common neighbours of a u-clique of g, 0 when
+    g has none; at u = 1 the maximum degree."""
+    if u == 1:
+        return max(map(int.bit_count, g.adj), default=0)
+    return max(
+        (common_neighborhood(g, c).bit_count() for c in enumerate_cliques(g, u)),
+        default=0,
+    )
+
+
+def _column(n: int, kind: str, arg=None) -> array:
+    """Column of level n < ENUM_CAP: ``"omega"``, the clique number;
+    ``"codegree"``, the largest arg-codegree; ``"cliques"``, k^arg; and
+    ``"copies"``, N(H, G) for the PatternSpec arg."""
+    key = n, kind, arg
+    col = _columns.get(key)
+    if col is not None:
+        return col
+    level = _level(n)
+    if kind == "omega":
+        values = (_max_clique(g.adj, 0, g.vertex_mask) for g in level)
+    elif kind == "codegree":
+        values = (_codegree(g, arg) for g in level)
+    elif kind == "cliques":
+        values = (_clique_count(g.adj, g.vertex_mask, arg) for g in level)
+    else:
+        if arg not in _patterns:
+            if len(_patterns) == _PATTERN_CAP:
+                oldest = next(iter(_patterns))
+                del _patterns[oldest]
+                for m in range(ENUM_CAP):
+                    _columns.pop((m, kind, oldest), None)
+            _patterns[arg] = None
+        values = (_count_copies(arg, g.adj, g.vertex_mask) for g in level)
+    col = _columns[key] = array("H", values)
+    return col
+
+
+def _candidates(
+    n: int, prune: Optional[ConstraintSet], cliques: Optional[tuple[int, int]]
+) -> list[int]:
+    """Rows of level n < ENUM_CAP, in level order, of the classes that pass
+    ``prune`` (ω(G) <= omega, and every prune.u-clique has at most delta
+    common neighbours) and, for ``cliques`` = (u, p), have exactly p
+    u-cliques: those of the walk ``levels(n, prune, cliques)`` with k^u = p."""
+    rows = range(len(_level(n)))
+    # no class here has a clique on ENUM_CAP vertices, so the clique
+    # sizes from ENUM_CAP up share one column
+    if prune is not None and prune.omega is not None:
+        omega = _column(n, "omega")
+        rows = [i for i in rows if omega[i] <= prune.omega]
+    if prune is not None and prune.delta is not None:
+        codegree = _column(n, "codegree", min(prune.u, ENUM_CAP))
+        rows = [i for i in rows if codegree[i] <= prune.delta]
+    if cliques is not None:
+        u, p = cliques
+        k = _column(n, "cliques", min(u, ENUM_CAP))
+        rows = [i for i in rows if k[i] == p]
+    return list(rows)
+
+
+def _free(
+    spec: PatternSpec,
+    n: int,
+    cs: ConstraintSet,
+    cliques: Optional[tuple[int, int]],
+) -> Iterator[tuple[Graph, int]]:
+    """(G, N(H, G)) for the ``_candidates`` of level n < ENUM_CAP."""
+    level, copies = _level(n), _column(n, "copies", spec)
+    return ((level[i], copies[i]) for i in _candidates(n, cs, cliques))
+
+
+def _free_levels(
+    spec: PatternSpec,
+    n_max: int,
+    cs: ConstraintSet,
+    cliques: Optional[tuple[int, int]] = None,
+) -> Iterator[tuple[int, Iterator[tuple[Graph, int]]]]:
+    """(n, (G, N(H, G)) for each class G on n vertices that the walk
+    ``levels(n_max, cs, cliques)`` keeps, with exactly p u-cliques for
+    cliques = (u, p)) for n = 0..n_max, in level order: filters of the
+    table for n_max < ENUM_CAP, and the walk itself from there up."""
+    if 0 <= n_max < ENUM_CAP:
+        return ((n, _free(spec, n, cs, cliques)) for n in range(n_max + 1))
+    return (
+        (n, (
+            (g, _count_copies(spec, g.adj, g.vertex_mask))
+            for g in reps
+            if cliques is None or _clique_count(g.adj, g.vertex_mask, cliques[0]) == cliques[1]
+        ))
+        for n, reps in levels(n_max, cs, cliques)
+    )
 
 
 def _optimum(
     spec: PatternSpec,
-    graphs: Iterable[Graph],
+    scored: Iterable[tuple[Graph, int]],
     cs: ConstraintSet,
     fixed: dict,
     notes: tuple[str, ...] = (),
 ) -> SearchOutcome:
-    """The one exhaustive argmax of N(H, G) over the candidate graphs.
+    """The one exhaustive argmax of N(H, G) over the candidate graphs,
+    each given with its value.
 
     Every optimum is re-verified before it is reported: it passes the
     constraints, and a raw embedding count over |Aut| agrees with the
@@ -342,9 +488,8 @@ def _optimum(
     best = 0
     argmax: list[Graph] = []
     examined = 0
-    for g in graphs:
+    for g, val in scored:
         examined += 1
-        val = _count_copies(spec, g.adj, g.vertex_mask)
         if val > best:
             best, argmax = val, [g]
         elif val == best:
@@ -383,10 +528,10 @@ def empirical_turan_goodness(h: Graph, omega: int, n_max: int) -> EmpiricalGoodn
     cs = ConstraintSet(u=1, delta=None, omega=omega)
     rows = []
     witness = None
-    for n, reps in levels(n_max, cs):
+    for n, scored in _free_levels(spec, n_max, cs):
         if not n:
             continue
-        out = _optimum(spec, reps, cs, {"n": n})
+        out = _optimum(spec, scored, cs, {"n": n})
         t_count = turan_copy_count(h, omega, n)
         rows.append((n, out.objective, t_count))
         if out.objective != t_count and witness is None:
@@ -398,7 +543,10 @@ def empirical_turan_goodness(h: Graph, omega: int, n_max: int) -> EmpiricalGoodn
 
 def brute_extremal(n: int, h: Graph, cs: ConstraintSet) -> SearchOutcome:
     """Exact max of N(H, G) over free graphs on exactly n vertices."""
-    return _optimum(pattern_spec(h), enumerate_graphs(n, cs), cs, {"n": n})
+    spec = pattern_spec(h)
+    for _, scored in _free_levels(spec, n, cs):
+        pass
+    return _optimum(spec, scored, cs, {"n": n})
 
 
 def brute_extremal_u(
@@ -426,23 +574,17 @@ def brute_extremal_u(
         raise ValueError(f"p={p} is negative")
     if n_cap is not None and n_cap < 0:
         raise ValueError(f"n_cap={n_cap} is negative")
-    spec = pattern_spec(h)
     fixed = {"u": u, "p": p}
     if u == 1:
         if n_cap is not None and n_cap != p:
             raise ValueError("for u=1 the vertex count is fixed at p")
-        return _optimum(spec, enumerate_graphs(p, cs), cs, fixed)
+        return replace(brute_extremal(p, h, cs), fixed=fixed)
+    spec = pattern_spec(h)
     if n_cap is None:
         n_cap = min(u * p, ENUM_CAP) if p else ENUM_CAP
     # padded variants (extra vertices in no u-clique) are distinct
     # isomorphism classes and are reported as separate optima
-    candidates = (
-        g
-        for n, reps in levels(n_cap, cs, (u, p))
-        if n
-        for g in reps
-        if _clique_count(g.adj, g.vertex_mask, u) == p
-    )
+    scored = (pair for n, level in _free_levels(spec, n_cap, cs, (u, p)) if n for pair in level)
     covered = 0
     for clique in enumerate_cliques(h, u):
         covered |= clique
@@ -458,5 +600,5 @@ def brute_extremal_u(
             f"vertex cap {n_cap}: the objective is the maximum over graphs "
             f"on at most {n_cap} vertices only"
         )
-    return _optimum(spec, candidates, cs, fixed, (note,))
+    return _optimum(spec, scored, cs, fixed, (note,))
 

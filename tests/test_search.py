@@ -9,14 +9,17 @@ from gturan.graphs import (
     add_vertex,
     canonical_code,
     complete_graph,
+    empty_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
     isomorphic,
+    join,
+    path_graph,
     union_of,
 )
 from gturan.families import colex_turan, turan
-from gturan.counting import count_cliques, count_subgraph_copies
+from gturan.counting import clique_number, count_cliques, count_subgraph_copies, pattern_spec
 from gturan.freeness import ConstraintSet, check_constraints, passes_constraints
 from gturan.search import (
     _augmentations,
@@ -496,6 +499,139 @@ class TestExpansionMemo:
         for n, reps in enumerate(fresh_levels(7, keep_of(cs, None))):
             assert top_level(n, cs) == tuple(reps)
         assert_consistent()
+
+
+# walk keys whose candidates the profile table gives: the sets criteria 2
+# and 3 read, a codegree bound at u = 2, k^2 = p under K4-freeness, and a
+# clique size no class on <= 7 vertices holds
+TABLE_KEYS = (
+    [(cs, None) for cs in CRITERIA_SETS]
+    + [(ConstraintSet(u=2, delta=1, omega=3), None)]
+    + [(ConstraintSet(u=2, omega=3), (2, p)) for p in range(9)]
+    + [(ConstraintSet(u=9, delta=0), (9, 0))]
+)
+
+
+class TestProfileTable:
+    @pytest.mark.parametrize("cs, cliques", TABLE_KEYS, ids=str)
+    def test_candidates_are_the_walks_graphs(self, cs, cliques):
+        # the rows the table keeps are the classes the memo-free walk
+        # keeps, in its order, and the very objects the pruned walk yields
+        for n, reps in enumerate(fresh_levels(7, keep_of(cs, cliques))):
+            if cliques is not None:
+                u, p = cliques
+                reps = [g for g in reps if count_cliques(g, u) == p]
+                walked = [g for g in top_level(n, cs, cliques) if count_cliques(g, u) == p]
+            else:
+                walked = top_level(n, cs)
+            level = search._level(n)
+            rows = [level[i] for i in search._candidates(n, cs, cliques)]
+            assert rows == reps
+            assert len(rows) == len(walked) and all(a is b for a, b in zip(rows, walked))
+
+    def test_columns_match_the_public_counters(self):
+        patterns = [
+            K3,
+            K4,
+            join(complete_graph(2), empty_graph(2)),
+            join(complete_graph(1), path_graph(4)),
+        ]
+        for n in range(search.ENUM_CAP):
+            level = search._level(n)
+            assert list(search._column(n, "omega")) == [clique_number(g) for g in level]
+            # u = ENUM_CAP stands for every larger u: no u-clique at all
+            for u in (1, 2, 3, search.ENUM_CAP):
+                assert list(search._column(n, "codegree", u)) == [
+                    check_constraints(g, ConstraintSet(u=u)).max_common_neighborhood_by_u[u]
+                    for g in level
+                ]
+            for u in range(1, search.ENUM_CAP + 1):
+                assert list(search._column(n, "cliques", u)) == [
+                    count_cliques(g, u) for g in level
+                ]
+            for h in patterns:
+                assert list(search._column(n, "copies", pattern_spec(h))) == [
+                    count_subgraph_copies(h, g) for g in level
+                ]
+
+    def test_second_sweep_does_no_work(self, monkeypatch, cold_search):
+        # a cold sweep walks the unpruned levels once, freeness-checks no
+        # graph and counts each class once per pattern; a repeat does no work
+        def sweep():
+            return [
+                brute_extremal(n, h, cs)
+                for cs in CRITERIA_SETS
+                for n in range(search.ENUM_CAP)
+                for h in (K3, K4)
+            ]
+
+        checked, counted = [], []
+        real_check, real_count = search.passes_constraints, search._count_copies
+
+        def check(g, cs):
+            checked.append(g)
+            return real_check(g, cs)
+
+        def count(spec, adj, cand):
+            counted.append(adj)
+            return real_count(spec, adj, cand)
+
+        monkeypatch.setattr(search, "passes_constraints", check)
+        monkeypatch.setattr(search, "_count_copies", count)
+        first = sweep()
+        assert checked == [] and len(counted) == 2 * 1253
+        built = count_calls(monkeypatch)
+        counted.clear()
+        assert sweep() == first
+        assert checked == [] and counted == [] and built == []
+
+    @pytest.mark.parametrize("cs", CRITERIA_SETS + [ConstraintSet(u=2, delta=1, omega=3)], ids=str)
+    def test_optima_match_the_walk(self, cs):
+        # every reader below ENUM_CAP gives what the argmax over the
+        # pruned walk gives
+        for h in (K3, K4):
+            spec = pattern_spec(h)
+            for n in range(search.ENUM_CAP):
+                walked = ((g, count_subgraph_copies(h, g)) for g in top_level(n, cs))
+                assert brute_extremal(n, h, cs) == search._optimum(spec, walked, cs, {"n": n})
+
+    def test_pattern_columns_bounded(self, monkeypatch, cold_search):
+        # past the cap the oldest pattern's columns go, and a new request
+        # computes them again
+        monkeypatch.setattr(search, "_PATTERN_CAP", 2)
+        specs = [pattern_spec(h) for h in (K3, K4, complete_graph(2))]
+        for spec in specs:
+            for n in range(4):
+                search._column(n, "copies", spec)
+        assert list(search._patterns) == specs[1:]
+        assert {arg for _, kind, arg in search._columns if kind == "copies"} == set(specs[1:])
+        assert list(search._column(3, "copies", specs[0])) == [
+            count_subgraph_copies(K3, g) for g in search._level(3)
+        ]
+        assert list(search._patterns) == [specs[2], specs[0]]
+
+    def test_choice_depends_on_n_alone(self, monkeypatch, cold_search):
+        # below ENUM_CAP the readers filter the table and build no pruned
+        # walk; at ENUM_CAP they walk as before, and the table stays put
+        walks = []
+        real = search._levels
+
+        def record(n_max, keep=None, room=None):
+            walks.append((n_max, keep is None))
+            return real(n_max, keep, room)
+
+        monkeypatch.setattr(search, "_levels", record)
+        brute_extremal(6, K3, ConstraintSet(u=1, delta=2))
+        brute_extremal_u(4, 2, K3, ConstraintSet(u=2, omega=3), n_cap=7)
+        empirical_turan_goodness(K3, 2, 7)
+        nonisomorphic_graphs_upto(5)
+        assert all(unpruned for _, unpruned in walks)
+        assert len(search._table) == search.ENUM_CAP
+        walks.clear()
+        brute_extremal(8, K3, ConstraintSet(u=1, delta=2))
+        empirical_turan_goodness(K3, 2, 8)
+        assert walks == [(8, False), (8, False)]
+        assert len(search._table) == search.ENUM_CAP
 
 
 class TestBruteExtremal:
