@@ -59,21 +59,28 @@ walk, and before any work rejects an ``n_max`` outside 0..cap, where the
 cap is ``DEGREE_CAPS[delta]`` under u = 1 with delta <= 3 (18 for
 delta <= 2, 12 for delta = 3) and ``ENUM_CAP`` = 8 otherwise.
 
-The profile table holds the unpruned levels 0..ENUM_CAP - 1, the memo's
-parents (1253 classes), built by one walk ``levels(n)`` up to the
-largest n asked, so its rows are the very objects every pruned walk
-yields.  Its columns are computed once per level, on first need: the
-clique number, the largest u-codegree for each u asked (at u = 1 the
-maximum degree), k^u, and N(H, G) for each pattern asked, through
-``_count_copies``.  A graph is {K_u v I_{delta+1}, K_{omega+1}}-free
-exactly when its clique number is at most omega and every u-clique has
-at most delta common neighbours, and a pruned level is the unpruned one
-filtered by its predicate, in the same order; so below ENUM_CAP a
-pruned level, and its candidates with k^u = p, are filters of the table
-by its columns.  No value there exceeds 7! = 5040, so each column is an
+The profile table holds the classes on at most ENUM_CAP - 1 vertices
+that some search below ENUM_CAP has reached, level by level, and per
+row the children of it built so far, in walk order: a search expands a
+row only when it keeps it, and only to the neighbourhood sizes its room
+allows, through the memo, so its rows are the very objects every pruned
+walk yields, and a cold search builds the children its pruned walk
+would build, not the unpruned levels (it labels them all, also those
+its predicate then drops).  A wider room later adds to a row's children
+those with more neighbours, in walk order among those built before.
+The columns of a level are computed on first need and extended
+over the rows built since: the clique number, the largest u-codegree
+for each u asked (at u = 1 the maximum degree), k^u, and N(H, G) for
+each pattern asked, through ``_count_copies``.  A graph is
+{K_u v I_{delta+1}, K_{omega+1}}-free exactly when its clique number is
+at most omega and every u-clique has at most delta common neighbours,
+so below ENUM_CAP a pruned walk is the table's walk with each predicate
+a filter by its columns, and a level's candidates with k^u = p a
+further filter.  No value there exceeds 7! = 5040, so each column is an
 array of two-byte values, and the copy columns of at most
-``_PATTERN_CAP`` = 32 patterns are kept, the oldest dropped first: the
-table holds at most 0.22 MiB beside the graphs it shares with the memo.
+``_PATTERN_CAP`` = 32 patterns are kept, the oldest dropped first: once
+all 1253 classes are built the table holds at most 0.3 MiB beside the
+graphs it shares with the memo.
 
 There is one extremal search, fixing the number p of u-cliques as the
 paper does: ``_optimum`` takes the argmax of N(H, G) over a stream of
@@ -173,44 +180,58 @@ def _levels(
     for k in range(n_max):
         children, child_gens = [], []
         for g, gens in zip(reps, known):
-            record = _expansions.get(g)
-            if record is None:
-                record = _Expansion(gens)
-                if k < ENUM_CAP:
-                    _expansions[g] = record
-            sizes = record.sizes
-            first = max(map(int.bit_count, g.adj), default=0)  # top degree
             last = k if room is None else min(k, room(g))
-            runs = []
-            for s in range(first, last + 1):
-                entries = sizes.get(s)
-                if entries is None:
-                    masks, record.gens = _augmentations(g, s, record.gens)
-                    entries = sizes[s] = [
-                        [mask, None, None if settled else _UNSET]
-                        for mask, settled in masks
-                    ]
-                if entries:
-                    runs.append(entries)
-            # masks are distinct, so the entries merge by mask alone
-            for entry in runs[0] if len(runs) == 1 else merge(*runs):
-                mask, child, label = entry
-                if label is _REJECTED:
-                    continue
-                if child is None:
-                    child = entry[1] = add_vertex(g, mask)
-                if keep is not None and not keep(child):
-                    continue
-                if label is _UNSET:  # labeled once some walk keeps it
-                    label = _is_canonical_deletion(child)
-                    if label is None:
-                        entry[1:] = None, _REJECTED
-                        continue
-                    entry[2] = label
+            for child, label in _expand(g, gens, last, keep):
                 children.append(child)
                 child_gens.append(label)
         reps, known = children, child_gens
         yield k + 1, reps
+
+
+def _expand(
+    g: Graph,
+    gens: Optional[list[list[int]]],
+    last: int,
+    keep: Optional[Callable[[Graph], bool]] = None,
+) -> Iterator[tuple[Graph, Optional[list[list[int]]]]]:
+    """(child, label) for each child of g with at most ``last`` neighbours
+    that keep accepts, in mask order, through the memo; ``gens`` generates
+    Aut(g) when known, and a label is the child's automorphism generators,
+    None for a child accepted without labeling."""
+    k = g.n
+    record = _expansions.get(g)
+    if record is None:
+        record = _Expansion(gens)
+        if k < ENUM_CAP:
+            _expansions[g] = record
+    sizes = record.sizes
+    first = max(map(int.bit_count, g.adj), default=0)  # top degree
+    runs = []
+    for s in range(first, last + 1):
+        entries = sizes.get(s)
+        if entries is None:
+            masks, record.gens = _augmentations(g, s, record.gens)
+            entries = sizes[s] = [
+                [mask, None, None if settled else _UNSET] for mask, settled in masks
+            ]
+        if entries:
+            runs.append(entries)
+    # masks are distinct, so the entries merge by mask alone
+    for entry in runs[0] if len(runs) == 1 else merge(*runs):
+        mask, child, label = entry
+        if label is _REJECTED:
+            continue
+        if child is None:
+            child = entry[1] = add_vertex(g, mask)
+        if keep is not None and not keep(child):
+            continue
+        if label is _UNSET:  # labeled once some walk keeps it
+            label = _is_canonical_deletion(child)
+            if label is None:
+                entry[1:] = None, _REJECTED
+                continue
+            entry[2] = label
+        yield child, label
 
 
 def _degree_sums(adj: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -323,19 +344,26 @@ def levels(
     if prune is not None and prune.delta is None and prune.omega is None:
         prune = None  # a set that bounds nothing keeps every graph
     keep = None if prune is None else (lambda g: passes_constraints(g, prune))
-    # room: at most delta new neighbours at u = 1, and p - e(g) new edges
-    # under at most p 2-cliques
-    room = None if delta is None else (lambda g: delta)
     if cliques is not None:
         u, p = cliques
         keep = lambda g: _clique_count(g.adj, g.vertex_mask, u) <= p and (
             prune is None or passes_constraints(g, prune)
         )
-        if u == 2:
-            room = (lambda g: p - g.edge_count) if delta is None else (
-                lambda g: min(delta, p - g.edge_count)
-            )
-    return _levels(n_max, keep, room)
+    return _levels(n_max, keep, _room(delta, cliques))
+
+
+def _room(
+    delta: Optional[int], cliques: Optional[tuple[int, int]]
+) -> Optional[Callable[[Graph], int]]:
+    """The room of a walk: at most delta new neighbours under a degree
+    bound delta (u = 1), and p - e(g) new edges under at most p
+    2-cliques; None when it has none."""
+    if cliques is not None and cliques[0] == 2:
+        p = cliques[1]
+        if delta is None:
+            return lambda g: p - g.edge_count
+        return lambda g: min(delta, p - g.edge_count)
+    return None if delta is None else (lambda g: delta)
 
 
 def enumerate_graphs(n: int, prune: Optional[ConstraintSet] = None) -> Iterator[Graph]:
@@ -349,30 +377,68 @@ def enumerate_graphs(n: int, prune: Optional[ConstraintSet] = None) -> Iterator[
 
 def nonisomorphic_graphs_upto(n_max: int) -> tuple[tuple[Graph, ...], ...]:
     """Unpruned representatives for every n <= n_max."""
-    if 0 <= n_max < ENUM_CAP:
-        _level(n_max)
-        return tuple(tuple(reps) for reps in _table[: n_max + 1])
     return tuple(tuple(reps) for _, reps in levels(n_max))
 
 
-# the profile table: _table[n] is the unpruned level n < ENUM_CAP, from
-# one walk up to the largest n asked; _columns[n, kind, arg] holds one
-# two-byte value per class of level n, in level order
-_table: list[list[Graph]] = []
-_columns: dict[tuple, array] = {}
-# the patterns whose copy columns are held, oldest first
+@dataclass(slots=True)
+class _Level:
+    """Level n < ENUM_CAP of the profile table: the classes on n vertices
+    built so far, in the order they were built; per row its label, the
+    largest neighbourhood size of its children built so far, and their
+    rows in level n + 1, in walk order; and the columns asked for, each
+    covering the rows built when it was last read."""
+
+    rows: list[Graph] = field(default_factory=list)
+    labels: list[Optional[list[list[int]]]] = field(default_factory=list)
+    built: list[int] = field(default_factory=list)
+    children: list[list[int]] = field(default_factory=list)
+    columns: dict[tuple[str, int], array] = field(default_factory=dict)
+
+    def add(self, g: Graph, label: Optional[list[list[int]]]) -> None:
+        self.rows.append(g)
+        self.labels.append(label)
+        self.built.append(-1)
+        self.children.append([])
+
+
+# the profile table, level by level; and the copy columns per pattern, of
+# at most _PATTERN_CAP patterns, oldest first, each mapping level to column
+_table: list[_Level] = []
 _PATTERN_CAP = 32
-_patterns: dict[PatternSpec, None] = {}
+_copies: dict[PatternSpec, dict[int, array]] = {}
 
 
-def _level(n: int) -> list[Graph]:
-    """Row n < ENUM_CAP of the table: the unpruned level n, built with
-    every level below it by one walk when first asked."""
-    if n >= len(_table):
-        for k, reps in levels(n):
-            if k == len(_table):
-                _table.append(reps)
+def _level(n: int) -> _Level:
+    """Level n < ENUM_CAP of the table, made empty (level 0: the empty
+    graph) when first asked."""
+    while len(_table) <= n:
+        _table.append(_Level())
+        if len(_table) == 1:
+            _table[0].add(_ROOT, None)
     return _table[n]
+
+
+def _children(n: int, i: int, room: Optional[Callable[[Graph], int]]) -> list[int]:
+    """The rows of level n + 1 that are children of row i of level n, in
+    walk order: every child with at most ``room`` neighbours (any number
+    when None), built when first asked, and those built for wider rooms."""
+    level = _table[n]
+    g = level.rows[i]
+    last = n if room is None else min(n, room(g))
+    if level.built[i] < last:
+        # the children built before come back in the same order among the
+        # new ones: those whose new vertex n has at most built[i] neighbours
+        below = _level(n + 1)
+        old, merged, j = level.children[i], [], 0
+        for child, label in _expand(g, level.labels[i], last):
+            if child.adj[n].bit_count() <= level.built[i]:
+                merged.append(old[j])
+                j += 1
+            else:
+                merged.append(len(below.rows))
+                below.add(child, label)
+        level.children[i], level.built[i] = merged, last
+    return level.children[i]
 
 
 def _codegree(g: Graph, u: int) -> int:
@@ -387,65 +453,78 @@ def _codegree(g: Graph, u: int) -> int:
 
 
 def _column(n: int, kind: str, arg=None) -> array:
-    """Column of level n < ENUM_CAP: ``"omega"``, the clique number;
-    ``"codegree"``, the largest arg-codegree; ``"cliques"``, k^arg; and
-    ``"copies"``, N(H, G) for the PatternSpec arg."""
-    key = n, kind, arg
-    col = _columns.get(key)
-    if col is not None:
-        return col
-    level = _level(n)
-    if kind == "omega":
-        values = (_max_clique(g.adj, 0, g.vertex_mask) for g in level)
-    elif kind == "codegree":
-        values = (_codegree(g, arg) for g in level)
-    elif kind == "cliques":
-        values = (_clique_count(g.adj, g.vertex_mask, arg) for g in level)
+    """Column of level n < ENUM_CAP over its rows built so far:
+    ``"omega"``, the clique number; ``"codegree"``, the largest
+    arg-codegree; ``"cliques"``, k^arg; and ``"copies"``, N(H, G) for the
+    PatternSpec arg."""
+    level = _table[n]
+    if kind == "copies":
+        held = _copies.get(arg)
+        if held is None:
+            if len(_copies) == _PATTERN_CAP:
+                del _copies[next(iter(_copies))]
+            held = _copies[arg] = {}
+        col = held.get(n)
+        if col is None:
+            col = held[n] = array("H")
     else:
-        if arg not in _patterns:
-            if len(_patterns) == _PATTERN_CAP:
-                oldest = next(iter(_patterns))
-                del _patterns[oldest]
-                for m in range(ENUM_CAP):
-                    _columns.pop((m, kind, oldest), None)
-            _patterns[arg] = None
-        values = (_count_copies(arg, g.adj, g.vertex_mask) for g in level)
-    col = _columns[key] = array("H", values)
+        col = level.columns.get((kind, arg))
+        if col is None:
+            col = level.columns[kind, arg] = array("H")
+    new = level.rows[len(col):]
+    if kind == "omega":
+        col.extend(_max_clique(g.adj, 0, g.vertex_mask) for g in new)
+    elif kind == "codegree":
+        col.extend(_codegree(g, arg) for g in new)
+    elif kind == "cliques":
+        col.extend(_clique_count(g.adj, g.vertex_mask, arg) for g in new)
+    else:
+        col.extend(_count_copies(arg, g.adj, g.vertex_mask) for g in new)
     return col
 
 
-def _candidates(
-    n: int, prune: Optional[ConstraintSet], cliques: Optional[tuple[int, int]]
-) -> list[int]:
-    """Rows of level n < ENUM_CAP, in level order, of the classes that pass
-    ``prune`` (ω(G) <= omega, and every prune.u-clique has at most delta
-    common neighbours) and, for ``cliques`` = (u, p), have exactly p
-    u-cliques: those of the walk ``levels(n, prune, cliques)`` with k^u = p."""
-    rows = range(len(_level(n)))
+def _table_levels(
+    spec: PatternSpec,
+    n_max: int,
+    prune: ConstraintSet,
+    cliques: Optional[tuple[int, int]],
+) -> Iterator[tuple[int, Iterator[tuple[Graph, int]]]]:
+    """``_free_levels`` for n_max < ENUM_CAP, from the table: the walk
+    ``levels(n_max, prune, cliques)`` with the children of each kept row
+    read from the table and each predicate a filter by its columns."""
     # no class here has a clique on ENUM_CAP vertices, so the clique
     # sizes from ENUM_CAP up share one column
-    if prune is not None and prune.omega is not None:
-        omega = _column(n, "omega")
-        rows = [i for i in rows if omega[i] <= prune.omega]
-    if prune is not None and prune.delta is not None:
-        codegree = _column(n, "codegree", min(prune.u, ENUM_CAP))
-        rows = [i for i in rows if codegree[i] <= prune.delta]
-    if cliques is not None:
-        u, p = cliques
-        k = _column(n, "cliques", min(u, ENUM_CAP))
-        rows = [i for i in rows if k[i] == p]
-    return list(rows)
+    u = min(prune.u, ENUM_CAP)
+    room = _room(prune.delta if prune.u == 1 else None, cliques)
+    rows = range(1)  # the empty graph
+    for n in range(n_max + 1):
+        if n:
+            rows = [j for i in rows for j in _children(n - 1, i, room)]
+        _level(n)
+        if prune.omega is not None:
+            omega = _column(n, "omega")
+            rows = [i for i in rows if omega[i] <= prune.omega]
+        if prune.delta is not None:
+            codegree = _column(n, "codegree", u)
+            rows = [i for i in rows if codegree[i] <= prune.delta]
+        if cliques is not None:
+            k = _column(n, "cliques", min(cliques[0], ENUM_CAP))
+            rows = [i for i in rows if k[i] <= cliques[1]]
+        yield n, _scored(spec, n, rows, cliques)
 
 
-def _free(
-    spec: PatternSpec,
-    n: int,
-    cs: ConstraintSet,
-    cliques: Optional[tuple[int, int]],
+def _scored(
+    spec: PatternSpec, n: int, rows: list[int], cliques: Optional[tuple[int, int]]
 ) -> Iterator[tuple[Graph, int]]:
-    """(G, N(H, G)) for the ``_candidates`` of level n < ENUM_CAP."""
-    level, copies = _level(n), _column(n, "copies", spec)
-    return ((level[i], copies[i]) for i in _candidates(n, cs, cliques))
+    """(G, N(H, G)) for the given rows of level n, those with exactly p
+    u-cliques for ``cliques`` = (u, p); the copy column is read when the
+    stream is first read."""
+    level, copies = _table[n].rows, _column(n, "copies", spec)
+    if cliques is not None:
+        k, p = _column(n, "cliques", min(cliques[0], ENUM_CAP)), cliques[1]
+        rows = [i for i in rows if k[i] == p]
+    for i in rows:
+        yield level[i], copies[i]
 
 
 def _free_levels(
@@ -456,10 +535,10 @@ def _free_levels(
 ) -> Iterator[tuple[int, Iterator[tuple[Graph, int]]]]:
     """(n, (G, N(H, G)) for each class G on n vertices that the walk
     ``levels(n_max, cs, cliques)`` keeps, with exactly p u-cliques for
-    cliques = (u, p)) for n = 0..n_max, in level order: filters of the
-    table for n_max < ENUM_CAP, and the walk itself from there up."""
+    cliques = (u, p)) for n = 0..n_max, in level order: from the table
+    for n_max < ENUM_CAP, and from the walk itself from there up."""
     if 0 <= n_max < ENUM_CAP:
-        return ((n, _free(spec, n, cs, cliques)) for n in range(n_max + 1))
+        return _table_levels(spec, n_max, cs, cliques)
     return (
         (n, (
             (g, _count_copies(spec, g.adj, g.vertex_mask))
@@ -544,8 +623,7 @@ def empirical_turan_goodness(h: Graph, omega: int, n_max: int) -> EmpiricalGoodn
 def brute_extremal(n: int, h: Graph, cs: ConstraintSet) -> SearchOutcome:
     """Exact max of N(H, G) over free graphs on exactly n vertices."""
     spec = pattern_spec(h)
-    for _, scored in _free_levels(spec, n, cs):
-        pass
+    *_, (_, scored) = _free_levels(spec, n, cs)
     return _optimum(spec, scored, cs, {"n": n})
 
 

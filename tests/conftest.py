@@ -38,12 +38,11 @@ def small_corpus() -> list[Graph]:
 @pytest.fixture
 def cold_search() -> None:
     """Empty the expansion memo and the profile table of
-    ``gturan.search``, rows, columns and held patterns, so the test starts
+    ``gturan.search``, its levels and its copy columns, so the test starts
     from a cold process."""
     search._expansions.clear()
     search._table.clear()
-    search._columns.clear()
-    search._patterns.clear()
+    search._copies.clear()
 
 
 @pytest.fixture

@@ -517,27 +517,33 @@ class TestProfileTable:
     def test_candidates_are_the_walks_graphs(self, cs, cliques):
         # the rows the table keeps are the classes the memo-free walk
         # keeps, in its order, and the very objects the pruned walk yields
-        for n, reps in enumerate(fresh_levels(7, keep_of(cs, cliques))):
+        table = search._free_levels(pattern_spec(K3), 7, cs, cliques)
+        fresh = fresh_levels(7, keep_of(cs, cliques))
+        for (n, scored), reps in zip(table, fresh, strict=True):
             if cliques is not None:
                 u, p = cliques
                 reps = [g for g in reps if count_cliques(g, u) == p]
                 walked = [g for g in top_level(n, cs, cliques) if count_cliques(g, u) == p]
             else:
                 walked = top_level(n, cs)
-            level = search._level(n)
-            rows = [level[i] for i in search._candidates(n, cs, cliques)]
+            rows = [g for g, _ in scored]
             assert rows == reps
             assert len(rows) == len(walked) and all(a is b for a, b in zip(rows, walked))
 
-    def test_columns_match_the_public_counters(self):
+    def test_columns_match_the_public_counters(self, cold_search):
         patterns = [
             K3,
             K4,
             join(complete_graph(2), empty_graph(2)),
             join(complete_graph(1), path_graph(4)),
         ]
+        # a narrow search first, so that the unpruned one extends rows
+        # built for a smaller room
+        brute_extremal(7, K3, ConstraintSet(u=1, delta=2))
+        brute_extremal(7, K3, ConstraintSet())
+        assert sum(len(level.rows) for level in search._table) == 1253
         for n in range(search.ENUM_CAP):
-            level = search._level(n)
+            level = search._table[n].rows
             assert list(search._column(n, "omega")) == [clique_number(g) for g in level]
             # u = ENUM_CAP stands for every larger u: no u-clique at all
             for u in (1, 2, 3, search.ENUM_CAP):
@@ -579,7 +585,8 @@ class TestProfileTable:
         monkeypatch.setattr(search, "passes_constraints", check)
         monkeypatch.setattr(search, "_count_copies", count)
         first = sweep()
-        assert checked == [] and len(counted) == 2 * 1253
+        rows = sum(len(level.rows) for level in search._table)
+        assert checked == [] and len(counted) == 2 * rows
         built = count_calls(monkeypatch)
         counted.clear()
         assert sweep() == first
@@ -600,38 +607,59 @@ class TestProfileTable:
         # computes them again
         monkeypatch.setattr(search, "_PATTERN_CAP", 2)
         specs = [pattern_spec(h) for h in (K3, K4, complete_graph(2))]
+        brute_extremal(3, K3, ConstraintSet())
         for spec in specs:
             for n in range(4):
                 search._column(n, "copies", spec)
-        assert list(search._patterns) == specs[1:]
-        assert {arg for _, kind, arg in search._columns if kind == "copies"} == set(specs[1:])
+        assert list(search._copies) == specs[1:]
         assert list(search._column(3, "copies", specs[0])) == [
-            count_subgraph_copies(K3, g) for g in search._level(3)
+            count_subgraph_copies(K3, g) for g in search._table[3].rows
         ]
-        assert list(search._patterns) == [specs[2], specs[0]]
+        assert list(search._copies) == [specs[2], specs[0]]
 
     def test_choice_depends_on_n_alone(self, monkeypatch, cold_search):
-        # below ENUM_CAP the readers filter the table and build no pruned
-        # walk; at ENUM_CAP they walk as before, and the table stays put
+        # below ENUM_CAP the readers filter the table and walk nothing; at
+        # ENUM_CAP they walk as before, and the table stays put
         walks = []
         real = search._levels
 
         def record(n_max, keep=None, room=None):
-            walks.append((n_max, keep is None))
+            walks.append(n_max)
             return real(n_max, keep, room)
 
         monkeypatch.setattr(search, "_levels", record)
         brute_extremal(6, K3, ConstraintSet(u=1, delta=2))
         brute_extremal_u(4, 2, K3, ConstraintSet(u=2, omega=3), n_cap=7)
         empirical_turan_goodness(K3, 2, 7)
-        nonisomorphic_graphs_upto(5)
-        assert all(unpruned for _, unpruned in walks)
-        assert len(search._table) == search.ENUM_CAP
-        walks.clear()
+        assert walks == [] and len(search._table) == search.ENUM_CAP
+        rows = [len(level.rows) for level in search._table]
         brute_extremal(8, K3, ConstraintSet(u=1, delta=2))
         empirical_turan_goodness(K3, 2, 8)
-        assert walks == [(8, False), (8, False)]
-        assert len(search._table) == search.ENUM_CAP
+        assert walks == [8, 8]
+        assert [len(level.rows) for level in search._table] == rows
+
+    def test_cold_search_builds_only_its_room(self, monkeypatch, cold_search):
+        # a cold search at a degree bound builds the children the pruned
+        # walk builds, not the unpruned levels
+        cs = ConstraintSet(u=1, delta=2)
+        built = count_calls(monkeypatch)
+        brute_extremal(7, K3, cs)
+        rows = sum(len(level.rows) for level in search._table)
+        assert rows == sum(map(len, fresh_levels(7, keep_of(cs, None))))
+        table_built = len(built)
+        search._expansions.clear()
+        walked = count_calls(monkeypatch)
+        list(enumerate_graphs(7, cs))
+        assert table_built == len(walked)
+
+    def test_memo_cleared_alone_keeps_one_row_per_class(self, cold_search):
+        # a wider room after the memo alone was emptied adds only the new
+        # children, although the memo builds the old ones afresh
+        brute_extremal(7, K3, ConstraintSet(u=1, delta=2))
+        search._expansions.clear()
+        brute_extremal(7, K3, ConstraintSet())
+        for level, reps in zip(search._table, fresh_levels(7), strict=True):
+            assert len(level.rows) == len(reps) and set(level.rows) == set(reps)
 
 
 class TestBruteExtremal:
