@@ -6,6 +6,11 @@ data.  By default stdout shows that data as text (``reports.text_lines``);
 ``--json`` switches stdout to the JSON envelope and ``--out`` writes the
 envelope (with run manifest) to a file.  Vertex sets are 0-indexed in
 both views.
+
+A call is parsed once, by the parser of the subcommand it names
+(``command_parser``), and no other parser is built.  The whole tree
+(``build_parser``) serves ``-h``, ``--version``, a missing or unknown
+command and the error for leftover arguments.
 """
 
 from __future__ import annotations
@@ -304,42 +309,26 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-@cache  # parsing leaves the parser unchanged, so one serves every call
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="gturan",
-        description="exact extremal subgraph-density computations",
-    )
-    top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="JSON to stdout")
-        p.add_argument("--out", help="write JSON report (with manifest) to a file")
-
-    p = sub.add_parser("construct", help="build a named graph family member")
+def _construct_args(p):
     p.add_argument("--family", required=True, help="e.g. turan(4,6), colex(4,17), split(2,3)")
-    common(p)
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("count", help="count cliques or pattern copies")
+
+def _count_args(p):
     p.add_argument("--graph", required=True)
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--pattern")
     what.add_argument("--cliques", type=int, help="count cliques of this size")
     p.add_argument("--rooted", help="comma list of root vertices (0-indexed)")
-    common(p)
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("verify-free", help="check forbidden-subgraph constraints")
+
+def _verify_free_args(p):
     p.add_argument("--graph", required=True)
     p.add_argument("--u", type=int, default=1)
     p.add_argument("--delta", type=int)
     p.add_argument("--omega", type=int)
-    common(p)
-    p.set_defaults(func=cmd_verify_free)
 
-    p = sub.add_parser("bounds", help="exact density sandwich")
+
+def _bounds_args(p):
     p.add_argument("--pattern", "--H", dest="pattern", required=True)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
@@ -347,19 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="store_true", help="sweep delta from omega upward")
     p.add_argument("--star-problem", action="store_true",
                    help="emit the conjectural star-forbidden sandwich instead")
-    common(p)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("localize", help="localized weight inequality report")
+
+def _localize_args(p):
     p.add_argument("--graph", required=True)
     p.add_argument("--pattern", "--H", dest="pattern", required=True)
     p.add_argument("--u", type=int, default=1)
     p.add_argument("--omega0", type=int, help="clique threshold (default: pattern-derived)")
     p.add_argument("--per-clique", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("search", help="brute-force extremal search")
+
+def _search_args(p):
     p.add_argument("--pattern", "--H", dest="pattern", required=True)
     fixed = p.add_mutually_exclusive_group(required=True)
     fixed.add_argument("--n", type=int, help="fixed vertex count")
@@ -369,25 +356,69 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=int)
     p.add_argument("--ncap", type=int)
     p.add_argument("--dump-g6", help="write all optima to a .g6 file")
-    common(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("reproduce-examples", help="42-vertex crossover demo")
-    common(p)
-    p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("verify", help="run the acceptance suite")
+def _verify_args(p):
     p.add_argument("--level", choices=["quick", "full"], default="quick")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(p)
-    p.set_defaults(func=cmd_verify)
 
+
+# name -> (help, adds the command's own arguments, handler), in the order
+# ``gturan -h`` lists them
+_COMMANDS = {
+    "construct": ("build a named graph family member", _construct_args, cmd_construct),
+    "count": ("count cliques or pattern copies", _count_args, cmd_count),
+    "verify-free": ("check forbidden-subgraph constraints", _verify_free_args, cmd_verify_free),
+    "bounds": ("exact density sandwich", _bounds_args, cmd_bounds),
+    "localize": ("localized weight inequality report", _localize_args, cmd_localize),
+    "search": ("brute-force extremal search", _search_args, cmd_search),
+    "reproduce-examples": ("42-vertex crossover demo", lambda p: None, cmd_reproduce),
+    "verify": ("run the acceptance suite", _verify_args, cmd_verify),
+}
+
+
+@cache  # parsing leaves a parser unchanged, so one serves every call
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, as ``gturan <name>`` uses it."""
+    _, add_arguments, handler = _COMMANDS[name]
+    p = argparse.ArgumentParser(prog=f"gturan {name}")
+    add_arguments(p)
+    p.add_argument("--json", action="store_true", help="JSON to stdout")
+    p.add_argument("--out", help="write JSON report (with manifest) to a file")
+    p.set_defaults(func=handler)
+    return p
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line; each subcommand shares its ``command_parser``'s arguments."""
+    top = argparse.ArgumentParser(
+        prog="gturan",
+        description="exact extremal subgraph-density computations",
+    )
+    top.add_argument("--version", action="version", version=__version__)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[command_parser(name)], add_help=False)
     return top
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed once by the named
+    subcommand's parser alone."""
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    command = argv[0]
+    args, extra = command_parser(command).parse_known_args(
+        argv[1:], argparse.Namespace(command=command))
+    if extra:
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     args._argv = argv
     try:
         code = args.func(args)

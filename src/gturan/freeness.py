@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional
 
-from .graphs import Graph, common_neighborhood, iter_bits, mask_of, set_of
-from .counting import _frontier, clique_number, enumerate_cliques, has_clique
+from .graphs import Graph, common_neighborhood, iter_bits, mask_of, set_of, twin_quotient
+from .counting import _cliques, _frontier, _max_clique, enumerate_cliques, has_clique
 
 
 @dataclass(frozen=True)
@@ -98,17 +98,25 @@ def check_constraints(g: Graph, cs: ConstraintSet) -> FreenessReport:
     (omega+1)-clique, and the least u-clique with an oversized common
     neighbourhood together with its delta+1 least common neighbours.
     """
-    omega_g = clique_number(g)
+    adj = g.adj
+    reps = twin_quotient(adj).reps
+    omega_g = _max_clique(adj, 0, reps)
     by_u: dict[int, int] = {}
     split = None  # witness: the least u-clique with > delta common neighbours
+    # only the cliques inside reps are walked: swapping a non-lead false
+    # twin for its lead, of the same neighbourhood, keeps a clique and its
+    # common neighbours and makes its sorted vertex tuple smaller, so every
+    # maximum and the least oversized clique lie inside reps
     for uu in range(1, cs.u + 1):
         best = 0
-        for c in enumerate_cliques(g, uu):
-            nb = common_neighborhood(g, c)
-            size = nb.bit_count()
-            best = max(best, size)
-            if split is None and uu == cs.u and cs.delta is not None and size > cs.delta:
-                split = c | mask_of(islice(iter_bits(nb), cs.delta + 1))
+        for chosen, ext in _cliques(adj, reps, uu):
+            common = common_neighborhood(g, chosen) if chosen else g.vertex_mask
+            for v in iter_bits(ext):
+                nb = common & adj[v]
+                size = nb.bit_count()
+                best = max(best, size)
+                if split is None and uu == cs.u and cs.delta is not None and size > cs.delta:
+                    split = chosen | 1 << v | mask_of(islice(iter_bits(nb), cs.delta + 1))
         by_u[uu] = best
 
     violations: list[Violation] = []

@@ -441,15 +441,127 @@ class TestTextView:
 
 
 def test_cold_start_loads_no_hashing_or_acceptance_suite():
-    # a fresh interpreter: this process has imported both already
-    code = ("import sys, gturan.cli; "
-            "print(sorted({'hashlib', '_hashlib', 'gturan.acceptance'} & set(sys.modules)))")
+    # a fresh interpreter: this process has imported both already.  It
+    # also counts the parsers built: none at import, and one call builds
+    # only its own subcommand's parser
+    code = ("import argparse, contextlib, io, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    init(self, *args, **kwargs)\n"
+            "    built.append(self.prog)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import gturan.cli as cli\n"
+            "print(sorted({'hashlib', '_hashlib', 'gturan.acceptance'} & set(sys.modules)))\n"
+            "print(built)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['bounds', '--pattern', 'K3', '--u', '1', '--delta', '6', '--omega', '4'])\n"
+            "print(built, cli.command_parser.cache_info().currsize,"
+            " cli.build_parser.cache_info().currsize)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[]", "['gturan bounds'] 1 0"]
     assert cli.build_parser().parse_args(["verify"]).seed == acceptance.DEFAULT_SEED
+
+
+# argvs that parse: every subcommand with its usual options, the --H
+# alias, abbreviations, = forms and negative numbers
+PARSED = [
+    ["construct", "--family", "turan(4,6)"],
+    ["construct", "--fam", "split(2,3)", "--json", "--out", "r.json"],
+    ["count", "--graph", "K4", "--pattern", "K3", "--rooted", "0,1", "--json"],
+    ["count", "--graph", "K4", "--cliques", "3"],
+    ["count", "--gr", "K4", "--cl", "3", "--out", "r.json"],
+    ["verify-free", "--graph", "K5"],
+    ["verify-free", "--graph", "K5", "--u", "2", "--delta", "1", "--omega", "4", "--json"],
+    ["bounds", "--pattern", "K3", "--u", "1", "--delta", "6", "--omega", "4"],
+    ["bounds", "--H", "K3", "--u", "1", "--delta", "6", "--omega", "4", "--grid", "--json"],
+    ["bounds", "--pat", "K2vI2", "--u", "2", "--del", "6", "--om", "4", "--star"],
+    ["bounds", "--pattern=K3", "--u=1", "--delta=-6", "--omega", "-4"],
+    ["localize", "--graph", "K5", "--pattern", "K3"],
+    ["localize", "--graph", "turan(3,6)", "--H", "K3", "--u", "2", "--omega0", "1",
+     "--per-clique", "--json"],
+    ["localize", "--gr", "K5", "--pat", "K3", "--per", "--om", "1"],
+    ["search", "--pattern", "K3", "--n", "6", "--omega", "3", "--dump-g6", "d.g6"],
+    ["search", "--H", "K3", "--p", "6", "--u", "2", "--delta", "2", "--ncap", "7", "--json"],
+    ["search", "--pat", "K3", "--n", "5", "--dump", "d.g6"],
+    ["reproduce-examples"],
+    ["reproduce-examples", "--json", "--out", "r.json"],
+    ["verify"],
+    ["verify", "--level", "full", "--seed", "3", "--json"],
+    ["verify", "--lev", "quick"],
+]
+COMMANDS = ["construct", "count", "verify-free", "bounds", "localize", "search",
+            "reproduce-examples", "verify"]
+BOUNDS = ["bounds", "--pattern", "K3", "--u", "1", "--delta", "6", "--omega", "4"]
+# argvs that exit: help, version, each required-argument and mutually
+# exclusive error, a bad int or choice, unknown options and commands
+EXITS = [
+    [], ["-h"], ["--help"], ["--version"], ["nope"], ["--bogus"], ["-h", "bounds"],
+    *([command, "-h"] for command in COMMANDS),
+    *([command] for command in COMMANDS if command not in ("reproduce-examples", "verify")),
+    ["bounds", "--pattern", "K3", "--u", "1", "--delta", "6"],
+    ["localize", "--pattern", "K3"],
+    ["search", "--pattern", "K3"],
+    ["search", "--pattern", "K3", "--n", "4", "--p", "5"],
+    ["count", "--graph", "K4"],
+    ["count", "--graph", "K4", "--pattern", "K3", "--cliques", "3"],
+    ["bounds", "--pattern", "K3", "--u", "x", "--delta", "6", "--omega", "4"],
+    ["count", "--graph", "K4", "--cliques", "3.5"],
+    ["verify", "--level", "slow"],
+    ["bounds", "--pattern"],
+    [*BOUNDS, "--bogus"],
+    [*BOUNDS, "stray", "--bogus", "x"],
+    [*BOUNDS, "--version"],
+    ["search", "--pattern", "K3", "--n", "4", "--nc", "5", "--d", "2"],
+    ["reproduce-examples", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+def test_dispatch_parses_like_the_full_parser(argv):
+    # the same attributes in the same order, so --out's manifest is the same
+    got = vars(cli.parse_args(list(argv)))
+    want = vars(cli.build_parser().parse_args(list(argv)))
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("argv", EXITS, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_dispatch_exits_like_the_full_parser(capsys, argv):
+    with pytest.raises(SystemExit) as got:
+        main(list(argv))
+    got_out = capsys.readouterr()
+    with pytest.raises(SystemExit) as want:
+        cli.build_parser().parse_args(list(argv))
+    assert got.value.code == want.value.code
+    assert got_out == capsys.readouterr()
+    assert got_out.out or got_out.err
+
+
+def test_unknown_option_after_a_command_is_the_top_level_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*BOUNDS, "--bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("\ngturan: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--fam", "turan(4,6)"],
+    ["count", "--gr", "K4", "--pattern", "K3", "--rooted", "0"],
+    ["verify-free", "--graph", "K5", "--u", "2", "--delta", "1", "--omega", "4"],
+    ["bounds", "--H", "K3", "--u", "1", "--delta", "6", "--om", "4", "--grid"],
+    ["localize", "--graph", "K5", "--pat", "K3", "--omega0", "1", "--per"],
+    ["search", "--pattern", "K3", "--n", "4", "--omega", "3"],
+], ids=lambda argv: argv[0])
+def test_manifest_parameters_are_the_full_parsers(capsys, tmp_path, argv):
+    out = str(tmp_path / "r.json")
+    argv = [*argv, "--out", out]
+    main(list(argv))
+    capsys.readouterr()
+    want = {k: v for k, v in vars(cli.build_parser().parse_args(argv)).items() if k != "func"}
+    assert json.loads(Path(out).read_text())["manifest"]["parameters"] == want
 
 
 def test_reproduce_examples_function():

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
+from conftest import CORPUS_SEED, build_blow_up
+from oracles import subset_cliques
 from gturan.graphs import (
     complete_graph,
     cycle_graph,
     from_edge_list,
     path_graph,
+    random_graph,
     set_of,
 )
 from gturan.families import ParamTriple, colex_turan, complete_split, lower_bound_graph, turan
@@ -108,6 +113,74 @@ def test_equivalence_with_generic_subgraph_search():
                             and not contains_subgraph(g, komega)[0]
                         )
                         assert fast == slow
+
+
+def host_cliques(g) -> list[list[tuple[tuple[int, ...], list[int]]]]:
+    """Every clique of the host with its common neighbours, by size and in
+    lexicographic order, up to an empty list past the clique number."""
+    levels = [[((), list(range(g.n)))]]
+    while levels[-1]:
+        levels.append([
+            (c, [v for v in range(g.n) if all(g.has_edge(v, x) for x in c)])
+            for c in subset_cliques(g, len(levels))
+        ])
+    return levels
+
+
+def host_clique_report(levels, cs: ConstraintSet):
+    """``check_constraints`` by its definition, on ``host_cliques``: (clique
+    number, maxima by u, violations)."""
+    omega = len(levels) - 2
+    by_u = {}
+    split = None
+    for uu in range(1, cs.u + 1):
+        rows = levels[uu] if uu <= omega else []
+        by_u[uu] = max((len(nb) for _, nb in rows), default=0)
+        if uu == cs.u and cs.delta is not None:
+            split = next((tuple(sorted(c + tuple(nb[:cs.delta + 1])))
+                          for c, nb in rows if len(nb) > cs.delta), None)
+    violations = []
+    if cs.omega is not None and omega > cs.omega:
+        violations.append(("clique", levels[cs.omega + 1][0][0]))
+    if split is not None:
+        violations.append(("split", split))
+    return omega, by_u, violations
+
+
+def test_twin_hosts_against_host_clique_walk(twin_grid):
+    """The walk over one vertex per false-twin class finds the host walk's
+    maxima and witnesses, on relabeled blow-ups with both twin kinds."""
+    rng = random.Random(CORPUS_SEED + 5)
+    hosts = [host for _, _, _, host in twin_grid]
+    while len(hosts) < 80:
+        template = random_graph(rng, rng.randint(3, 5), 0.5)
+        sizes = [rng.randint(1, 3) for _ in range(template.n)]
+        hosts.append(build_blow_up(rng, template, sizes, rng.getrandbits(template.n)))
+    checked = 0
+    for g in hosts:
+        levels = host_cliques(g)
+        for u in (1, 2, 3):
+            for delta in (None, 0, 1, 2, 4):
+                for omega in (None, 1, 2, 3):
+                    cs = ConstraintSet(u=u, delta=delta, omega=omega)
+                    rep = check_constraints(g, cs)
+                    got = (rep.clique_number, rep.max_common_neighborhood_by_u,
+                           [(v.kind, v.vertex_list()) for v in rep.violations])
+                    assert got == host_clique_report(levels, cs)
+                    assert rep.max_degree == max(row.bit_count() for row in g.adj)
+                    checked += 1
+    assert checked == 80 * 60
+
+
+def test_turan_host_walks_one_vertex_per_part():
+    # 2^24 host 3-cliques and 2^40 host 8-cliques; one each on the parts' leads
+    g = turan(8, 256)
+    rep = check_constraints(g, ConstraintSet(u=3, delta=1))
+    assert rep.max_common_neighborhood_by_u == {1: 224, 2: 192, 3: 160}
+    assert [(v.kind, v.vertex_list()) for v in rep.violations] == [("split", (0, 32, 64, 96, 97))]
+    rep = check_constraints(g, ConstraintSet(u=8, delta=1))
+    assert rep.passes and rep.clique_number == 8
+    assert rep.max_common_neighborhood_by_u == {u: 32 * (8 - u) for u in range(1, 9)}
 
 
 def test_constraint_validation():
