@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Optional
 
 from .graphs import Graph, common_neighborhood, iter_bits, mask_of, set_of, twin_quotient
-from .counting import _cliques, _frontier, _max_clique, enumerate_cliques, has_clique
+from .counting import _cliques, _frontier, clique_number, enumerate_cliques, has_clique
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,9 @@ def check_constraints(g: Graph, cs: ConstraintSet) -> FreenessReport:
     (omega+1)-clique, and the least u-clique with an oversized common
     neighbourhood together with its delta+1 least common neighbours.
     """
+    omega_g = clique_number(g)
     adj = g.adj
     reps = twin_quotient(adj).reps
-    omega_g = _max_clique(adj, 0, reps)
     by_u: dict[int, int] = {}
     split = None  # witness: the least u-clique with > delta common neighbours
     # only the cliques inside reps are walked: swapping a non-lead false
